@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -141,10 +140,13 @@ def validate_args(args) -> list:
     ell = getattr(args, "ell", None)
     if ell is not None and k is not None and not (0 <= ell <= k - 1):
         problems.append("need 0 <= ell <= k - 1")
-    for name in ("steps", "T"):
+    for name in ("steps", "T", "thin"):
         val = getattr(args, name, None)
         if val is not None and val < 1:
             problems.append(f"{name} must be >= 1")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        problems.append("seed must be >= 0")
     delta = getattr(args, "delta", None)
     if delta is not None and delta < 0:
         problems.append("delta must be nonnegative")
@@ -193,12 +195,10 @@ def cmd_phase_diagram(args, ctx: RunContext) -> int:
         ea = eta_plus(args.delta, beta, lab)
         return (beta, lu, lab, ec, eu, ea)
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        rows = list(pool.map(row, betas))
     ctx.write_csv(
         "phase_diagram.csv",
         ["beta", "lambda_u", "lambda_a_bar", "eta_c", "eta_u", "eta_a_bar"],
-        rows,
+        [row(beta) for beta in betas],
     )
     return EXIT_OK
 
@@ -207,13 +207,11 @@ def cmd_landscape(args, ctx: RunContext) -> int:
     pts = critical_points(args.delta, args.beta, args.lam, grid_resolution=args.grid)
     n_grid = max(2, int(2 / args.grid))
     etas = np.linspace(-1 + 1e-6, 1 - 1e-6, n_grid + 1)
-
-    def f_of(eta):
-        return f_eta(float(eta), args.delta, args.beta, args.lam)
-
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        fvals = list(pool.map(f_of, etas))
-    rows = [(float(e), f, "interior-critical-none") for e, f in zip(etas, fvals)]
+    rows = [
+        (float(e), f_eta(float(e), args.delta, args.beta, args.lam),
+         "interior-critical-none")
+        for e in etas
+    ]
     rows.extend((p.eta, p.f_value, p.classification) for p in pts)
     rows.sort(key=lambda r: r[0])
     ctx.write_csv("landscape.csv", ["eta", "f", "classification"], rows)
@@ -501,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--enum-cap", type=int, default=24,
                        help="max free vertices for exact enumeration")
 

@@ -41,7 +41,7 @@ from .measures import (
 )
 from .meanfield import annealed_log_EZ_per_k, critical_points
 from .rng import as_rng
-from .thresholds import beta_u, eta_minus, eta_plus, lambda_u
+from .thresholds import beta_u, bisect_root, eta_minus, eta_plus, lambda_u
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
                        component_of=None) -> dict:
     """Kawasaki run; with ``component_of``, also tracks per-copy counts.
 
-    Returns {"etas": ..., "component_counts": trajectory or None}.
+    Returns {"component_counts": trajectory or None, "spins": final spins}.
     """
     if T < 1:
         raise InvalidInputError("need T >= 1")
@@ -510,7 +510,6 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
     iu = rng.integers(0, len(plus_list), size=T)
     iw = rng.integers(0, len(minus_list), size=T)
     us = rng.random(size=T)
-    etas = []
     for t in range(T):
         u = plus_list[int(iu[t])]
         w = minus_list[int(iw[t])]
@@ -537,12 +536,9 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
             if comp_counts is not None:
                 comp_counts[component_of[u]] -= 1
                 comp_counts[component_of[w]] += 1
-        if (t + 1) % record_every == 0:
-            etas.append((2 * k - n) / n)
-            if comp_counts is not None:
-                comp_traj.append(tuple(comp_counts))
+        if comp_counts is not None and (t + 1) % record_every == 0:
+            comp_traj.append(tuple(comp_counts))
     return {
-        "etas": np.array(etas),
         "component_counts": comp_traj if component_of is not None else None,
         "spins": spins,
     }
@@ -779,8 +775,9 @@ def find_union_parameters(delta: int, beta: float, eta_target: float,
     """Smallest (m, l) and the field lam_plus realizing the target magnetization.
 
     Solves l eta+(lam) + (m - l) eta-(lam) = m eta over lam in (1, lambda_u)
-    by bisection for each candidate (m, l); for |eta| <= eta_c with a rational
-    eta/eta_c a continued-fraction pick at lam = 1 is exact.
+    by bisection to adjacent floats for each candidate (m, l); for
+    |eta| <= eta_c with a rational eta/eta_c a continued-fraction pick at
+    lam = 1 is exact.
     """
     if beta <= beta_u(delta):
         raise NoNonuniquenessError("union construction needs beta > beta_u")
@@ -815,16 +812,7 @@ def find_union_parameters(delta: int, beta: float, eta_target: float,
             elif (f_lo < 0) == (f_hi < 0):
                 continue
             else:
-                a, b = lam_lo, lam_hi
-                fa = f_lo
-                for _ in range(200):
-                    lam = 0.5 * (a + b)
-                    fm = combo(lam, m, ell)
-                    if (fa < 0) == (fm < 0):
-                        a, fa = lam, fm
-                    else:
-                        b = lam
-                lam = 0.5 * (a + b)
+                lam = bisect_root(lambda x: combo(x, m, ell), lam_lo, lam_hi, f_lo)
             params = UnionParameters(
                 m=m, ell=ell, lam_plus=lam,
                 eta_plus=eta_plus(delta, beta, lam),

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInputError
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Return a Philox-backed generator for (seed, stream).
 
-    Distinct (seed, stream) pairs give statistically independent streams;
-    identical pairs give identical output on every platform.
+def make_rng(seed: int) -> np.random.Generator:
+    """Return a Philox-backed generator keyed by ``seed << 16``.
+
+    Distinct nonnegative seeds give statistically independent streams;
+    identical seeds give identical output on every platform.
     """
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 16) + int(stream)))
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.Philox(key=seed << 16))
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

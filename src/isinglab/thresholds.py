@@ -9,12 +9,28 @@ plus/minus tree magnetizations eta+/eta-, the analytic-threshold upper bound
 lambda_a_bar, and the derived magnetization thresholds eta_c, eta_u,
 eta_a_bar.
 
-Root finding works on the equivalent polynomial in r = R^(1/(delta-1)),
+``tree_fixed_points`` is the one solver.  It works on the equivalent
+polynomial in r = R^(1/d), d = delta - 1, c = lambda^(1/d),
 
-    hhat(r) = r^(d+1) - lambda^(1/d) e^beta r^d + e^beta r - lambda^(1/d),
+    hhat(r) = r^(d+1) - c e^beta r^d + e^beta r - c,
 
 whose positive real roots number 1 or 3 (counted with multiplicity, by
-Descartes' rule of signs); a tangency double root is reported with a flag.
+Descartes' rule of signs).  No grid is needed, because every bracket is
+exact:
+
+* hhat''(r) = d r^(d-2) ((d+1) r - (d-1) c e^beta) has the one positive zero
+  r_inf = (d-1) c e^beta / (d+1), so hhat' falls and then rises.  Since
+  hhat'(0) = hhat'(d c e^beta / (d+1)) = e^beta > 0, hhat' has either no
+  positive zero or two, in (0, r_inf) and (r_inf, d c e^beta / (d+1)].
+* hhat(0) = -c < 0 < hhat(c e^beta + 1), so every root lies in
+  (0, c e^beta + 1], and hhat is monotone between the zeros of hhat'.
+* hhat(c) = c (e^beta - 1)(1 - lambda), so r = c splits the range too; at
+  lambda = 1 it is the symmetric fixed point R = 1, found exactly.
+
+Each bracket is bisected to adjacent floats and each root polished by
+Newton; a tangency double root is reported with a flag.  eta+ and eta- are
+the root magnetizations of the largest and smallest fixed points, and
+lambda_u is the closed-form tangency of the recursion.
 """
 
 from __future__ import annotations
@@ -56,12 +72,31 @@ def _recursion_derivative(R: float, delta: int, beta: float, lam: float) -> floa
     return (delta - 1) * (math.exp(2 * beta) - 1) * h / ((eb * R + 1) * (R + eb))
 
 
-def tree_fixed_points(delta: int, beta: float, lam: float) -> list:
-    """All positive fixed points of the tree recursion, with stability.
+def bisect_root(f, a: float, b: float, fa: float | None = None) -> float:
+    """Root of ``f`` on [a, b], where f(a) and f(b) differ in sign.
 
-    Simple roots come from bracketed bisection over sign changes of hhat on a
-    log-spaced r grid plus Newton polish; tangency double roots are caught at
-    the critical points of hhat and flagged.
+    Halves the bracket until its midpoint no longer falls strictly inside,
+    i.e. until a and b are adjacent floats, and returns that midpoint.
+    """
+    if fa is None:
+        fa = f(a)
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return mid
+        fm = f(mid)
+        if (fa < 0) == (fm < 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+
+
+def tree_fixed_points(delta: int, beta: float, lam: float) -> list:
+    """All positive fixed points of the tree recursion, in increasing R.
+
+    Simple roots come from bisection on the monotone pieces of hhat between
+    its critical points, plus Newton polish; tangency double roots are
+    caught at the critical points of hhat and flagged.
     """
     if delta < 3:
         raise InvalidInputError("need delta >= 3")
@@ -76,24 +111,6 @@ def tree_fixed_points(delta: int, beta: float, lam: float) -> list:
 
     def hhat_prime(r):
         return (d + 1) * r**d - d * c * eb * r ** (d - 1) + eb
-
-    lo_exp, hi_exp, npts = -9.0, 9.0, 4000
-    grid = [10 ** (lo_exp + (hi_exp - lo_exp) * i / npts) for i in range(npts + 1)]
-
-    def bisect(f, a, b):
-        fa = f(a)
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            fm = f(mid)
-            if fm == 0:
-                return mid
-            if (fa < 0) == (fm < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-            if b - a <= 1e-16 * max(1.0, a):
-                break
-        return 0.5 * (a + b)
 
     def newton_polish(r0):
         r = r0
@@ -110,25 +127,25 @@ def tree_fixed_points(delta: int, beta: float, lam: float) -> list:
                 break
         return r
 
-    # Critical points of hhat: between consecutive ones hhat is monotone, so
-    # bracketing over the breakpoint intervals finds every simple root even
-    # when two roots sit arbitrarily close (just before a tangency).
+    # Exact brackets (see the module docstring): hhat' has two positive
+    # zeros, one on each side of r_inf, or none.  Between them hhat is
+    # monotone, which finds every simple root even when two sit arbitrarily
+    # close (just before a tangency).
+    r_inf = (d - 1) * c * eb / (d + 1)
     crits = []
-    dvals = [hhat_prime(r) for r in grid]
-    for i in range(npts):
-        if (dvals[i] < 0) != (dvals[i + 1] < 0):
-            crits.append(bisect(hhat_prime, grid[i], grid[i + 1]))
-    breakpoints = [grid[0]] + sorted(crits) + [grid[-1]]
+    if hhat_prime(r_inf) < 0:
+        crits = [bisect_root(hhat_prime, 0.0, r_inf),
+                 bisect_root(hhat_prime, r_inf, d * c * eb / (d + 1))]
+    # Every root lies in (0, c e^beta + 1]; r = c is the root R = 1 at lambda = 1.
+    breakpoints = sorted([0.0, c, c * eb + 1.0] + crits)
 
     roots = []  # (r, double_flag)
     for a, b in zip(breakpoints, breakpoints[1:]):
         fa, fb = hhat(a), hhat(b)
         if fa == 0.0:
             roots.append((a, False))
-        if (fa < 0) != (fb < 0):
-            roots.append((newton_polish(bisect(hhat, a, b)), False))
-    if hhat(breakpoints[-1]) == 0.0:
-        roots.append((breakpoints[-1], False))
+        if min(fa, fb) < 0 < max(fa, fb):
+            roots.append((newton_polish(bisect_root(hhat, a, b, fa)), False))
 
     # Tangency double roots sit at critical points with hhat ~ 0 and no
     # simple crossing nearby.
@@ -192,113 +209,45 @@ def eta_of_fixed_point(R: float, beta: float) -> float:
     return (T - 1) / (T + 1)
 
 
-def _field_solutions(delta: int, beta: float, lam: float) -> list:
-    """All solutions of L = (1/2) log(lambda) + (delta-1) artanh(tanh L tanh(beta/2)).
-
-    This is the tree fixed-point equation in half-log-likelihood form
-    (L = (1/2) log R); the largest solution feeds eta_plus, the smallest
-    eta_minus.
-    """
-    th = math.tanh(beta / 2)
-    half_log_lam = 0.5 * math.log(lam)
-    # |artanh(tanh(L) tanh(beta/2))| < beta/2, so every solution satisfies
-    # |L| <= |log(lam)|/2 + (delta-1) beta/2.
-    span = abs(half_log_lam) + (delta - 1) * beta / 2 + 2.0
-
-    def F(L):
-        return half_log_lam + (delta - 1) * math.atanh(math.tanh(L) * th) - L
-
-    npts = 20000
-    grid = [-span + 2 * span * i / npts for i in range(npts + 1)]
-    vals = [F(L) for L in grid]
-    sols = []
-    for i in range(npts):
-        if vals[i] == 0.0:
-            sols.append(grid[i])
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
-            a, b = grid[i], grid[i + 1]
-            fa = vals[i]
-            for _ in range(200):
-                mid = 0.5 * (a + b)
-                fm = F(mid)
-                if (fa < 0) == (fm < 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            sols.append(0.5 * (a + b))
-    dedup = []
-    for s in sorted(sols):
-        if not dedup or abs(s - dedup[-1]) > 1e-9:
-            dedup.append(s)
-    return dedup
-
-
 def L_star(delta: int, beta: float, lam: float) -> float:
-    """Largest solution of the tree field equation (see _field_solutions)."""
-    if delta < 3:
-        raise InvalidInputError("need delta >= 3")
-    return max(_field_solutions(delta, beta, lam))
+    """Largest solution of the tree equation in half-log-likelihood form,
 
+        L = (1/2) log(lambda) + (delta-1) artanh(tanh L tanh(beta/2)),
 
-def _eta_from_L(L: float, beta: float) -> float:
-    return math.tanh(L + math.atanh(math.tanh(L) * math.tanh(beta / 2)))
+    which is L* = (1/2) log R for the largest fixed point R.
+    """
+    return 0.5 * math.log(tree_fixed_points(delta, beta, lam)[-1].R)
 
 
 def eta_plus(delta: int, beta: float, lam: float) -> float:
     """Mean root magnetization of the plus measure on the delta-regular tree."""
-    return _eta_from_L(L_star(delta, beta, lam), beta)
+    return eta_of_fixed_point(tree_fixed_points(delta, beta, lam)[-1].R, beta)
 
 
 def eta_minus(delta: int, beta: float, lam: float) -> float:
-    """Mean root magnetization of the minus measure (smallest field solution)."""
-    return _eta_from_L(min(_field_solutions(delta, beta, lam)), beta)
+    """Mean root magnetization of the minus measure (smallest fixed point)."""
+    return eta_of_fixed_point(tree_fixed_points(delta, beta, lam)[0].R, beta)
 
 
-def _fixed_point_count(delta: int, beta: float, lam: float) -> int:
-    return len(tree_fixed_points(delta, beta, lam))
-
-
-def lambda_u(delta: int, beta: float, tol: float = 1e-10) -> float:
+def lambda_u(delta: int, beta: float) -> float:
     """Field uniqueness threshold: where the fixed-point count drops 3 -> 1.
 
-    Bisection on the count for robustness, then refined via the tangency
-    system h(x) = x, h'(x) = 1, which reduces to a quadratic in x whose
-    larger-lambda branch is lambda_u.
+    The tangency system h(x) = x, h'(x) = 1 reduces to
+    e^b x^2 - (d(e^{2b}-1) - 1 - e^{2b}) x + e^b = 0 with
+    lambda(x) = x ((x + e^b)/(x e^b + 1))^d.  Its discriminant is positive
+    exactly when beta > beta_u; the two roots have product 1 and give
+    lambda_u and 1/lambda_u, the smaller root the larger lambda.  (Rounding
+    can make the discriminant negative just above beta_u; it is then 0.)
     """
     if beta <= beta_u(delta):
         raise NoNonuniquenessError(
             f"beta={beta} <= beta_u({delta})={beta_u(delta):.6f}: unique for all lambda"
         )
-    lo = 1.0
-    hi = 2.0
-    while _fixed_point_count(delta, beta, hi) >= 3:
-        hi *= 2
-        if hi > 1e8:
-            raise InvalidInputError("lambda_u search diverged")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _fixed_point_count(delta, beta, mid) >= 3:
-            lo = mid
-        else:
-            hi = mid
-    coarse = 0.5 * (lo + hi)
-
-    # Tangency refinement: e^b x^2 - (d(e^{2b}-1) - 1 - e^{2b}) x + e^b = 0,
-    # lambda(x) = x ((x + e^b)/(x e^b + 1))^d; the two roots give lambda_u
-    # and 1/lambda_u.
     d = delta - 1
     eb, e2b = math.exp(beta), math.exp(2 * beta)
     B = -(d * (e2b - 1) - 1 - e2b)
-    disc = B * B - 4 * eb * eb
-    if disc <= 0:
-        return coarse
-    cands = []
-    for sign in (+1, -1):
-        x = (-B + sign * math.sqrt(disc)) / (2 * eb)
-        if x > 0:
-            cands.append(x * ((x + eb) / (x * eb + 1)) ** d)
-    refined = max(cands)
-    return refined if abs(refined - coarse) < 1e-6 * refined else coarse
+    x = (-B - math.sqrt(max(B * B - 4 * eb * eb, 0.0))) / (2 * eb)
+    return x * ((x + eb) / (x * eb + 1)) ** d
 
 
 def lambda_a_bar(delta: int, beta: float) -> float:

@@ -40,7 +40,7 @@ def test_landscape_three_critical_points(tmp_path):
 
 def test_phase_diagram_csv(tmp_path):
     code = run(["phase-diagram", "--delta", "4", "--beta-min", "0.8",
-                "--beta-max", "1.0", "--steps", "3", "--threads", "2",
+                "--beta-max", "1.0", "--steps", "3",
                 "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "phase_diagram.csv").read_text().splitlines()
@@ -133,6 +133,14 @@ def test_validation_rejects_bad_params(tmp_path):
     write_edge_list(complete_graph(4), gfile)
     assert run(["spectra", "--chain", "kl_downup", "--graph", str(gfile),
                 "--beta", "0.3", "--k", "2", "--ell", "2", "--report", "gap",
+                "--out", str(tmp_path)]) == 2
+    # negative seed
+    assert run(["simulate", "--chain", "glauber", "--n", "6", "--delta", "3",
+                "--beta", "0.5", "--lam", "1.0", "--steps", "10", "--seed", "-1",
+                "--out", str(tmp_path)]) == 2
+    # thin < 1
+    assert run(["simulate", "--chain", "kawasaki", "--n", "6", "--delta", "3",
+                "--beta", "0.5", "--k", "3", "--steps", "10", "--thin", "0",
                 "--out", str(tmp_path)]) == 2
 
 

@@ -123,12 +123,37 @@ def test_lambda_u_to_one_at_beta_u():
     vals = [lambda_u(4, LN2 + eps) for eps in (0.1, 0.01, 0.001)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1.001
+    # at the next float above beta_u(8) the tangency discriminant rounds below 0
+    assert math.isclose(lambda_u(8, math.nextafter(beta_u(8), math.inf)), 1.0,
+                        abs_tol=1e-9)
 
 
 def test_lambda_u_bisect_matches_tangency_refinement():
     # value frozen from two independent routes agreeing to 1e-12
     assert math.isclose(lambda_u(4, LN2 + 0.1), 1.067849843028, abs_tol=1e-9)
     assert math.isclose(lambda_u(3, 1.2), 1.031601420385, abs_tol=1e-9)
+
+
+def _lambda_u_by_count(delta, beta):
+    # independent oracle: bisect lambda on the fixed-point count dropping 3 -> 1
+    lo, hi = 1.0, 2.0
+    while len(tree_fixed_points(delta, beta, hi)) >= 3:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if len(tree_fixed_points(delta, beta, mid)) >= 3:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("delta", [3, 4, 5])
+def test_lambda_u_matches_count_bisection(delta):
+    bu = beta_u(delta)
+    for beta in (bu + 0.05, bu + 0.3, 1.5, 2.5):
+        assert math.isclose(lambda_u(delta, beta), _lambda_u_by_count(delta, beta),
+                            rel_tol=1e-6), (delta, beta)
 
 
 def test_lambda_u_requires_nonuniqueness():
