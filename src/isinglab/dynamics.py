@@ -449,6 +449,10 @@ class CoupledState:
     D holds the disagreeing indices, B the "bad" ones whose plus position in
     either chain neighbors an agreeing plus; rho = phi |D| + |B| is the
     contraction functional.
+
+    Outside == and hashing it caches each copy's vertex -> index map (-1 at
+    a minus, -2 at a pinned plus; so also a plus mask) and the per-vertex
+    count of neighbouring agreeing pluses.  Steps copy, never write, these.
     """
 
     X: tuple
@@ -457,6 +461,9 @@ class CoupledState:
     phi: float
     D: frozenset
     B: frozenset
+    x_index: np.ndarray = field(default=None, compare=False, repr=False)
+    y_index: np.ndarray = field(default=None, compare=False, repr=False)
+    agree_nbrs: list = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.X) != len(self.Y):
@@ -508,69 +515,106 @@ class CoupledKawasaki:
         self.neighbor_sets = [
             frozenset(w for w in g.adjacency[v] if w != v) for v in range(g.n)
         ]
+        # with multiplicity, for the monochromatic-edge change of a swap
+        self.neighbors = [tuple(w for w in a if w != v)
+                          for v, a in enumerate(g.adjacency)]
         self.k_free = k - len(self.pinned)
-        if self.k_free < 1:
-            raise InvalidInputError("need at least one free plus")
+        if self.k_free < 1 or k > g.n - 1:
+            raise InvalidInputError(f"need 1 <= k - |pinned| and k <= n - 1, got "
+                                    f"k = {k}, |pinned| = {len(self.pinned)}")
 
     def make_state(self, x_positions, y_positions) -> CoupledState:
+        """State built from scratch: D and B by :func:`_disagreements`."""
         X, Y = tuple(x_positions), tuple(y_positions)
         for pos in (X, Y):
             if len(set(pos)) != len(pos) or set(pos) & self.pinned:
                 raise InvalidInputError("positions must be distinct and unpinned")
         D, B = _disagreements(X, Y, self.neighbor_sets)
-        return CoupledState(X=X, Y=Y, pinned=self.pinned, phi=self.phi, D=D, B=B)
+        x_index, y_index = self._index_map(X), self._index_map(Y)
+        agreeing = [w for x, y in zip(X, Y) if x == y for w in self.neighbor_sets[x]]
+        agree_nbrs = np.bincount(agreeing, minlength=self.g.n).tolist()
+        return CoupledState(X=X, Y=Y, pinned=self.pinned, phi=self.phi, D=D, B=B,
+                            x_index=x_index, y_index=y_index,
+                            agree_nbrs=agree_nbrs)
 
-    def _spins_of(self, positions):
-        spins = [-1] * self.g.n
-        for v in self.pinned:
-            spins[v] = 1
-        for v in positions:
-            spins[v] = 1
-        return spins
+    def _index_map(self, positions) -> np.ndarray:
+        index = np.full(self.g.n, -1, dtype=np.int64)
+        index[list(self.pinned)] = -2
+        index[list(positions)] = np.arange(len(positions))
+        return index
 
-    def _accept_prob(self, positions, i, v) -> float:
-        spins = self._spins_of(positions)
-        u = positions[i]
-        delta_m = _swap_delta_mono(self.g, spins, u, v)
-        return min(1.0, math.exp(self.beta * delta_m))
+    def _accept_prob(self, index, u, v) -> float:
+        """Metropolis probability of moving the plus at u to the minus at v."""
+        d = 0
+        for x in self.neighbors[u]:
+            if x != v:
+                d += -1 if index.item(x) != -1 else 1
+        for x in self.neighbors[v]:
+            if x != u:
+                d += 1 if index.item(x) != -1 else -1
+        return min(1.0, math.exp(self.beta * d))
 
     def step(self, state: CoupledState, rng) -> CoupledState:
-        """One joint update; each marginal is one pinned-Kawasaki step."""
+        """One joint update; each marginal is one pinned-Kawasaki step.
+
+        O(delta) Python work plus O(n) vectorised copies."""
         rng = as_rng(rng)
         X, Y = state.X, state.Y
-        minus_X = [v for v in range(self.g.n)
-                   if v not in self.pinned and v not in X]
+        x_index, y_index = state.x_index, state.y_index
+        # candidates in ascending vertex order
+        minus_x = (x_index == -1).nonzero()[0]
         i = int(rng.integers(self.k_free))
-        v = minus_X[int(rng.integers(len(minus_X)))]
+        v = int(minus_x[rng.integers(len(minus_x))])
 
-        y_set = set(Y)
-        if v not in y_set:
+        if y_index.item(v) == -1:
             v_y = v
         else:
-            only_y = [w for w in range(self.g.n)
-                      if w not in self.pinned and w not in y_set and w in set(X)]
-            v_y = only_y[int(rng.integers(len(only_y)))]
+            only_y = ((y_index == -1) & (x_index >= 0)).nonzero()[0]
+            v_y = int(only_y[rng.integers(len(only_y))])
 
-        phi_x = self._accept_prob(X, i, v)
-        phi_y = self._accept_prob(Y, i, v_y)
+        phi_x = self._accept_prob(x_index, X[i], v)
+        phi_y = self._accept_prob(y_index, Y[i], v_y)
 
+        # maximal coupling: both move, neither moves, or the likelier one alone
         u = rng.random()
-        accept_x = accept_y = False
         both = min(phi_x, phi_y)
-        neither = min(1 - phi_x, 1 - phi_y)
-        if u < both:
-            accept_x = accept_y = True
-        elif u < both + neither:
-            pass
-        elif phi_x > phi_y:
-            accept_x = True
-        else:
-            accept_y = True
+        alone = u >= both + min(1 - phi_x, 1 - phi_y)
+        if u < both or (alone and phi_x > phi_y):
+            X, x_index = self._moved(X, x_index, i, v)
+        if u < both or (alone and phi_x <= phi_y):
+            Y, y_index = self._moved(Y, y_index, i, v_y)
+        return self._rescored(state, X, Y, x_index, y_index, i)
 
-        X_new = list(X)
-        Y_new = list(Y)
-        if accept_x:
-            X_new[i] = v
-        if accept_y:
-            Y_new[i] = v_y
-        return self.make_state(X_new, Y_new)
+    @staticmethod
+    def _moved(positions, index, i, v):
+        """Positions and index map after the plus of index i moved to v."""
+        index = index.copy()
+        index[positions[i]] = -1
+        index[v] = i
+        return positions[:i] + (v,) + positions[i + 1:], index
+
+    def _rescored(self, state, X, Y, x_index, y_index, i) -> CoupledState:
+        """The new state.  Only index i moved: at most one agreeing plus left
+        and one joined, so B changes only at i and at their neighbours."""
+        agreed = state.X[i] if state.X[i] == state.Y[i] else None
+        agrees = X[i] if X[i] == Y[i] else None
+        agree_nbrs = state.agree_nbrs
+        touched = {i}
+        if agreed != agrees:
+            agree_nbrs = agree_nbrs.copy()
+            for a, sign in ((agreed, -1), (agrees, 1)):
+                if a is not None:
+                    for w in self.neighbor_sets[a]:
+                        agree_nbrs[w] += sign
+                        touched.update((x_index.item(w), y_index.item(w)))
+            touched -= {-1, -2}
+        bad = {j for j in touched
+               if X[j] != Y[j] and (agree_nbrs[X[j]] or agree_nbrs[Y[j]])}
+        D, B = state.D, state.B
+        if (X[i] != Y[i]) != (i in D):
+            D = D ^ {i}
+        if touched & B != bad:
+            B = (B - touched) | bad
+        return CoupledState(X=X, Y=Y, pinned=self.pinned, phi=self.phi, D=D, B=B,
+                            x_index=x_index, y_index=y_index,
+                            agree_nbrs=agree_nbrs)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -41,7 +42,8 @@ from .measures import (
 )
 from .meanfield import annealed_log_EZ_per_k, critical_points
 from .rng import as_rng
-from .thresholds import beta_u, bisect_root, eta_minus, eta_plus, lambda_u
+from .thresholds import (beta_u, bisect_root, eta_minus, eta_of_fixed_point,
+                         eta_plus, lambda_u, tree_fixed_points)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +409,95 @@ def _start_spins(g: Graph, start, rng, k: int = None):
     return spins
 
 
+_CHUNK = 1 << 10
+
+
+def _chunks(*arrays):
+    """Zip predrawn arrays as plain Python values, _CHUNK positions at a time."""
+    return chain.from_iterable(
+        zip(*(a[lo:lo + _CHUNK].tolist() for a in arrays))
+        for lo in range(0, len(arrays[0]), _CHUNK))
+
+
+def _heat_bath(g: Graph, beta: float, lam: float, spins: list, rng, T: int):
+    """Glauber heat-bath kernel: T updates of ``spins`` (+-1, in place).
+
+    Draws the T vertices, then the T uniforms.  Yields (plus count,
+    monochromatic edges) before the first update and after each one.  Every
+    vertex keeps its plus-neighbour count (parallel edges once per copy,
+    self-loops never) and plus probability; a flip updates its neighbours'.
+    """
+    nbrs = [tuple(w for w in row if w != v) for v, row in enumerate(g.adjacency)]
+    tables = {
+        d: [lam * math.exp(beta * j) / (lam * math.exp(beta * j)
+                                        + math.exp(beta * (d - j)))
+            for j in range(d + 1)]
+        for d in {len(nb) for nb in nbrs}
+    }
+    table_of = [tables[len(nb)] for nb in nbrs]
+    j_of = [sum(1 for w in nb if spins[w] == 1) for nb in nbrs]
+    p_of = [table[j] for table, j in zip(table_of, j_of)]
+    plus = spins.count(1)
+    mono = monochromatic_edges(g, spins)
+    vs = rng.integers(0, g.n, size=T)
+    us = rng.random(size=T)
+    yield plus, mono
+    for v, u in _chunks(vs, us):
+        s_new = 1 if u < p_of[v] else -1
+        if s_new != spins[v]:
+            spins[v] = s_new
+            nb = nbrs[v]
+            plus += s_new
+            mono += s_new * (2 * j_of[v] - len(nb))
+            for w in nb:
+                j_of[w] += s_new
+                p_of[w] = table_of[w][j_of[w]]
+        yield plus, mono
+
+
+def _kawasaki_spins(g: Graph, start, rng, k: int) -> list:
+    """Start spins with exactly k pluses, where a swap needs 1 <= k <= n - 1."""
+    if not 1 <= k <= g.n - 1:
+        raise InvalidInputError(f"Kawasaki needs 1 <= k <= n - 1 = {g.n - 1}, got {k}")
+    spins = _start_spins(g, start, rng, k=k)
+    if spins.count(1) != k:
+        raise InvalidInputError("start incompatible with k")
+    return spins
+
+
+def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int):
+    """Kawasaki kernel: T Metropolis swaps of a uniform (+, -) pair of ``spins``.
+
+    Draws the T plus indices, the T minus indices, then the T uniforms.
+    Yields (u, w, d) when the plus at u moved to the minus at w, changing
+    the monochromatic edges by d, and None for a rejected swap.  Every vertex
+    keeps e = minus - plus neighbours, so d = e[u] - e[w] - 2 (u-w edges).
+    """
+    nbrs = [tuple(w for w in row if w != v) for v, row in enumerate(g.adjacency)]
+    e = [-sum(spins[w] for w in nb) for nb in nbrs]
+    plus = [v for v, s in enumerate(spins) if s == 1]
+    minus = [v for v, s in enumerate(spins) if s == -1]
+    # e^{beta d} for d = -2 delta .. -1, indexed by d itself
+    accept = [math.exp(beta * d) for d in range(-2 * g.delta_max, 0)]
+    iu = rng.integers(0, len(plus), size=T)
+    iw = rng.integers(0, len(minus), size=T)
+    us = rng.random(size=T)
+    for a, b, r in _chunks(iu, iw, us):
+        u, w = plus[a], minus[b]
+        nu = nbrs[u]
+        d = e[u] - e[w] - 2 * nu.count(w)
+        if d >= 0 or r < accept[d]:
+            spins[u], spins[w] = -1, 1
+            plus[a], minus[b] = w, u
+            for x in nu:
+                e[x] += 2
+            for x in nbrs[w]:
+                e[x] -= 2
+            yield u, w, d
+        else:
+            yield None
+
+
 def run_glauber_trace(g: Graph, beta: float, lam: float, start: str, T: int,
                       seed, record_every: int = 1,
                       band_plus=None, band_minus=None) -> TraceSummary:
@@ -415,57 +506,31 @@ def run_glauber_trace(g: Graph, beta: float, lam: float, start: str, T: int,
         raise InvalidInputError("need T >= 1")
     rng = as_rng(seed)
     n = g.n
-    spins = _start_spins(g, start, rng)
-    plus = sum(1 for s in spins if s == 1)
-    adj = g.adjacency
-    # conditional tables per (degree, plus-neighbors); degrees are bounded
-    tables = {}
-    for v in range(n):
-        d = len(adj[v]) - adj[v].count(v)
-        if d not in tables:
-            tables[d] = [
-                lam * math.exp(beta * j) / (lam * math.exp(beta * j)
-                                            + math.exp(beta * (d - j)))
-                for j in range(d + 1)
-            ]
-    degs = [len(adj[v]) - adj[v].count(v) for v in range(n)]
-
-    vs = rng.integers(0, n, size=T)
-    us = rng.random(size=T)
+    moves = _heat_bath(g, beta, lam, _start_spins(g, start, rng), rng, T)
+    plus, _ = next(moves)
     etas = np.empty(T // record_every + 1)
     etas[0] = (2 * plus - n) / n
     bp = band_plus or (2.0, 3.0)
     bm = band_minus or (2.0, 3.0)
+    # band membership per plus count
+    in_p = [bp[0] <= (2 * j - n) / n <= bp[1] for j in range(n + 1)]
+    in_m = [bm[0] <= (2 * j - n) / n <= bm[1] for j in range(n + 1)]
     hit_plus = hit_minus = -1
     in_plus = in_minus = 0
     idx = 1
-    for t in range(T):
-        v = int(vs[t])
-        row = adj[v]
-        j = 0
-        for w in row:
-            if w != v and spins[w] == 1:
-                j += 1
-        s_new = 1 if us[t] < tables[degs[v]][j] else -1
-        s_old = spins[v]
-        if s_new != s_old:
-            spins[v] = s_new
-            plus += 1 if s_new == 1 else -1
-        eta = (2 * plus - n) / n
-        in_p = bp[0] <= eta <= bp[1]
-        in_m = bm[0] <= eta <= bm[1]
-        if in_p and hit_plus < 0:
-            hit_plus = t + 1
-        if in_m and hit_minus < 0:
-            hit_minus = t + 1
+    for t, (plus, _) in enumerate(moves, 1):
+        if hit_plus < 0 and in_p[plus]:
+            hit_plus = t
+        if hit_minus < 0 and in_m[plus]:
+            hit_minus = t
         # dwell counting is exclusive (plus band wins) so the fractions sum
         # to <= 1 even when the bands coincide in the uniqueness regime
-        if in_p:
+        if in_p[plus]:
             in_plus += 1
-        elif in_m:
+        elif in_m[plus]:
             in_minus += 1
-        if (t + 1) % record_every == 0:
-            etas[idx] = eta
+        if t % record_every == 0:
+            etas[idx] = (2 * plus - n) / n
             idx += 1
     return TraceSummary(
         chain="glauber", n=n, T=T, seed=int(seed) if isinstance(seed, int) else -1,
@@ -486,62 +551,24 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
     if T < 1:
         raise InvalidInputError("need T >= 1")
     rng = as_rng(seed)
-    n = g.n
-    spins = _start_spins(g, start, rng, k=k)
-    if sum(1 for s in spins if s == 1) != k:
-        raise InvalidInputError("start incompatible with k")
-    adj = g.adjacency
-    plus_list = [v for v in range(n) if spins[v] == 1]
-    minus_list = [v for v in range(n) if spins[v] == -1]
-    pos_in = [0] * n
-    for i, v in enumerate(plus_list):
-        pos_in[v] = i
-    for i, v in enumerate(minus_list):
-        pos_in[v] = i
-
-    n_comp = (max(component_of) + 1) if component_of is not None else 0
-    comp_counts = None
-    comp_traj = []
-    if component_of is not None:
-        comp_counts = [0] * n_comp
-        for v in plus_list:
-            comp_counts[component_of[v]] += 1
-
-    iu = rng.integers(0, len(plus_list), size=T)
-    iw = rng.integers(0, len(minus_list), size=T)
-    us = rng.random(size=T)
-    for t in range(T):
-        u = plus_list[int(iu[t])]
-        w = minus_list[int(iw[t])]
-        # local delta of monochromatic edges for the swap
-        d = 0
-        for x in adj[u]:
-            if x == u:
-                continue
-            if x == w:
-                continue
-            d += -1 if spins[x] == 1 else 1
-        for x in adj[w]:
-            if x == w:
-                continue
-            if x == u:
-                continue
-            d += 1 if spins[x] == 1 else -1
-        if d >= 0 or us[t] < math.exp(beta * d):
-            spins[u], spins[w] = -1, 1
-            pu, pw = pos_in[u], pos_in[w]
-            plus_list[pu] = w
-            minus_list[pw] = u
-            pos_in[w], pos_in[u] = pu, pw
-            if comp_counts is not None:
-                comp_counts[component_of[u]] -= 1
-                comp_counts[component_of[w]] += 1
-        if comp_counts is not None and (t + 1) % record_every == 0:
-            comp_traj.append(tuple(comp_counts))
-    return {
-        "component_counts": comp_traj if component_of is not None else None,
-        "spins": spins,
-    }
+    spins = _kawasaki_spins(g, start, rng, k)
+    swaps = _kawasaki_swaps(g, beta, spins, rng, T)
+    traj = None
+    if component_of is None:
+        for _ in swaps:
+            pass
+    else:
+        counts = [0] * (max(component_of) + 1)
+        for v in range(g.n):
+            counts[component_of[v]] += spins[v] == 1
+        traj = []
+        for t, swap in enumerate(swaps, 1):
+            if swap:
+                counts[component_of[swap[0]]] -= 1
+                counts[component_of[swap[1]]] += 1
+            if t % record_every == 0:
+                traj.append(tuple(counts))
+    return {"component_counts": traj, "spins": spins}
 
 
 def mc_band_occupancy_ratio(g: Graph, beta: float, lam: float,
@@ -554,33 +581,10 @@ def mc_band_occupancy_ratio(g: Graph, beta: float, lam: float,
     conditional measure inside the metastable well.
     """
     rng = as_rng(seed)
-    n = g.n
     spins = _start_spins(g, "band_sample", rng, k=spec.k2)
-    plus = sum(1 for s in spins if s == 1)
-    adj = g.adjacency
-    degs = [len(adj[v]) - adj[v].count(v) for v in range(n)]
-    tables = {
-        d: [
-            lam * math.exp(beta * j) / (lam * math.exp(beta * j)
-                                        + math.exp(beta * (d - j)))
-            for j in range(d + 1)
-        ]
-        for d in set(degs)
-    }
     _, s2, s3 = spec.sets()
-    vs = rng.integers(0, n, size=T)
-    us = rng.random(size=T)
     in_s2 = in_s3 = 0
-    for t in range(T):
-        v = int(vs[t])
-        j = 0
-        for w in adj[v]:
-            if w != v and spins[w] == 1:
-                j += 1
-        s_new = 1 if us[t] < tables[degs[v]][j] else -1
-        if s_new != spins[v]:
-            spins[v] = s_new
-            plus += 1 if s_new == 1 else -1
+    for plus, _ in islice(_heat_bath(g, beta, lam, spins, rng, T), 1, None):
         if plus in s2:
             in_s2 += 1
         elif plus in s3:
@@ -598,36 +602,11 @@ def trace_rows_glauber(g: Graph, beta: float, lam: float, start: str, T: int,
     """Glauber trajectory rows (t, plus_count, mono_edges, eta)."""
     rng = as_rng(seed)
     n = g.n
-    spins = _start_spins(g, start, rng)
-    plus = sum(1 for s in spins if s == 1)
-    mono = monochromatic_edges(g, spins)
-    adj = g.adjacency
-    degs = [len(adj[v]) - adj[v].count(v) for v in range(n)]
-    tables = {}
-    for d in set(degs):
-        tables[d] = [
-            lam * math.exp(beta * j) / (lam * math.exp(beta * j)
-                                        + math.exp(beta * (d - j)))
-            for j in range(d + 1)
-        ]
-    vs = rng.integers(0, n, size=T)
-    us = rng.random(size=T)
-    rows = [(0, plus, mono, (2 * plus - n) / n)]
-    for t in range(T):
-        v = int(vs[t])
-        j = 0
-        for w in adj[v]:
-            if w != v and spins[w] == 1:
-                j += 1
-        s_new = 1 if us[t] < tables[degs[v]][j] else -1
-        s_old = spins[v]
-        if s_new != s_old:
-            spins[v] = s_new
-            plus += 1 if s_new == 1 else -1
-            mono += (2 * j - degs[v]) if s_new == 1 else (degs[v] - 2 * j)
-        if (t + 1) % thin == 0:
-            rows.append((t + 1, plus, mono, (2 * plus - n) / n))
-    return rows
+    moves = _heat_bath(g, beta, lam, _start_spins(g, start, rng), rng, T)
+    return [
+        (t, plus, mono, (2 * plus - n) / n)
+        for t, (plus, mono) in zip(count(0, thin), islice(moves, 0, None, thin))
+    ]
 
 
 def trace_rows_kawasaki(g: Graph, beta: float, k: int, start: str, T: int,
@@ -635,42 +614,16 @@ def trace_rows_kawasaki(g: Graph, beta: float, k: int, start: str, T: int,
     """Kawasaki trajectory rows (t, plus_count, mono_edges, eta)."""
     rng = as_rng(seed)
     n = g.n
-    spins = _start_spins(g, start, rng, k=k)
-    if sum(1 for s in spins if s == 1) != k:
-        raise InvalidInputError("start incompatible with k")
+    spins = _kawasaki_spins(g, start, rng, k)
     mono = monochromatic_edges(g, spins)
-    adj = g.adjacency
-    plus_list = [v for v in range(n) if spins[v] == 1]
-    minus_list = [v for v in range(n) if spins[v] == -1]
-    pos_in = [0] * n
-    for i, v in enumerate(plus_list):
-        pos_in[v] = i
-    for i, v in enumerate(minus_list):
-        pos_in[v] = i
-    iu = rng.integers(0, len(plus_list), size=T)
-    iw = rng.integers(0, len(minus_list), size=T)
-    us = rng.random(size=T)
     eta = (2 * k - n) / n
     rows = [(0, k, mono, eta)]
-    for t in range(T):
-        u = plus_list[int(iu[t])]
-        w = minus_list[int(iw[t])]
-        d = 0
-        for x in adj[u]:
-            if x != u and x != w:
-                d += -1 if spins[x] == 1 else 1
-        for x in adj[w]:
-            if x != w and x != u:
-                d += 1 if spins[x] == 1 else -1
-        if d >= 0 or us[t] < math.exp(beta * d):
-            spins[u], spins[w] = -1, 1
-            pu, pw = pos_in[u], pos_in[w]
-            plus_list[pu] = w
-            minus_list[pw] = u
-            pos_in[w], pos_in[u] = pu, pw
-            mono += d
-        if (t + 1) % thin == 0:
-            rows.append((t + 1, k, mono, eta))
+    swaps = _kawasaki_swaps(g, beta, spins, rng, T)
+    for t in range(thin, T + 1, thin):
+        for swap in islice(swaps, thin):
+            if swap:
+                mono += swap[2]
+        rows.append((t, k, mono, eta))
     return rows
 
 
@@ -796,27 +749,29 @@ def find_union_parameters(delta: int, beta: float, eta_target: float,
                 eta_target=eta_target,
             )
 
-    def combo(lam, m, ell):
-        return (
-            ell * eta_plus(delta, beta, lam)
-            + (m - ell) * eta_minus(delta, beta, lam)
-            - m * eta_target
-        )
+    def etas(lam):
+        """(eta+, eta-) from one solve of the tree equation at lam."""
+        fps = tree_fixed_points(delta, beta, lam)
+        return eta_of_fixed_point(fps[-1].R, beta), eta_of_fixed_point(fps[0].R, beta)
+
+    def combo(e, m, ell):
+        return ell * e[0] + (m - ell) * e[1] - m * eta_target
 
     lam_lo, lam_hi = 1.0 + 1e-9, lu - 1e-9
+    e_lo, e_hi = etas(lam_lo), etas(lam_hi)
     for m in range(2, m_max + 1):
         for ell in range(1, m):
-            f_lo, f_hi = combo(lam_lo, m, ell), combo(lam_hi, m, ell)
+            f_lo, f_hi = combo(e_lo, m, ell), combo(e_hi, m, ell)
             if f_lo == 0.0:
                 lam = lam_lo
             elif (f_lo < 0) == (f_hi < 0):
                 continue
             else:
-                lam = bisect_root(lambda x: combo(x, m, ell), lam_lo, lam_hi, f_lo)
+                lam = bisect_root(lambda x: combo(etas(x), m, ell),
+                                  lam_lo, lam_hi, f_lo)
+            ep, em = etas(lam)
             params = UnionParameters(
-                m=m, ell=ell, lam_plus=lam,
-                eta_plus=eta_plus(delta, beta, lam),
-                eta_minus=eta_minus(delta, beta, lam),
+                m=m, ell=ell, lam_plus=lam, eta_plus=ep, eta_minus=em,
                 eta_target=eta_target,
             )
             if params.residual() <= 1e-10:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -85,6 +86,41 @@ def test_byte_identical_outputs(tmp_path):
     assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
 
 
+# SHA-256 of the data files these runs wrote before the chains moved to
+# incremental kernels; the kernels must reproduce them byte for byte
+GOLDEN_TRACES = [
+    (["simulate", "--chain", "glauber", "--n", "60", "--delta", "3",
+      "--beta", "0.8", "--lam", "1.05", "--steps", "3000", "--thin", "3",
+      "--seed", "11"], "trace.csv",
+     "12c527b2adf27f385ce66fe01d8d33e6467fed0fc01c817f7069193d581fb315"),
+    (["simulate", "--chain", "kawasaki", "--n", "60", "--delta", "3",
+      "--beta", "0.8", "--k", "25", "--steps", "3000", "--thin", "3",
+      "--seed", "11"], "trace.csv",
+     "f96f7a712514bb54a4eefb99e77d4c057190111631e4cbc65bcf90bf4a1498b2"),
+    (["simulate", "--chain", "coupled-kawasaki", "--n", "60", "--delta", "3",
+      "--beta", "0.8", "--k", "25", "--steps", "300", "--seed", "11"],
+     "trace.csv",
+     "6b29d4089d38d16bb63242e95d7450af0a3182749d782ed7f289cc23179a7064"),
+    (["metastability", "--mode", "glauber", "--delta", "3", "--beta", "1.2",
+      "--lam", "1.01", "--n", "60", "--T", "3000", "--seeds", "2"],
+     "traces.csv",
+     "326b04ac9287323d32daad309b3c0fa28cbe170c805bfaec7d3ffe15873bfe02"),
+    (["metastability", "--mode", "kawasaki-union", "--delta", "3",
+      "--beta", "1.2", "--eta", "0.3", "--n", "40", "--T", "3000",
+      "--seeds", "2"], "traces.csv",
+     "513a06e6e54e8a59c708ed3ca49ee9e422223c64507701dc90fba700cc4cc6b7"),
+]
+
+
+@pytest.mark.parametrize("argv,name,digest", GOLDEN_TRACES, ids=[
+    "simulate-glauber", "simulate-kawasaki", "simulate-coupled",
+    "metastability-glauber", "metastability-union",
+])
+def test_golden_trace_hashes(tmp_path, argv, name, digest):
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_spectra_gap_report(tmp_path, k4_file=None):
     g = complete_graph(4)
     gfile = tmp_path / "k4.edges"
@@ -120,7 +156,7 @@ def test_exactcheck_k4(tmp_path):
     assert payload["factorization_satisfied"] is True
 
 
-def test_validation_rejects_bad_params(tmp_path):
+def test_validation_rejects_bad_params(tmp_path, capsys):
     # k > n
     assert run(["exactcheck", "--n", "4", "--delta", "3", "--k", "9",
                 "--out", str(tmp_path)]) == 2
@@ -142,6 +178,23 @@ def test_validation_rejects_bad_params(tmp_path):
     assert run(["simulate", "--chain", "kawasaki", "--n", "6", "--delta", "3",
                 "--beta", "0.5", "--k", "3", "--steps", "10", "--thin", "0",
                 "--out", str(tmp_path)]) == 2
+    # k outside [1, n - 1] for a swap chain, with n from the loaded graph
+    g10 = tmp_path / "g10.edges"
+    assert run(["graph-gen", "--n", "10", "--delta", "3", "--seed", "1",
+                "--out", str(tmp_path), "--out-file", "g10.edges"]) == 0
+    for chain, k, source in (
+        ("kawasaki", "50", ["--graph", str(g10)]),
+        ("coupled-kawasaki", "50", ["--graph", str(g10)]),
+        ("kawasaki", "0", ["--n", "10", "--delta", "3"]),
+        ("kawasaki", "10", ["--n", "10", "--delta", "3"]),
+        ("coupled-kawasaki", "10", ["--n", "10", "--delta", "3"]),
+        ("kawasaki", "10", ["--graph", str(g10)]),
+    ):
+        assert run(["simulate", "--chain", chain, *source, "--beta", "0.5",
+                    "--k", k, "--steps", "10", "--out", str(tmp_path)]) == 2, (
+            chain, k, source)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "1 <= k <= n - 1" in err
 
 
 def test_runtime_cap_exit(tmp_path):

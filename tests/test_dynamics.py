@@ -370,6 +370,63 @@ def test_coupled_bad_disagreement_definition():
     assert st2.B == frozenset()
 
 
+def test_coupled_incremental_matches_from_scratch():
+    """Step's incremental D, B and caches equal make_state's, step by step,
+    and its swap probabilities equal those from the whole spin vector."""
+    from isinglab.dynamics import _disagreements, _swap_delta_mono
+    from isinglab.graphs import random_regular
+
+    # loops at 3 and 13, parallel edges at 0, 9, 14 and 15
+    g = random_regular(16, 3, seed=7)
+    pinning = Pinning.plus([0, 5])
+    driver = CoupledKawasaki(g, beta=0.6, k=8, plus_pinning=pinning, phi=0.5)
+    rng = make_rng(11)
+    free = [v for v in range(g.n) if v not in (0, 5)]
+    xs = [free[int(j)] for j in rng.choice(len(free), size=6, replace=False)]
+    ys = [free[int(j)] for j in rng.choice(len(free), size=6, replace=False)]
+    state = driver.make_state(xs, ys)
+    start = state
+    frozen = [a.copy() for a in (start.x_index, start.y_index, start.agree_nbrs)]
+    moved = set()
+    for t in range(2000):
+        state = driver.step(state, rng)
+        D, B = _disagreements(state.X, state.Y, driver.neighbor_sets)
+        assert (state.D, state.B) == (D, B)
+        ref = driver.make_state(state.X, state.Y)
+        for name in ("x_index", "y_index", "agree_nbrs"):
+            assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+        moved.add((len(D), len(B)))
+        spins = [1 if v in (0, 5) or v in state.X else -1 for v in range(g.n)]
+        minus = [v for v in range(g.n) if spins[v] == -1]
+        u, v = state.X[t % 6], minus[t % len(minus)]
+        want = min(1.0, math.exp(0.6 * _swap_delta_mono(g, spins, u, v)))
+        assert driver._accept_prob(state.x_index, u, v) == want
+    assert len(moved) > 3  # the chain visited several (|D|, |B|) values
+    # step(start) returns a new state and leaves start as it was
+    out = driver.step(start, make_rng(3))
+    assert out is not start
+    assert start == driver.make_state(xs, ys)
+    for a, b in zip(frozen, (start.x_index, start.y_index, start.agree_nbrs)):
+        assert np.array_equal(a, b)
+
+
+def test_coupled_caches_outside_equality():
+    g = cycle_graph(6)
+    driver = CoupledKawasaki(g, beta=0.5, k=2, plus_pinning=EMPTY_PINNING, phi=0.7)
+    a = driver.make_state((0, 3), (0, 4))
+    b = driver.make_state((0, 3), (0, 4))
+    assert a == b and hash(a) == hash(b)
+    assert "x_index" not in repr(a)
+
+
+def test_coupled_rejects_k_without_a_minus():
+    g = cycle_graph(6)
+    with pytest.raises(InvalidInputError):
+        CoupledKawasaki(g, beta=0.5, k=6, plus_pinning=EMPTY_PINNING, phi=0.5)
+    with pytest.raises(InvalidInputError):
+        CoupledKawasaki(g, beta=0.5, k=0, plus_pinning=EMPTY_PINNING, phi=0.5)
+
+
 def test_coupled_contraction_small_k():
     """Mean rho decreases per step for k << n."""
     from isinglab.graphs import random_regular

@@ -343,6 +343,16 @@ def test_union_parameters_above_eta_c():
     assert params.eta_minus < target < params.eta_plus
 
 
+def test_union_parameters_lam_plus_pinned():
+    # one tree solve per lambda gives the bisection the same values as
+    # separate eta+/eta- solves did, so lam_plus keeps its float
+    params = find_union_parameters(3, 1.2, 0.3)
+    assert (params.m, params.ell) == (3, 2)
+    assert params.lam_plus == float.fromhex("0x1.06625ea5517e6p+0")
+    assert params.eta_plus == eta_plus(3, 1.2, params.lam_plus)
+    assert params.eta_minus == eta_minus(3, 1.2, params.lam_plus)
+
+
 def test_union_parameters_requires_nonuniqueness():
     from isinglab.errors import NoNonuniquenessError
 
