@@ -36,7 +36,8 @@ from .measures import (
 )
 from .rng import as_rng
 
-MATRIX_STATE_CAP = 200_000
+EXACT_SUPPORT_CAP = 200_000  # states enumerated for one exact (k, l) resample
+DENSE_KERNEL_BYTES = 512 << 20  # float64 P: at most 8 192 states
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-10
 
@@ -84,6 +85,18 @@ def _plus_neighbor_count(g: Graph, spins, v: int) -> int:
     return j
 
 
+def _degree(g: Graph, v: int) -> int:
+    """Non-loop degree of v, parallel edges counted once per copy."""
+    return len(g.adjacency[v]) - g.adjacency[v].count(v)
+
+
+def heat_bath_table(beta: float, lam: float, d: int) -> list:
+    """Glauber plus probabilities p_+(j) for j = 0..d plus neighbours of d."""
+    return [lam * math.exp(beta * j) / (lam * math.exp(beta * j)
+                                        + math.exp(beta * (d - j)))
+            for j in range(d + 1)]
+
+
 def _local_mono(g: Graph, spins, vertices) -> int:
     """Monochromatic edges among those incident to the given vertex set.
 
@@ -125,11 +138,8 @@ def glauber_step(g: Graph, params: IsingParams, sigma: SpinConfiguration, rng):
     rng = as_rng(rng)
     spins = list(sigma.spins)
     v = int(rng.integers(g.n))
-    j = _plus_neighbor_count(g, spins, v)
-    d = len(g.adjacency[v]) - g.adjacency[v].count(v)
-    w_plus = params.lam * math.exp(params.beta * j)
-    w_minus = math.exp(params.beta * (d - j))
-    p_plus = w_plus / (w_plus + w_minus)
+    table = heat_bath_table(params.beta, params.lam, _degree(g, v))
+    p_plus = table[_plus_neighbor_count(g, spins, v)]
     spins[v] = 1 if rng.random() < p_plus else -1
     return SpinConfiguration.from_spins(g, spins)
 
@@ -172,8 +182,7 @@ def _downup_candidate_weights(g: Graph, spins, v: int, beta: float):
     weights = []
     for u in candidates:
         j = _plus_neighbor_count(g, spins, u)
-        d = len(g.adjacency[u]) - g.adjacency[u].count(u)
-        weights.append(beta * (2 * j - d))
+        weights.append(beta * (2 * j - _degree(g, u)))
     spins[v] = 1
     return candidates, weights
 
@@ -233,7 +242,7 @@ def kl_downup_step(
         plus[i] for i in rng.choice(len(plus), size=ell, replace=False)
     ) if ell else set()
     n_choose = math.comb(g.n - ell, k - ell)
-    if n_choose <= MATRIX_STATE_CAP:
+    if n_choose <= EXACT_SUPPORT_CAP:
         states, mono = fixed_k_states(g, k, plus_pinned=keep)
         logw = beta * mono
         p = np.exp(logw - logw.max())
@@ -272,6 +281,14 @@ class TransitionMatrix:
         return self.states.index(state)
 
 
+def check_detailed_balance(tm: TransitionMatrix) -> None:
+    """Raise unless pi(x) P(x, y) = pi(y) P(y, x) to DETAILED_BALANCE_TOL."""
+    F = tm.pi[:, None] * tm.P
+    err = np.max(np.abs(F - F.T))
+    if err > DETAILED_BALANCE_TOL:
+        raise NonReversibleError(f"detailed balance violated by {err:.2e}")
+
+
 def _validate_matrix(tm: TransitionMatrix) -> None:
     rows = tm.P.sum(axis=1)
     if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
@@ -279,11 +296,17 @@ def _validate_matrix(tm: TransitionMatrix) -> None:
             f"rows sum to 1 +- {np.max(np.abs(rows - 1)):.2e} > {ROW_SUM_TOL}"
         )
     if tm.reversible:
-        F = tm.pi[:, None] * tm.P
-        if np.max(np.abs(F - F.T)) > DETAILED_BALANCE_TOL:
-            raise NonReversibleError(
-                f"detailed balance violated by {np.max(np.abs(F - F.T)):.2e}"
-            )
+        check_detailed_balance(tm)
+
+
+def _check_dense_size(size: int) -> None:
+    """Refuse a dense size x size float64 kernel beyond DENSE_KERNEL_BYTES."""
+    need = 8 * size * size
+    if need > DENSE_KERNEL_BYTES:
+        raise TooLargeError(
+            f"a dense kernel on {size} states needs {need} bytes, "
+            f"over the {DENSE_KERNEL_BYTES}-byte cap"
+        )
 
 
 def _fixed_mag_stationary(mono: np.ndarray, beta: float) -> np.ndarray:
@@ -296,19 +319,14 @@ def build_transition_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     """Exact dense kernel and stationary vector for any of the four chains."""
     if kernel.kind == "glauber":
         return _glauber_matrix(kernel, g)
-    if kernel.kind == "kawasaki":
-        return _kawasaki_matrix(kernel, g)
-    if kernel.kind == "downup":
-        return _downup_matrix(kernel, g)
-    return _kl_downup_matrix(kernel, g)
+    return _fixed_mag_matrix(kernel, g)
 
 
 def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     n = g.n
-    if 2**n > MATRIX_STATE_CAP:
-        raise TooLargeError(f"2^{n} states exceed cap {MATRIX_STATE_CAP}")
-    beta, lam = kernel.beta, kernel.lam
     size = 2**n
+    _check_dense_size(size)
+    beta, lam = kernel.beta, kernel.lam
     states = tuple(range(size))
 
     def spins_of(s):
@@ -324,15 +342,12 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     pi = np.exp(logw - logw.max())
     pi /= pi.sum()
 
+    tables = [heat_bath_table(beta, lam, _degree(g, v)) for v in range(n)]
     P = np.zeros((size, size))
     for s in range(size):
         spins = spins_of(s)
         for v in range(n):
-            j = _plus_neighbor_count(g, spins, v)
-            d = len(g.adjacency[v]) - g.adjacency[v].count(v)
-            w_plus = lam * math.exp(beta * j)
-            w_minus = math.exp(beta * (d - j))
-            p_plus = w_plus / (w_plus + w_minus)
+            p_plus = tables[v][_plus_neighbor_count(g, spins, v)]
             s_plus = s | (1 << v)
             s_minus = s & ~(1 << v)
             P[s, s_plus] += p_plus / n
@@ -342,97 +357,62 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     return tm
 
 
-def _fixed_mag_state_space(kernel: ChainKernel, g: Graph):
+def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
+    """Kawasaki, +1 down-up and (k, l) down-up as moves on links.
+
+    From a state S every l-subset K of its free pluses is kept in turn; the
+    link of pinned + K is the set of states containing it, listed as
+    pinned + K + W over the completions W.  The down-up walks resample from
+    the link by its heat-bath law and average over the C(k_free, l) choices
+    of K; the +1 walk is l = k_free - 1.  At that l the link is S and the
+    states with one free plus of S moved, so Kawasaki proposes each of those
+    moves with probability 1 / (k_free (n - k)) and accepts by Metropolis.
+    """
     pinned = frozenset(kernel.pinning.assignments)
-    k = kernel.k
-    if len(pinned) >= k:
+    beta, k = kernel.beta, kernel.k
+    kawasaki = kernel.kind == "kawasaki"
+    k_free = k - len(pinned)
+    if k_free < 1:
         raise InvalidInputError("pinning must leave at least one free plus")
     if k > g.n:
         raise InvalidInputError("k exceeds vertex count")
-    count = math.comb(g.n - len(pinned), k - len(pinned))
-    if count > MATRIX_STATE_CAP:
-        raise TooLargeError(f"{count} states exceed cap {MATRIX_STATE_CAP}")
+    if kawasaki and k == g.n:
+        raise InvalidInputError("Kawasaki needs an unpinned plus and a minus")
+    if kernel.kind == "kl_downup" and pinned:
+        raise InvalidInputError("(k,l)-down-up is defined for the unpinned chain")
+    _check_dense_size(math.comb(g.n - len(pinned), k_free))
     states, mono = fixed_k_states(g, k, plus_pinned=pinned)
     index = {s: i for i, s in enumerate(states)}
-    return pinned, states, mono, index
-
-
-def _kawasaki_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
-    pinned, states, mono, index = _fixed_mag_state_space(kernel, g)
-    beta, k = kernel.beta, kernel.k
-    n_free_plus = k - len(pinned)
-    n_minus = g.n - k
-    if n_free_plus < 1 or n_minus < 1:
-        raise InvalidInputError("Kawasaki needs an unpinned plus and a minus")
+    ell = kernel.ell if kernel.kind == "kl_downup" else k_free - 1
+    pairs = k_free * (g.n - k)
+    n_subsets = math.comb(k_free, ell)
+    free = [v for v in range(g.n) if v not in pinned]
     size = len(states)
     P = np.zeros((size, size))
-    pairs = n_free_plus * n_minus
+    links = {}  # K -> (state indices of its link, heat-bath law / C(k_free, l))
+
+    def link(K):
+        if K not in links:
+            base = pinned.union(K)
+            rest = [v for v in free if v not in base]
+            idxs = np.array([index[base.union(W)]
+                             for W in combinations(rest, k_free - ell)])
+            links[K] = idxs, (None if kawasaki else
+                              _fixed_mag_stationary(mono[idxs], beta) / n_subsets)
+        return links[K]
+
     for i, s in enumerate(states):
-        for u in s:
-            if u in pinned:
-                continue
-            for w in range(g.n):
-                if w in s:
-                    continue
-                t = (s - {u}) | {w}
-                j = index[t]
-                accept = min(1.0, math.exp(beta * (mono[j] - mono[i])))
-                P[i, j] += accept / pairs
-        P[i, i] += 1.0 - P[i].sum()
+        row = [link(K) for K in combinations(sorted(s - pinned), ell)]
+        cols = np.concatenate([idxs for idxs, _ in row])
+        if kawasaki:
+            # i itself sits in every link; its entry is the rejection mass
+            P[i, cols] = np.minimum(1.0, np.exp(beta * (mono[cols] - mono[i]))) / pairs
+            P[i, i] = 0.0
+            P[i, i] = 1.0 - P[i].sum()
+        else:
+            P[i] = np.bincount(cols, np.concatenate([law for _, law in row]), size)
     pi = _fixed_mag_stationary(mono, beta)
-    tm = TransitionMatrix(states=tuple(states), P=P, pi=pi, kind="kawasaki")
-    _validate_matrix(tm)
-    return tm
-
-
-def _downup_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
-    pinned, states, mono, index = _fixed_mag_state_space(kernel, g)
-    beta, k = kernel.beta, kernel.k
-    n_free_plus = k - len(pinned)
-    if n_free_plus < 1:
-        raise InvalidInputError("down-up walk needs an unpinned plus")
-    size = len(states)
-    P = np.zeros((size, size))
-    for i, s in enumerate(states):
-        for v in s:
-            if v in pinned:
-                continue
-            candidates = [v] + [u for u in range(g.n) if u not in s]
-            logw = np.array([beta * mono[index[(s - {v}) | {u}]] for u in candidates])
-            w = np.exp(logw - logw.max())
-            w /= w.sum()
-            for u, p_u in zip(candidates, w):
-                P[i, index[(s - {v}) | {u}]] += p_u / n_free_plus
-    pi = _fixed_mag_stationary(mono, beta)
-    tm = TransitionMatrix(states=tuple(states), P=P, pi=pi, kind="downup")
-    _validate_matrix(tm)
-    return tm
-
-
-def _kl_downup_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
-    pinned, states, mono, index = _fixed_mag_state_space(kernel, g)
-    if pinned:
-        raise InvalidInputError("(k,l)-down-up is defined for the unpinned chain")
-    beta, k, ell = kernel.beta, kernel.k, kernel.ell
-    size = len(states)
-    P = np.zeros((size, size))
-    n_subsets = math.comb(k, ell)
-    # conditional laws mu-hat^U for each l-subset U, cached across rows
-    cond_cache = {}
-    for i, s in enumerate(states):
-        for u_tuple in combinations(sorted(s), ell):
-            u_set = frozenset(u_tuple)
-            if u_set not in cond_cache:
-                idxs = [j for j, t in enumerate(states) if u_set <= t]
-                logw = np.array([beta * mono[j] for j in idxs])
-                w = np.exp(logw - logw.max())
-                w /= w.sum()
-                cond_cache[u_set] = (idxs, w)
-            idxs, w = cond_cache[u_set]
-            for j, p_j in zip(idxs, w):
-                P[i, j] += p_j / n_subsets
-    pi = _fixed_mag_stationary(mono, beta)
-    tm = TransitionMatrix(states=tuple(states), P=P, pi=pi, kind="kl_downup")
+    tm = TransitionMatrix(states=tuple(states), P=P, pi=pi, kind=kernel.kind)
     _validate_matrix(tm)
     return tm
 

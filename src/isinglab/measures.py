@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -145,7 +145,6 @@ class PartitionTable:
     beta: float
     pinning: Pinning
     log_zhat_by_k: tuple
-    counts_by_k_m: dict = field(repr=False, compare=False, default=None)
 
     def log_z(self, lam: float) -> float:
         """log Z(beta, lambda) = log sum_k lambda^k Zhat_k."""
@@ -232,12 +231,10 @@ def exact_partition_table(
         counts[k][m] = counts[k].get(m, 0) + 1
 
     log_by_k = []
-    counts_by_k_m = {}
     for kk in range(g.n + 1):
         if not counts[kk]:
             log_by_k.append(NEG_INF)
             continue
-        counts_by_k_m[kk] = dict(counts[kk])
         log_by_k.append(
             _logsumexp(beta * mm + math.log(c) for mm, c in counts[kk].items())
         )
@@ -246,7 +243,6 @@ def exact_partition_table(
         beta=beta,
         pinning=pinning,
         log_zhat_by_k=tuple(log_by_k),
-        counts_by_k_m=counts_by_k_m,
     )
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NoNonuniquenessError
 from .graphs import Graph, UnionGraph
-from .dynamics import CoupledKawasaki
+from .dynamics import CoupledKawasaki, heat_bath_table
 from .measures import (
     EMPTY_PINNING,
     NEG_INF,
@@ -428,12 +428,7 @@ def _heat_bath(g: Graph, beta: float, lam: float, spins: list, rng, T: int):
     self-loops never) and plus probability; a flip updates its neighbours'.
     """
     nbrs = [tuple(w for w in row if w != v) for v, row in enumerate(g.adjacency)]
-    tables = {
-        d: [lam * math.exp(beta * j) / (lam * math.exp(beta * j)
-                                        + math.exp(beta * (d - j)))
-            for j in range(d + 1)]
-        for d in {len(nb) for nb in nbrs}
-    }
+    tables = {d: heat_bath_table(beta, lam, d) for d in {len(nb) for nb in nbrs}}
     table_of = [tables[len(nb)] for nb in nbrs]
     j_of = [sum(1 for w in nb if spins[w] == 1) for nb in nbrs]
     p_of = [table[j] for table, j in zip(table_of, j_of)]

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateError, InvalidInputError, NonReversibleError
+from .errors import DegenerateError, InvalidInputError
 from .graphs import Graph
 from .measures import (
     EMPTY_PINNING,
@@ -28,22 +28,18 @@ from .measures import (
     monochromatic_edges,
     size_distribution,
 )
-from .dynamics import ChainKernel, TransitionMatrix, build_transition_matrix
+from .dynamics import (
+    ChainKernel,
+    TransitionMatrix,
+    build_transition_matrix,
+    check_detailed_balance,
+)
 from .rng import make_rng
-
-REVERSIBILITY_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
 # Spectral gap and mixing time
 # ---------------------------------------------------------------------------
-
-
-def _check_reversible(tm: TransitionMatrix) -> None:
-    F = tm.pi[:, None] * tm.P
-    err = np.max(np.abs(F - F.T))
-    if err > REVERSIBILITY_TOL:
-        raise NonReversibleError(f"detailed balance violated by {err:.2e}")
 
 
 def _symmetrized_eigenvalues(tm: TransitionMatrix) -> np.ndarray:
@@ -61,7 +57,7 @@ def spectral_gap(tm: TransitionMatrix, variational_samples: int = 0,
     random test functions, which holds for every f by the variational
     characterization.
     """
-    _check_reversible(tm)
+    check_detailed_balance(tm)
     eigs = _symmetrized_eigenvalues(tm)
     gap = 1.0 - eigs[-2]
     if variational_samples:
@@ -130,6 +126,16 @@ class InfluenceMatrix:
         return self.top_eigenvalue
 
 
+def _marginals(states, probs, vertices):
+    """pi(v) and pi(u and v) over ``vertices``: p X and X^T diag(p) X for the
+    0/1 incidence matrix X[s, i] = [vertices[i] in states[s]]."""
+    vi = {v: i for i, v in enumerate(vertices)}
+    X = np.zeros((len(states), len(vertices)))
+    for r, s in enumerate(states):
+        X[r, [vi[v] for v in s]] = 1.0
+    return probs @ X, X.T @ (probs[:, None] * X)
+
+
 def influence_matrix(states, probs, vertices) -> InfluenceMatrix:
     """M[u, v] = pi(v | u) - pi(v) for a distribution on subsets.
 
@@ -142,21 +148,10 @@ def influence_matrix(states, probs, vertices) -> InfluenceMatrix:
     if abs(probs.sum() - 1.0) > 1e-9:
         raise InvalidInputError("probabilities must sum to 1")
     vertices = tuple(vertices)
-    vi = {v: i for i, v in enumerate(vertices)}
-    nv = len(vertices)
-    marg = np.zeros(nv)
-    joint = np.zeros((nv, nv))
-    for s, p in zip(states, probs):
-        idx = [vi[v] for v in s]
-        for i in idx:
-            marg[i] += p
-            for j in idx:
-                joint[i, j] += p
-    M = np.zeros((nv, nv))
-    for i in range(nv):
-        if marg[i] <= 0:
-            continue
-        M[i, :] = joint[i, :] / marg[i] - marg
+    marg, joint = _marginals(states, probs, vertices)
+    M = np.zeros_like(joint)
+    live = marg > 0
+    M[live] = joint[live] / marg[live, None] - marg
     linf = float(np.max(np.abs(M).sum(axis=1)))
     eigs = np.linalg.eigvals(M)
     has_complex = bool(np.any(np.abs(eigs.imag) > 1e-9))
@@ -230,23 +225,11 @@ def local_walk(states, probs, pinned, k) -> LocalWalk:
     sub_probs = probs[keep] / mass
 
     support = sorted(set().union(*sub_states) - pinned)
-    vi = {v: i for i, v in enumerate(support)}
-    nv = len(support)
-    marg = np.zeros(nv)
-    joint = np.zeros((nv, nv))
-    for s, p in zip(sub_states, sub_probs):
-        idx = [vi[v] for v in s if v not in pinned]
-        for i in idx:
-            marg[i] += p
-            for j in idx:
-                if j != i:
-                    joint[i, j] += p
-    Q = np.zeros((nv, nv))
-    denom = k - len(pinned) - 1
-    for i in range(nv):
-        if marg[i] <= 0:
-            continue
-        Q[i, :] = joint[i, :] / marg[i] / denom
+    marg, joint = _marginals([s - pinned for s in sub_states], sub_probs, support)
+    np.fill_diagonal(joint, 0.0)
+    Q = np.zeros_like(joint)
+    live = marg > 0
+    Q[live] = joint[live] / marg[live, None] / (k - len(pinned) - 1)
     # reversible wrt pi-hat(u) = pi^U(u)/(k - |U|)
     pi_hat = marg / (k - len(pinned))
     sq = np.sqrt(pi_hat)

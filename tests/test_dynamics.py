@@ -4,10 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from isinglab import dynamics
 from isinglab.dynamics import (
     ChainKernel,
     CoupledKawasaki,
     TransitionMatrix,
+    _swap_delta_mono,
     build_transition_matrix,
     downup_step,
     glauber_step,
@@ -210,27 +212,60 @@ def test_kl_matrix_matches_expectation_formula():
 
     The localization process puts P[U_ell = U] = pi(contains U)/C(k, ell);
     evaluating the expectation literally over all U in C(V, ell) is an
-    independent route to the same kernel.
+    independent route to the same kernel.  The pinned +1 walk keeps the
+    pinned pluses, so its sum runs over U = pinned + (k_free - 1 free
+    vertices) with C(k_free, k_free - 1) choices.
     """
-    g = complete_graph(4)
-    beta, k, ell = 0.8, 2, 1
-    tm = build_transition_matrix(ChainKernel("kl_downup", beta=beta, k=k, ell=ell), g)
-    states, mono = fixed_k_states(g, k)
-    w = np.exp(beta * (mono - mono.max()))
-    pi = w / w.sum()
-    idx = {s: i for i, s in enumerate(states)}
-    n_sub = math.comb(k, ell)
-    for s1 in states:
-        for s2 in states:
-            q = 0.0
-            for u in combinations(range(g.n), ell):
-                u = frozenset(u)
-                mass = sum(pi[idx[t]] for t in states if u <= t)
-                if mass == 0 or not (u <= s1 and u <= s2):
-                    continue
-                p_u = mass / n_sub
-                q += p_u * (pi[idx[s1]] / mass) * (pi[idx[s2]] / mass) / pi[idx[s1]]
-            assert abs(q - tm.P[tm.states.index(s1), tm.states.index(s2)]) < 1e-12
+    cases = [(complete_graph(4), 2, 1, ())]
+    cases += [(cycle_graph(6), 3, ell, ()) for ell in (0, 1, 2)]
+    cases += [(cycle_graph(6), 3, 1, (0,))]
+    beta = 0.8
+    for g, k, ell, pinned in cases:
+        if pinned:
+            kernel = ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(pinned))
+        else:
+            kernel = ChainKernel("kl_downup", beta=beta, k=k, ell=ell)
+        tm = build_transition_matrix(kernel, g)
+        states, mono = fixed_k_states(g, k, plus_pinned=pinned)
+        w = np.exp(beta * (mono - mono.max()))
+        pi = w / w.sum()
+        idx = {s: i for i, s in enumerate(states)}
+        n_sub = math.comb(k - len(pinned), ell)
+        free = [v for v in range(g.n) if v not in pinned]
+        for s1 in states:
+            for s2 in states:
+                q = 0.0
+                for u in combinations(free, ell):
+                    u = frozenset(u) | frozenset(pinned)
+                    mass = sum(pi[idx[t]] for t in states if u <= t)
+                    if mass == 0 or not (u <= s1 and u <= s2):
+                        continue
+                    p_u = mass / n_sub
+                    q += p_u * (pi[idx[s1]] / mass) * (pi[idx[s2]] / mass) / pi[idx[s1]]
+                entry = tm.P[tm.states.index(s1), tm.states.index(s2)]
+                assert abs(q - entry) < 1e-12, (g.n, k, ell, pinned, s1, s2)
+
+
+def test_kawasaki_matrix_matches_definition():
+    """Every entry against min(1, e^{beta dm}) / (k_free (n - k)), with dm
+    from the local swap count, and the diagonal holding the rest."""
+    beta, k = 0.9, 3
+    for g in (cycle_graph(5), cycle_graph(6)):
+        for pinned in ((), (1,)):
+            pin = Pinning.plus(pinned)
+            tm = build_transition_matrix(
+                ChainKernel("kawasaki", beta=beta, k=k, pinning=pin), g)
+            pairs = (k - len(pinned)) * (g.n - k)
+            for i, s in enumerate(tm.states):
+                spins = [1 if v in s else -1 for v in range(g.n)]
+                expected = np.zeros(len(tm.states))
+                for u in s - set(pinned):
+                    for w in set(range(g.n)) - s:
+                        dm = _swap_delta_mono(g, spins, u, w)
+                        j = tm.states.index((s - {u}) | {w})
+                        expected[j] = min(1.0, math.exp(beta * dm)) / pairs
+                expected[i] = 1.0 - expected.sum()
+                assert np.max(np.abs(tm.P[i] - expected)) < 1e-14, (g.n, pinned, s)
 
 
 def test_kl_step_exact_sampling_distribution():
@@ -299,6 +334,19 @@ def test_matrix_cap():
     g = cycle_graph(24)
     with pytest.raises(TooLargeError):
         build_transition_matrix(ChainKernel("glauber", beta=0.1, lam=1.0), g)
+
+
+def test_dense_cap_counts_bytes(monkeypatch):
+    """C(16, 8) = 12 870 states would need 1.3 GB: refused before enumerating."""
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("states enumerated before the size check")
+
+    monkeypatch.setattr(dynamics, "fixed_k_states", no_enumeration)
+    with pytest.raises(TooLargeError, match="1325095200 bytes"):
+        build_transition_matrix(ChainKernel("kawasaki", beta=0.5, k=8), cycle_graph(16))
+    with pytest.raises(TooLargeError, match="2147483648 bytes"):
+        build_transition_matrix(ChainKernel("glauber", beta=0.5, lam=1.0),
+                                cycle_graph(14))
 
 
 def test_coupled_sticky_on_diagonal():
@@ -456,3 +504,11 @@ def test_chainkernel_validation():
         ChainKernel("kl_downup", beta=0.5, k=2, ell=2)
     with pytest.raises(InvalidInputError):
         ChainKernel("kawasaki", beta=0.5, k=2, pinning=Pinning({0: -1}))
+    g = cycle_graph(6)
+    for kernel in (
+        ChainKernel("kl_downup", beta=0.5, k=3, ell=1, pinning=Pinning.plus([0])),
+        ChainKernel("kawasaki", beta=0.5, k=6),
+        ChainKernel("downup", beta=0.5, k=2, pinning=Pinning.plus([0, 1])),
+    ):
+        with pytest.raises(InvalidInputError):
+            build_transition_matrix(kernel, g)
