@@ -7,8 +7,9 @@ and wall time.  Data outputs are byte-identical across reruns of the same
 config and seed (the manifest's wall-time field is the one exception).
 
 A config file of flat ``key = value`` lines can pre-populate any flag;
-explicit flags override the file.  Exit codes: 0 ok, 2 validation error,
-3 runtime cap exceeded.
+explicit flags override the file.  Exit codes: 0 ok, 1 failed check
+(exactcheck, a non-reversible kernel or a degenerate spectrum), 2 validation
+error, 3 runtime cap exceeded.
 """
 
 from __future__ import annotations
@@ -89,11 +90,21 @@ class RunContext:
         return p
 
     def write_csv(self, name: str, header, rows) -> Path:
+        """Rows formatted as ``fmt`` would, one template per column-type tuple:
+        the first row's, with a per-cell ``fmt`` for rows of other types."""
         p = self.path(name)
         with open(p, "w") as fh:
             fh.write(",".join(header) + "\n")
+            types = template = None
             for row in rows:
-                fh.write(",".join(fmt(x) for x in row) + "\n")
+                if types is None:
+                    types = tuple(map(type, row))
+                    template = ",".join("{:.12g}" if issubclass(t, float) else "{}"
+                                        for t in types) + "\n"
+                if tuple(map(type, row)) == types:
+                    fh.write(template.format(*row))
+                else:
+                    fh.write(",".join(fmt(x) for x in row) + "\n")
         return p
 
     def finish(self) -> None:
@@ -298,7 +309,7 @@ def cmd_spectra(args, ctx: RunContext) -> int:
         report.update(
             chain=args.chain,
             gap=gap,
-            mixing_time_upper=mixing_time_upper(tm) if gap > 0 else None,
+            mixing_time_upper=mixing_time_upper(tm, gap) if gap > 0 else None,
             states=len(tm.states),
         )
     elif args.report == "influence":
@@ -357,7 +368,7 @@ def cmd_spectra(args, ctx: RunContext) -> int:
 
 def cmd_exactcheck(args, ctx: RunContext) -> int:
     from .dynamics import ChainKernel, build_transition_matrix
-    from .spectral import gap_factorization_check, spectral_gap
+    from .spectral import gap_factorization_check
 
     g = _load_graph(args)
     k = args.k
@@ -368,11 +379,11 @@ def cmd_exactcheck(args, ctx: RunContext) -> int:
     checks["pmf_normalized"] = bool(abs(float(pmf.sum()) - 1.0) < 1e-12)
     for kind in ("kawasaki", "downup"):
         tm = build_transition_matrix(ChainKernel(kind, beta=beta, k=k), g)
-        err = float(np.max(np.abs(tm.pi @ tm.P - tm.pi)))
+        err = float(np.max(np.abs(tm.pi @ tm.K - tm.pi)))
         checks[f"{kind}_stationarity_error"] = err
         checks[f"{kind}_stationary_ok"] = bool(err < 1e-10)
     tm_g = build_transition_matrix(ChainKernel("glauber", beta=beta, lam=args.lam), g)
-    err = float(np.max(np.abs(tm_g.pi @ tm_g.P - tm_g.pi)))
+    err = float(np.max(np.abs(tm_g.pi @ tm_g.K - tm_g.pi)))
     checks["glauber_stationarity_error"] = err
     checks["glauber_stationary_ok"] = bool(err < 1e-10)
     if k >= 2:

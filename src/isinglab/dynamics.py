@@ -11,17 +11,18 @@ Chains:
     measure given a uniform l-subset of the current pluses.
 
 On enumerable instances every kernel can also be realized as an explicit
-row-stochastic matrix with its exact stationary vector.  The coupled
-Kawasaki chain tracks the disagreement set D, the "bad" disagreements B
-(those adjacent to an agreeing plus), and the contraction functional
-rho = phi |D| + |B|.
+row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
+coupled Kawasaki chain tracks the disagreement set D, the "bad"
+disagreements B (those adjacent to an agreeing plus), and the contraction
+functional rho = phi |D| + |B|.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -37,7 +38,12 @@ from .measures import (
 from .rng import as_rng
 
 EXACT_SUPPORT_CAP = 200_000  # states enumerated for one exact (k, l) resample
-DENSE_KERNEL_BYTES = 512 << 20  # float64 P: at most 8 192 states
+DENSE_KERNEL_BYTES = 512 << 20  # dense view P: at most 8 192 states
+# A build peaks near 35 bytes per nonzero, measured as peak RSS growth:
+# C(20, 10) = 184 756 Kawasaki states (18.7 M nonzeros) 0.62 GB, the +1
+# down-up walk there 0.65 GB, Glauber at n = 20 (22 M) 0.70 GB.  So about
+# 1.2 GB at the cap.
+KERNEL_NONZERO_CAP = 1 << 25
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-10
 
@@ -269,44 +275,93 @@ def kl_downup_step(
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Dense row-stochastic kernel with its exact stationary vector."""
+    """Row-stochastic kernel as a CSR array, with its exact stationary vector.
 
-    states: tuple  # hashable state labels, index-aligned with P
-    P: np.ndarray = field(repr=False)
+    ``K`` may be passed dense or sparse and is kept as a canonical
+    ``scipy.sparse.csr_array``.  Building one checks, once and in O(nnz)
+    memory, that rows sum to 1 and that pi(x) K(x, y) = pi(y) K(y, x).
+    """
+
+    states: tuple  # hashable state labels, index-aligned with K
+    K: object = field(repr=False)  # scipy.sparse.csr_array
     pi: np.ndarray = field(repr=False)
     kind: str = ""
-    reversible: bool = True
+
+    def __post_init__(self):
+        from scipy.sparse import csr_array
+
+        K = csr_array(self.K, dtype=float)
+        K.sum_duplicates()
+        object.__setattr__(self, "K", K)
+        err = np.max(np.abs(K.sum(axis=1) - 1.0))
+        if err > ROW_SUM_TOL:
+            raise NonReversibleError(f"rows sum to 1 +- {err:.2e} > {ROW_SUM_TOL}")
+        err = _detailed_balance_error(K, self.pi)
+        if err > DETAILED_BALANCE_TOL:
+            raise NonReversibleError(f"detailed balance violated by {err:.2e}")
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        """Read-only dense view of K, for oracles on small kernels."""
+        _check_dense_size(len(self.states))
+        P = self.K.toarray()
+        P.flags.writeable = False
+        return P
 
     def state_index(self, state) -> int:
         return self.states.index(state)
 
 
-def check_detailed_balance(tm: TransitionMatrix) -> None:
-    """Raise unless pi(x) P(x, y) = pi(y) P(y, x) to DETAILED_BALANCE_TOL."""
-    F = tm.pi[:, None] * tm.P
-    err = np.max(np.abs(F - F.T))
-    if err > DETAILED_BALANCE_TOL:
-        raise NonReversibleError(f"detailed balance violated by {err:.2e}")
-
-
-def _validate_matrix(tm: TransitionMatrix) -> None:
-    rows = tm.P.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > ROW_SUM_TOL:
-        raise NonReversibleError(
-            f"rows sum to 1 +- {np.max(np.abs(rows - 1)):.2e} > {ROW_SUM_TOL}"
-        )
-    if tm.reversible:
-        check_detailed_balance(tm)
+def _detailed_balance_error(K, pi: np.ndarray) -> float:
+    """max |pi(x) K(x, y) - pi(y) K(y, x)| over the stored entries of K."""
+    Kt = K.T.tocsr()
+    if not (np.array_equal(K.indptr, Kt.indptr)
+            and np.array_equal(K.indices, Kt.indices)):
+        # entries without a stored reverse: compare on the union pattern
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        F = type(K)((pi[rows] * K.data, K.indices, K.indptr), shape=K.shape)
+        return float(abs(F - F.T).max())
+    # same pattern: entry p of K and of K^T are (x, y) and (y, x); in blocks,
+    # so that no temporary grows with nnz
+    err = 0.0
+    for lo in range(0, K.nnz, 1 << 20):
+        hi = min(lo + (1 << 20), K.nnz)
+        rows = np.searchsorted(K.indptr, np.arange(lo, hi), side="right") - 1
+        d = pi[rows] * K.data[lo:hi] - pi[K.indices[lo:hi]] * Kt.data[lo:hi]
+        err = max(err, float(np.max(np.abs(d))))
+    return err
 
 
 def _check_dense_size(size: int) -> None:
-    """Refuse a dense size x size float64 kernel beyond DENSE_KERNEL_BYTES."""
+    """Refuse a dense size x size float64 view beyond DENSE_KERNEL_BYTES."""
     need = 8 * size * size
     if need > DENSE_KERNEL_BYTES:
         raise TooLargeError(
             f"a dense kernel on {size} states needs {need} bytes, "
             f"over the {DENSE_KERNEL_BYTES}-byte cap"
         )
+
+
+def _check_nonzeros(bound: int) -> None:
+    """Refuse, before enumerating, a kernel with up to ``bound`` entries
+    beyond KERNEL_NONZERO_CAP."""
+    if bound > KERNEL_NONZERO_CAP:
+        raise TooLargeError(
+            f"a kernel with up to {bound} nonzeros is over the "
+            f"{KERNEL_NONZERO_CAP}-nonzero cap"
+        )
+
+
+def _csr(data: np.ndarray, indices: np.ndarray, size: int):
+    """CSR rows over ``size`` columns from equal-length rows (2-D ``data``
+    and int32 ``indices``); repeated columns of a row are summed."""
+    from scipy.sparse import csr_array
+
+    rows, width = data.shape
+    indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
+    K = csr_array((data.ravel(), indices.ravel(), indptr), shape=(rows, size))
+    K.sum_duplicates()
+    return K
 
 
 def _fixed_mag_stationary(mono: np.ndarray, beta: float) -> np.ndarray:
@@ -316,45 +371,41 @@ def _fixed_mag_stationary(mono: np.ndarray, beta: float) -> np.ndarray:
 
 
 def build_transition_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
-    """Exact dense kernel and stationary vector for any of the four chains."""
+    """Exact sparse kernel and stationary vector for any of the four chains."""
     if kernel.kind == "glauber":
         return _glauber_matrix(kernel, g)
     return _fixed_mag_matrix(kernel, g)
 
 
 def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
+    """States are the integers s < 2^n, bit v set where vertex v is plus; a
+    row holds its n single-flip moves and the diagonal."""
     n = g.n
     size = 2**n
-    _check_dense_size(size)
+    _check_nonzeros(size * (n + 1))
     beta, lam = kernel.beta, kernel.lam
-    states = tuple(range(size))
-
-    def spins_of(s):
-        return [1 if (s >> v) & 1 else -1 for v in range(n)]
-
-    edge_list = list(g.edges())
-    logw = np.empty(size)
-    for s in range(size):
-        spins = spins_of(s)
-        m = sum(1 for u, w in edge_list if u == w or spins[u] == spins[w])
-        k = bin(s).count("1")
-        logw[s] = beta * m + k * math.log(lam)
+    s = np.arange(size)
+    plus = [((s >> v) & 1).astype(bool) for v in range(n)]
+    zero = np.zeros(size, dtype=np.int64)
+    mono = sum((plus[u] == plus[w] for u, w in g.edges()), zero)
+    logw = beta * mono + sum(plus, zero) * math.log(lam)
     pi = np.exp(logw - logw.max())
     pi /= pi.sum()
 
-    tables = [heat_bath_table(beta, lam, _degree(g, v)) for v in range(n)]
-    P = np.zeros((size, size))
-    for s in range(size):
-        spins = spins_of(s)
-        for v in range(n):
-            p_plus = tables[v][_plus_neighbor_count(g, spins, v)]
-            s_plus = s | (1 << v)
-            s_minus = s & ~(1 << v)
-            P[s, s_plus] += p_plus / n
-            P[s, s_minus] += (1 - p_plus) / n
-    tm = TransitionMatrix(states=states, P=P, pi=pi, kind="glauber")
-    _validate_matrix(tm)
-    return tm
+    cols = np.empty((size, n + 1), dtype=np.int32)
+    vals = np.empty((size, n + 1))
+    cols[:, 0] = s
+    stay = np.zeros(size)
+    for v in range(n):
+        j = sum((plus[w] for w in g.adjacency[v] if w != v), zero)
+        p_plus = np.asarray(heat_bath_table(beta, lam, _degree(g, v)))[j]
+        up, down = p_plus / n, (1 - p_plus) / n
+        cols[:, v + 1] = s ^ (1 << v)
+        vals[:, v + 1] = np.where(plus[v], down, up)
+        stay += np.where(plus[v], up, down)
+    vals[:, 0] = stay
+    return TransitionMatrix(states=tuple(range(size)), K=_csr(vals, cols, size),
+                            pi=pi, kind="glauber")
 
 
 def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
@@ -370,25 +421,73 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     """
     pinned = frozenset(kernel.pinning.assignments)
     beta, k = kernel.beta, kernel.k
-    kawasaki = kernel.kind == "kawasaki"
     k_free = k - len(pinned)
     if k_free < 1:
         raise InvalidInputError("pinning must leave at least one free plus")
     if k > g.n:
         raise InvalidInputError("k exceeds vertex count")
-    if kawasaki and k == g.n:
+    if kernel.kind == "kawasaki" and k == g.n:
         raise InvalidInputError("Kawasaki needs an unpinned plus and a minus")
     if kernel.kind == "kl_downup" and pinned:
         raise InvalidInputError("(k,l)-down-up is defined for the unpinned chain")
-    _check_dense_size(math.comb(g.n - len(pinned), k_free))
-    states, mono = fixed_k_states(g, k, plus_pinned=pinned)
-    index = {s: i for i, s in enumerate(states)}
     ell = kernel.ell if kernel.kind == "kl_downup" else k_free - 1
-    pairs = k_free * (g.n - k)
-    n_subsets = math.comb(k_free, ell)
+    m = g.n - len(pinned)
+    size = math.comb(m, k_free)
+    # a row lies in C(k_free, l) links of C(m - l, k_free - l) states each
+    _check_nonzeros(size * min(size, math.comb(k_free, ell)
+                               * math.comb(m - ell, k_free - ell)))
+    states, mono = fixed_k_states(g, k, plus_pinned=pinned)
     free = [v for v in range(g.n) if v not in pinned]
-    size = len(states)
-    P = np.zeros((size, size))
+    if kernel.kind == "kawasaki":
+        K = _kawasaki_kernel(states, mono, free, g.n, beta, k_free)
+    else:
+        K = _downup_kernel(states, mono, free, beta, pinned, ell)
+    pi = _fixed_mag_stationary(mono, beta)
+    return TransitionMatrix(states=tuple(states), K=K, pi=pi, kind=kernel.kind)
+
+
+def _kawasaki_kernel(states, mono, free, n, beta, k_free):
+    """Row i: its own state, then the k_free (n - k) swaps of a free plus
+    with a minus, found by bitmask over the free vertices."""
+    size, m = len(states), len(free)
+    k = len(states[0])
+    X = np.zeros((size, n), dtype=bool)
+    X[np.repeat(np.arange(size), k),
+      np.fromiter(chain.from_iterable(states), np.intp, size * k)] = True
+    X = X[:, free]
+    # Python integers past 62 free vertices
+    bit = np.array([1 << j for j in range(m)], dtype=np.int64 if m < 63 else object)
+    masks = X @ bit
+    order = np.argsort(masks, kind="stable").astype(np.int32)
+    ranked = masks[order]
+    plus = np.nonzero(X)[1].reshape(size, k_free)
+    minus = np.nonzero(~X)[1].reshape(size, m - k_free)
+    width = m - k_free
+    cols = np.empty((size, 1 + k_free * width), dtype=np.int32)
+    vals = np.empty(cols.shape)
+    cols[:, 0] = np.arange(size)
+    filled = masks[:, None] ^ bit[minus]
+    for a in range(k_free):
+        block = slice(1 + a * width, 1 + (a + 1) * width)
+        cols[:, block] = order[np.searchsorted(ranked, filled ^ bit[plus[:, a], None])]
+        vals[:, block] = np.minimum(
+            1.0, np.exp(beta * (mono[cols[:, block]] - mono[:, None]))) / (k_free * width)
+    vals[:, 0] = 1.0 - vals[:, 1:].sum(axis=1)
+    return _csr(vals, cols, size)
+
+
+def _downup_kernel(states, mono, free, beta, pinned, ell):
+    """Row i: the link of every kept l-subset of its free pluses, weighted
+    by the link's heat-bath law over C(k_free, l); repeats are summed.
+
+    Rows are summed in blocks, so that the repeats, which outnumber the
+    nonzeros for small l, never all exist at once."""
+    from scipy.sparse import vstack
+
+    k_free = len(states[0]) - len(pinned)
+    index = {s: i for i, s in enumerate(states)}
+    n_subsets = math.comb(k_free, ell)
+    width = n_subsets * math.comb(len(free) - ell, k_free - ell)
     links = {}  # K -> (state indices of its link, heat-bath law / C(k_free, l))
 
     def link(K):
@@ -396,25 +495,19 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
             base = pinned.union(K)
             rest = [v for v in free if v not in base]
             idxs = np.array([index[base.union(W)]
-                             for W in combinations(rest, k_free - ell)])
-            links[K] = idxs, (None if kawasaki else
-                              _fixed_mag_stationary(mono[idxs], beta) / n_subsets)
+                             for W in combinations(rest, k_free - ell)], dtype=np.int32)
+            links[K] = idxs, _fixed_mag_stationary(mono[idxs], beta) / n_subsets
         return links[K]
 
-    for i, s in enumerate(states):
-        row = [link(K) for K in combinations(sorted(s - pinned), ell)]
-        cols = np.concatenate([idxs for idxs, _ in row])
-        if kawasaki:
-            # i itself sits in every link; its entry is the rejection mass
-            P[i, cols] = np.minimum(1.0, np.exp(beta * (mono[cols] - mono[i]))) / pairs
-            P[i, i] = 0.0
-            P[i, i] = 1.0 - P[i].sum()
-        else:
-            P[i] = np.bincount(cols, np.concatenate([law for _, law in row]), size)
-    pi = _fixed_mag_stationary(mono, beta)
-    tm = TransitionMatrix(states=tuple(states), P=P, pi=pi, kind=kernel.kind)
-    _validate_matrix(tm)
-    return tm
+    step = max(1, (1 << 22) // width)
+    blocks = []
+    for lo in range(0, len(states), step):
+        row = [link(K) for s in states[lo:lo + step]
+               for K in combinations(sorted(s - pinned), ell)]
+        blocks.append(_csr(np.concatenate([law for _, law in row]).reshape(-1, width),
+                           np.concatenate([idxs for idxs, _ in row]).reshape(-1, width),
+                           len(states)))
+    return blocks[0] if len(blocks) == 1 else vstack(blocks, format="csr")
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,37 @@ def test_runtime_cap_exit(tmp_path):
     assert code == 3
 
 
+def test_cli_and_chains_import_no_scipy():
+    """scipy loads only where an exact kernel is built or solved."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import isinglab
+
+    code = ("import sys, isinglab.cli, isinglab.metastability; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(isinglab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_write_csv_matches_fmt_per_cell(tmp_path):
+    """Rows whose cell types differ from the first row's still print via fmt."""
+    import numpy as np
+
+    from isinglab.cli import RunContext, fmt
+
+    rows = [[0, 0.1 + 0.2, "a", None], [1, 2, "b", True],
+            [np.int64(2), np.float64(1 / 3), "c", None], [3, 1e-20, "d", None]]
+    ctx = RunContext(tmp_path, "test", {})
+    path = ctx.write_csv("t.csv", ["i", "x", "s", "z"], rows)
+    want = "i,x,s,z\n" + "".join(",".join(fmt(x) for x in r) + "\n" for r in rows)
+    assert path.read_text() == want
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("delta = 4\nbeta = 0.7931\nout = {}\n".format(tmp_path / "x"))

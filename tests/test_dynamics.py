@@ -249,9 +249,11 @@ def test_kl_matrix_matches_expectation_formula():
 def test_kawasaki_matrix_matches_definition():
     """Every entry against min(1, e^{beta dm}) / (k_free (n - k)), with dm
     from the local swap count, and the diagonal holding the rest."""
-    beta, k = 0.9, 3
-    for g in (cycle_graph(5), cycle_graph(6)):
-        for pinned in ((), (1,)):
+    beta = 0.9
+    # on C66 the bitmasks over 65 and 66 free vertices pass 62 bits
+    for g, k, pinnings in ((cycle_graph(5), 3, ((), (1,))), (cycle_graph(6), 3, ((), (1,))),
+                           (cycle_graph(66), 2, ((1,),)), (cycle_graph(66), 1, ((),))):
+        for pinned in pinnings:
             pin = Pinning.plus(pinned)
             tm = build_transition_matrix(
                 ChainKernel("kawasaki", beta=beta, k=k, pinning=pin), g)
@@ -336,17 +338,35 @@ def test_matrix_cap():
         build_transition_matrix(ChainKernel("glauber", beta=0.1, lam=1.0), g)
 
 
-def test_dense_cap_counts_bytes(monkeypatch):
-    """C(16, 8) = 12 870 states would need 1.3 GB: refused before enumerating."""
+def test_nonzero_cap_counts_entries(monkeypatch):
+    """C(22, 11) states with 11 x 12 link entries each, and 2^22 Glauber states
+    with 23 each, exceed the nonzero cap: refused before enumerating."""
     def no_enumeration(*args, **kwargs):
         raise AssertionError("states enumerated before the size check")
 
     monkeypatch.setattr(dynamics, "fixed_k_states", no_enumeration)
-    with pytest.raises(TooLargeError, match="1325095200 bytes"):
-        build_transition_matrix(ChainKernel("kawasaki", beta=0.5, k=8), cycle_graph(16))
-    with pytest.raises(TooLargeError, match="2147483648 bytes"):
+    with pytest.raises(TooLargeError, match="up to 93117024 nonzeros"):
+        build_transition_matrix(ChainKernel("kawasaki", beta=0.5, k=11), cycle_graph(22))
+    with pytest.raises(TooLargeError, match="up to 96468992 nonzeros"):
         build_transition_matrix(ChainKernel("glauber", beta=0.5, lam=1.0),
-                                cycle_graph(14))
+                                cycle_graph(22))
+
+
+def test_sparse_gap_needs_no_dense_view(monkeypatch):
+    """C(16, 8) = 12 870 Kawasaki states: built and solved without the
+    1.3 GB dense view, whose cap it exceeds."""
+    from isinglab.graphs import random_regular
+    from isinglab.spectral import spectral_gap
+
+    def no_dense(self):
+        raise AssertionError("dense view read")
+
+    monkeypatch.setattr(TransitionMatrix, "P", property(no_dense))
+    tm = build_transition_matrix(ChainKernel("kawasaki", beta=0.5, k=8),
+                                 random_regular(16, 3, seed=0))
+    assert len(tm.states) == 12870
+    assert tm.K.nnz == 12870 * (1 + 8 * 8)
+    assert 0 < spectral_gap(tm) < 1
 
 
 def test_coupled_sticky_on_diagonal():

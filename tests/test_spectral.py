@@ -6,7 +6,7 @@ import pytest
 
 from isinglab.dynamics import ChainKernel, build_transition_matrix
 from isinglab.errors import DegenerateError, InvalidInputError, NonReversibleError
-from isinglab.graphs import complete_graph, cycle_graph
+from isinglab.graphs import complete_graph, cycle_graph, disjoint_union, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     Pinning,
@@ -38,7 +38,7 @@ from isinglab.rng import make_rng
 def swap_chain():
     return TransitionMatrix(
         states=(0, 1),
-        P=np.array([[0.0, 1.0], [1.0, 0.0]]),
+        K=np.array([[0.0, 1.0], [1.0, 0.0]]),
         pi=np.array([0.5, 0.5]),
         kind="swap",
     )
@@ -67,7 +67,44 @@ def test_gap_rejects_nonreversible():
     P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     pi = np.array([1 / 3] * 3)
     with pytest.raises(NonReversibleError):
-        spectral_gap(TransitionMatrix(states=(0, 1, 2), P=P, pi=pi))
+        spectral_gap(TransitionMatrix(states=(0, 1, 2), K=P, pi=pi))
+    # symmetric nonzero pattern, but pi is not the reversing measure
+    P = np.array([[0.2, 0.4, 0.4], [0.4, 0.2, 0.4], [0.4, 0.4, 0.2]])
+    with pytest.raises(NonReversibleError):
+        TransitionMatrix(states=(0, 1, 2), K=P, pi=np.array([0.5, 0.25, 0.25]))
+    with pytest.raises(NonReversibleError, match="rows sum"):
+        TransitionMatrix(states=(0, 1, 2), K=0.9 * P, pi=pi)
+
+
+def _dense_gap(tm):
+    """1 - lambda_2 by dense eigvalsh of the symmetrized dense view."""
+    sq = np.sqrt(tm.pi)
+    A = (sq[:, None] / sq[None, :]) * tm.P
+    return 1.0 - np.linalg.eigvalsh(0.5 * (A + A.T))[-2]
+
+
+@pytest.mark.parametrize("kernel,g", [
+    (ChainKernel("glauber", beta=0.9, lam=0.8), random_regular(10, 3, seed=7)),
+    (ChainKernel("kawasaki", beta=0.5, k=6), random_regular(12, 3, seed=3)),
+    (ChainKernel("kawasaki", beta=0.4, k=6), random_regular(13, 4, seed=1)),
+    (ChainKernel("downup", beta=0.8, k=6, pinning=Pinning.plus([0, 3])),
+     random_regular(14, 3, seed=2)),
+    (ChainKernel("kl_downup", beta=0.5, k=5, ell=3), random_regular(11, 4, seed=3)),
+    (ChainKernel("kawasaki", beta=0.9, k=1), complete_graph(2)),
+    (ChainKernel("kawasaki", beta=1.0, k=6), disjoint_union(cycle_graph(6), 2).graph),
+], ids=["glauber-1024", "kawasaki-924", "kawasaki-1716", "downup-pinned-495",
+        "kl-462", "k2-two-states", "union-2xC6-924"])
+def test_lanczos_gap_matches_dense_eigvalsh(kernel, g):
+    tm = build_transition_matrix(kernel, g)
+    gap, want = spectral_gap(tm), _dense_gap(tm)
+    assert abs(gap - want) <= 1e-12 * want, (len(tm.states), gap, want)
+
+
+def test_gap_of_one_state_chain_is_degenerate():
+    tm = build_transition_matrix(ChainKernel("downup", beta=0.5, k=3), complete_graph(3))
+    assert len(tm.states) == 1
+    with pytest.raises(DegenerateError):
+        spectral_gap(tm)
 
 
 def test_swap_chain_periodic_vs_lazy():
@@ -80,17 +117,18 @@ def test_swap_chain_periodic_vs_lazy():
 def test_mixing_bound_uniform_chain():
     N = 7
     tm = TransitionMatrix(
-        states=tuple(range(N)), P=np.full((N, N), 1 / N), pi=np.full(N, 1 / N)
+        states=tuple(range(N)), K=np.full((N, N), 1 / N), pi=np.full(N, 1 / N)
     )
     assert exact_mixing_time(tm, lazy=False) == 1
     assert math.isclose(mixing_time_upper(tm), math.log(4 * N))
+    assert math.isclose(mixing_time_upper(tm, gap=0.5), 2 * math.log(4 * N))
 
 
 def test_exact_mixing_below_spectral_bound():
     g = complete_graph(4)
     tm = build_transition_matrix(ChainKernel("kawasaki", beta=0.8, k=2), g)
     lazy = TransitionMatrix(
-        states=tm.states, P=0.5 * (np.eye(len(tm.states)) + tm.P), pi=tm.pi,
+        states=tm.states, K=0.5 * (np.eye(len(tm.states)) + tm.P), pi=tm.pi,
         kind="lazy-kawasaki",
     )
     assert exact_mixing_time(tm, lazy=True) <= mixing_time_upper(lazy)
