@@ -460,9 +460,9 @@ def _kawasaki_kernel(states, mono, free, n, beta, k_free):
     masks = X @ bit
     order = np.argsort(masks, kind="stable").astype(np.int32)
     ranked = masks[order]
-    plus = np.nonzero(X)[1].reshape(size, k_free)
-    minus = np.nonzero(~X)[1].reshape(size, m - k_free)
     width = m - k_free
+    plus = np.nonzero(X)[1].reshape(size, k_free)
+    minus = np.nonzero(~X)[1].reshape(size, width)
     cols = np.empty((size, 1 + k_free * width), dtype=np.int32)
     vals = np.empty(cols.shape)
     cols[:, 0] = np.arange(size)
