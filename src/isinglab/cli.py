@@ -151,7 +151,7 @@ def validate_args(args) -> list:
     ell = getattr(args, "ell", None)
     if ell is not None and k is not None and not (0 <= ell <= k - 1):
         problems.append("need 0 <= ell <= k - 1")
-    for name in ("steps", "T", "thin"):
+    for name in ("steps", "T", "thin", "seeds"):
         val = getattr(args, name, None)
         if val is not None and val < 1:
             problems.append(f"{name} must be >= 1")

@@ -10,6 +10,11 @@ Chains:
   * (k, l)-down-up walk: resample k - l pluses at once from the conditional
     measure given a uniform l-subset of the current pluses.
 
+Each chain has one update.  ``_heat_bath`` and ``_kawasaki_swaps`` run T
+Glauber updates or Kawasaki swaps in O(Delta) per step; the long traces in
+``metastability`` and the single-step functions (T = 1) both run them.  Both
+down-up walks resample from one conditional law, ``_completion_law``.
+
 On enumerable instances every kernel can also be realized as an explicit
 row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
 coupled Kawasaki chain tracks the disagreement set D, the "bad"
@@ -34,6 +39,7 @@ from .measures import (
     Pinning,
     SpinConfiguration,
     fixed_k_states,
+    monochromatic_edges,
 )
 from .rng import as_rng
 
@@ -82,20 +88,6 @@ class ChainKernel:
 # ---------------------------------------------------------------------------
 
 
-def _plus_neighbor_count(g: Graph, spins, v: int) -> int:
-    """Occurrences of +1 neighbors of v, self-loops excluded."""
-    j = 0
-    for w in g.adjacency[v]:
-        if w != v and spins[w] == 1:
-            j += 1
-    return j
-
-
-def _degree(g: Graph, v: int) -> int:
-    """Non-loop degree of v, parallel edges counted once per copy."""
-    return len(g.adjacency[v]) - g.adjacency[v].count(v)
-
-
 def heat_bath_table(beta: float, lam: float, d: int) -> list:
     """Glauber plus probabilities p_+(j) for j = 0..d plus neighbours of d."""
     return [lam * math.exp(beta * j) / (lam * math.exp(beta * j)
@@ -135,137 +127,177 @@ def _swap_delta_mono(g: Graph, spins, u: int, w: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Seeded simulation steps
+# Chain kernels: the one update of each chain
+# ---------------------------------------------------------------------------
+
+
+_CHUNK = 1 << 10
+
+
+def _chunks(*arrays):
+    """Zip predrawn arrays as plain Python values, _CHUNK positions at a time."""
+    return chain.from_iterable(
+        zip(*(a[lo:lo + _CHUNK].tolist() for a in arrays))
+        for lo in range(0, len(arrays[0]), _CHUNK))
+
+
+def _heat_bath(g: Graph, beta: float, lam: float, spins: list, rng, T: int):
+    """Glauber heat-bath kernel: T updates of ``spins`` (+-1, in place).
+
+    Draws the T vertices, then the T uniforms.  Yields (plus count,
+    monochromatic edges) before the first update and after each one.  Every
+    vertex keeps its plus-neighbour count (parallel edges once per copy,
+    self-loops never) and plus probability; a flip updates its neighbours'.
+    """
+    nbrs = g.neighbors
+    tables = {d: heat_bath_table(beta, lam, d) for d in {len(nb) for nb in nbrs}}
+    table_of = [tables[len(nb)] for nb in nbrs]
+    j_of = [sum(1 for w in nb if spins[w] == 1) for nb in nbrs]
+    p_of = [table[j] for table, j in zip(table_of, j_of)]
+    plus = spins.count(1)
+    mono = monochromatic_edges(g, spins)
+    vs = rng.integers(0, g.n, size=T)
+    us = rng.random(size=T)
+    yield plus, mono
+    for v, u in _chunks(vs, us):
+        s_new = 1 if u < p_of[v] else -1
+        if s_new != spins[v]:
+            spins[v] = s_new
+            nb = nbrs[v]
+            plus += s_new
+            mono += s_new * (2 * j_of[v] - len(nb))
+            for w in nb:
+                j_of[w] += s_new
+                p_of[w] = table_of[w][j_of[w]]
+        yield plus, mono
+
+
+def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int,
+                    pinned=frozenset()):
+    """Kawasaki kernel: T Metropolis swaps of a uniform (+, -) pair of
+    ``spins`` (in place), the ``pinned`` vertices left out of both lists.
+
+    Draws the T plus indices, the T minus indices, then the T uniforms.
+    Yields (u, w, d) when the plus at u moved to the minus at w, changing
+    the monochromatic edges by d, and None for a rejected swap.  Every vertex
+    keeps e = minus - plus neighbours, so d = e[u] - e[w] - 2 (u-w edges).
+    """
+    nbrs = g.neighbors
+    e = [-sum(spins[w] for w in nb) for nb in nbrs]
+    plus = [v for v, s in enumerate(spins) if s == 1 and v not in pinned]
+    minus = [v for v, s in enumerate(spins) if s == -1 and v not in pinned]
+    # e^{beta d} for d = -2 delta .. -1, indexed by d itself
+    accept = [math.exp(beta * d) for d in range(-2 * g.delta_max, 0)]
+    iu = rng.integers(0, len(plus), size=T)
+    iw = rng.integers(0, len(minus), size=T)
+    us = rng.random(size=T)
+    for a, b, r in _chunks(iu, iw, us):
+        u, w = plus[a], minus[b]
+        nu = nbrs[u]
+        d = e[u] - e[w] - 2 * nu.count(w)
+        if d >= 0 or r < accept[d]:
+            spins[u], spins[w] = -1, 1
+            plus[a], minus[b] = w, u
+            for x in nu:
+                e[x] += 2
+            for x in nbrs[w]:
+                e[x] -= 2
+            yield u, w, d
+        else:
+            yield None
+
+
+def _completion_law(g: Graph, beta: float, keep, r: int):
+    """The r-subsets W of the vertices outside ``keep``, with their
+    probabilities under the fixed-magnetization measure given that the plus
+    set contains ``keep`` and is keep + W.
+
+    Up to a constant of ``keep``, keep + W has log-weight
+    beta (sum_{u in W} (2 j_u - d_u) + 2 e(W)): j_u counts the edges from u
+    into ``keep``, d_u is the non-loop degree of u and e(W) counts the
+    non-loop edges inside W, parallel edges once per copy.
+    """
+    nbrs = g.neighbors
+    rest = [v for v in range(g.n) if v not in keep]
+    a = {u: 2 * sum(w in keep for w in nbrs[u]) - len(nbrs[u]) for u in rest}
+    completions = list(combinations(rest, r))
+    # sum over u in W of its neighbours in W is 2 e(W)
+    logw = beta * np.array([sum(a[u] + sum(w in W for w in nbrs[u]) for u in W)
+                            for W in completions], dtype=float)
+    p = np.exp(logw - logw.max())
+    return completions, p / p.sum()
+
+
+def _resample(g: Graph, beta: float, keep: set, r: int, rng) -> SpinConfiguration:
+    """Add r pluses to ``keep``, drawn from :func:`_completion_law`."""
+    completions, p = _completion_law(g, beta, keep, r)
+    plus = keep.union(completions[int(rng.choice(len(p), p=p))])
+    return SpinConfiguration.from_spins(g, [1 if v in plus else -1 for v in range(g.n)])
+
+
+# ---------------------------------------------------------------------------
+# Seeded simulation steps: T = 1 views on the kernels
 # ---------------------------------------------------------------------------
 
 
 def glauber_step(g: Graph, params: IsingParams, sigma: SpinConfiguration, rng):
     """One heat-bath update at a uniform vertex."""
-    rng = as_rng(rng)
     spins = list(sigma.spins)
-    v = int(rng.integers(g.n))
-    table = heat_bath_table(params.beta, params.lam, _degree(g, v))
-    p_plus = table[_plus_neighbor_count(g, spins, v)]
-    spins[v] = 1 if rng.random() < p_plus else -1
-    return SpinConfiguration.from_spins(g, spins)
+    *_, (plus, mono) = _heat_bath(g, params.beta, params.lam, spins, as_rng(rng), 1)
+    return SpinConfiguration(spins=tuple(spins), plus_count=plus, mono_edges=mono)
 
 
-def kawasaki_step(
-    g: Graph,
-    beta: float,
-    k: int,
-    pinning: Pinning,
-    sigma: SpinConfiguration,
-    rng,
-):
+def kawasaki_step(g: Graph, beta: float, k: int, pinning: Pinning,
+                  sigma: SpinConfiguration, rng):
     """Metropolis swap of a uniformly chosen unpinned (+, -) pair."""
-    rng = as_rng(rng)
     if sigma.plus_count != k:
         raise InvalidInputError("configuration plus-count differs from k")
-    spins = list(sigma.spins)
-    plus = [v for v in range(g.n) if spins[v] == 1 and v not in pinning]
-    minus = [v for v in range(g.n) if spins[v] == -1 and v not in pinning]
-    if not plus or not minus:
+    free = {s for v, s in enumerate(sigma.spins) if v not in pinning}
+    if free != {1, -1}:
         raise InvalidInputError("no swappable (+,-) pair under this pinning")
-    u = plus[int(rng.integers(len(plus)))]
-    w = minus[int(rng.integers(len(minus)))]
-    delta_m = _swap_delta_mono(g, spins, u, w)
-    if delta_m >= 0 or rng.random() < math.exp(beta * delta_m):
-        spins[u], spins[w] = -1, 1
-        return SpinConfiguration.from_spins(g, spins)
-    return sigma
+    spins = list(sigma.spins)
+    swap, = _kawasaki_swaps(g, beta, spins, as_rng(rng), 1,
+                            frozenset(pinning.assignments))
+    if swap is None:
+        return sigma
+    return SpinConfiguration(spins=tuple(spins), plus_count=k,
+                             mono_edges=sigma.mono_edges + swap[2])
 
 
-def _downup_candidate_weights(g: Graph, spins, v: int, beta: float):
-    """Resampling weights over {current minuses} + {v} after removing plus v.
-
-    With the remaining pluses W fixed, placing the plus at u carries relative
-    weight e^{beta (2 j_u - d_u)} with j_u the number of edges from u into W
-    and d_u its non-loop degree.
-    """
-    candidates = [v] + [u for u in range(g.n) if u != v and spins[u] == -1]
-    spins[v] = -1
-    weights = []
-    for u in candidates:
-        j = _plus_neighbor_count(g, spins, u)
-        weights.append(beta * (2 * j - _degree(g, u)))
-    spins[v] = 1
-    return candidates, weights
-
-
-def downup_step(
-    g: Graph,
-    beta: float,
-    k: int,
-    plus_pinning: Pinning,
-    sigma: SpinConfiguration,
-    rng,
-):
+def downup_step(g: Graph, beta: float, k: int, plus_pinning: Pinning,
+                sigma: SpinConfiguration, rng):
     """Remove a uniform unpinned plus, resample it from the conditional law."""
     rng = as_rng(rng)
     if not plus_pinning.plus_only:
         raise InvalidInputError("down-up walk supports plus pinnings only")
     if sigma.plus_count != k:
         raise InvalidInputError("configuration plus-count differs from k")
-    spins = list(sigma.spins)
-    free_plus = [v for v in range(g.n) if spins[v] == 1 and v not in plus_pinning]
+    plus = [v for v in range(g.n) if sigma.spins[v] == 1]
+    free_plus = [v for v in plus if v not in plus_pinning]
     if not free_plus:
         raise InvalidInputError("need at least one unpinned plus")
     v = free_plus[int(rng.integers(len(free_plus)))]
-    candidates, logw = _downup_candidate_weights(g, spins, v, beta)
-    logw = np.array(logw)
-    p = np.exp(logw - logw.max())
-    p /= p.sum()
-    u = candidates[int(rng.choice(len(candidates), p=p))]
-    if u != v:
-        spins[v], spins[u] = -1, 1
-    return SpinConfiguration.from_spins(g, spins)
+    return _resample(g, beta, set(plus) - {v}, 1, rng)
 
 
-def kl_downup_step(
-    g: Graph,
-    beta: float,
-    k: int,
-    ell: int,
-    sigma: SpinConfiguration,
-    rng,
-    approximate: bool = False,
-    inner_sweeps: int = 50,
-):
+def kl_downup_step(g: Graph, beta: float, k: int, ell: int,
+                   sigma: SpinConfiguration, rng):
     """One (k, l)-down-up transition: keep a uniform l-subset of pluses and
     resample the rest from the conditional fixed-magnetization measure.
 
-    Exact resampling enumerates the conditional support; beyond the
-    enumeration cap an inner Kawasaki run is used when ``approximate`` is set.
+    The resample enumerates its C(n - l, k - l) completions, at most
+    EXACT_SUPPORT_CAP of them.
     """
     rng = as_rng(rng)
     if not (0 <= ell <= k - 1):
         raise InvalidInputError("need 0 <= ell <= k-1")
     if sigma.plus_count != k:
         raise InvalidInputError("configuration plus-count differs from k")
-    plus = [v for v in range(len(sigma.spins)) if sigma.spins[v] == 1]
-    keep = set(
-        plus[i] for i in rng.choice(len(plus), size=ell, replace=False)
-    ) if ell else set()
-    n_choose = math.comb(g.n - ell, k - ell)
-    if n_choose <= EXACT_SUPPORT_CAP:
-        states, mono = fixed_k_states(g, k, plus_pinned=keep)
-        logw = beta * mono
-        p = np.exp(logw - logw.max())
-        p /= p.sum()
-        s = states[int(rng.choice(len(states), p=p))]
-        spins = [1 if v in s else -1 for v in range(g.n)]
-        return SpinConfiguration.from_spins(g, spins)
-    if not approximate:
-        raise TooLargeError(
-            "conditional support too large for exact resampling; "
-            "pass approximate=True for an inner Kawasaki run"
-        )
-    state = sigma
-    pin = Pinning.plus(keep)
-    for _ in range(inner_sweeps * max(1, k - ell)):
-        state = kawasaki_step(g, beta, k, pin, state, rng)
-    return state
+    if math.comb(g.n - ell, k - ell) > EXACT_SUPPORT_CAP:
+        raise TooLargeError("conditional support too large for exact resampling")
+    plus = [v for v in range(g.n) if sigma.spins[v] == 1]
+    keep = {plus[i] for i in rng.choice(len(plus), size=ell, replace=False)}
+    return _resample(g, beta, keep, k - ell, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +428,9 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     vals = np.empty((size, n + 1))
     cols[:, 0] = s
     stay = np.zeros(size)
-    for v in range(n):
-        j = sum((plus[w] for w in g.adjacency[v] if w != v), zero)
-        p_plus = np.asarray(heat_bath_table(beta, lam, _degree(g, v)))[j]
+    for v, nb in enumerate(g.neighbors):
+        j = sum((plus[w] for w in nb), zero)
+        p_plus = np.asarray(heat_bath_table(beta, lam, len(nb)))[j]
         up, down = p_plus / n, (1 - p_plus) / n
         cols[:, v + 1] = s ^ (1 << v)
         vals[:, v + 1] = np.where(plus[v], down, up)
@@ -561,18 +593,6 @@ def _disagreements(X, Y, neighbor_sets):
     return D, frozenset(B)
 
 
-def coupled_kawasaki_step(g: Graph, beta: float, k: int, plus_pinning: Pinning,
-                          state: CoupledState, rng) -> CoupledState:
-    """One joint update of the coupled pinned-Kawasaki pair.
-
-    Convenience wrapper; loops should hold a :class:`CoupledKawasaki` driver
-    to reuse its precomputed neighbor sets.
-    """
-    driver = CoupledKawasaki(g, beta=beta, k=k, plus_pinning=plus_pinning,
-                             phi=state.phi)
-    return driver.step(state, rng)
-
-
 class CoupledKawasaki:
     """Driver holding the graph context for the coupled chain."""
 
@@ -585,12 +605,9 @@ class CoupledKawasaki:
         self.k = k
         self.pinned = frozenset(plus_pinning.assignments)
         self.phi = phi
-        self.neighbor_sets = [
-            frozenset(w for w in g.adjacency[v] if w != v) for v in range(g.n)
-        ]
+        self.neighbor_sets = [frozenset(nb) for nb in g.neighbors]
         # with multiplicity, for the monochromatic-edge change of a swap
-        self.neighbors = [tuple(w for w in a if w != v)
-                          for v, a in enumerate(g.adjacency)]
+        self.neighbors = g.neighbors
         self.k_free = k - len(self.pinned)
         if self.k_free < 1 or k > g.n - 1:
             raise InvalidInputError(f"need 1 <= k - |pinned| and k <= n - 1, got "

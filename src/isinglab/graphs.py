@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections import Counter
+from functools import cached_property
 
 from .errors import InvalidInputError, RetriesExhaustedError
 from .rng import as_rng
@@ -36,6 +37,11 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    @cached_property
+    def neighbors(self) -> list:
+        """Per vertex, its non-loop neighbours, parallel edges once per copy."""
+        return [tuple(w for w in row if w != v) for v, row in enumerate(self.adjacency)]
 
     @property
     def num_edges(self) -> int:

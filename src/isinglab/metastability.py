@@ -24,13 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import count, islice
 
 import numpy as np
 
 from .errors import InvalidInputError, NoNonuniquenessError
 from .graphs import Graph, UnionGraph
-from .dynamics import CoupledKawasaki, heat_bath_table
+from .dynamics import CoupledKawasaki, _heat_bath, _kawasaki_swaps
 from .measures import (
     EMPTY_PINNING,
     NEG_INF,
@@ -409,47 +409,6 @@ def _start_spins(g: Graph, start, rng, k: int = None):
     return spins
 
 
-_CHUNK = 1 << 10
-
-
-def _chunks(*arrays):
-    """Zip predrawn arrays as plain Python values, _CHUNK positions at a time."""
-    return chain.from_iterable(
-        zip(*(a[lo:lo + _CHUNK].tolist() for a in arrays))
-        for lo in range(0, len(arrays[0]), _CHUNK))
-
-
-def _heat_bath(g: Graph, beta: float, lam: float, spins: list, rng, T: int):
-    """Glauber heat-bath kernel: T updates of ``spins`` (+-1, in place).
-
-    Draws the T vertices, then the T uniforms.  Yields (plus count,
-    monochromatic edges) before the first update and after each one.  Every
-    vertex keeps its plus-neighbour count (parallel edges once per copy,
-    self-loops never) and plus probability; a flip updates its neighbours'.
-    """
-    nbrs = [tuple(w for w in row if w != v) for v, row in enumerate(g.adjacency)]
-    tables = {d: heat_bath_table(beta, lam, d) for d in {len(nb) for nb in nbrs}}
-    table_of = [tables[len(nb)] for nb in nbrs]
-    j_of = [sum(1 for w in nb if spins[w] == 1) for nb in nbrs]
-    p_of = [table[j] for table, j in zip(table_of, j_of)]
-    plus = spins.count(1)
-    mono = monochromatic_edges(g, spins)
-    vs = rng.integers(0, g.n, size=T)
-    us = rng.random(size=T)
-    yield plus, mono
-    for v, u in _chunks(vs, us):
-        s_new = 1 if u < p_of[v] else -1
-        if s_new != spins[v]:
-            spins[v] = s_new
-            nb = nbrs[v]
-            plus += s_new
-            mono += s_new * (2 * j_of[v] - len(nb))
-            for w in nb:
-                j_of[w] += s_new
-                p_of[w] = table_of[w][j_of[w]]
-        yield plus, mono
-
-
 def _kawasaki_spins(g: Graph, start, rng, k: int) -> list:
     """Start spins with exactly k pluses, where a swap needs 1 <= k <= n - 1."""
     if not 1 <= k <= g.n - 1:
@@ -458,39 +417,6 @@ def _kawasaki_spins(g: Graph, start, rng, k: int) -> list:
     if spins.count(1) != k:
         raise InvalidInputError("start incompatible with k")
     return spins
-
-
-def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int):
-    """Kawasaki kernel: T Metropolis swaps of a uniform (+, -) pair of ``spins``.
-
-    Draws the T plus indices, the T minus indices, then the T uniforms.
-    Yields (u, w, d) when the plus at u moved to the minus at w, changing
-    the monochromatic edges by d, and None for a rejected swap.  Every vertex
-    keeps e = minus - plus neighbours, so d = e[u] - e[w] - 2 (u-w edges).
-    """
-    nbrs = [tuple(w for w in row if w != v) for v, row in enumerate(g.adjacency)]
-    e = [-sum(spins[w] for w in nb) for nb in nbrs]
-    plus = [v for v, s in enumerate(spins) if s == 1]
-    minus = [v for v, s in enumerate(spins) if s == -1]
-    # e^{beta d} for d = -2 delta .. -1, indexed by d itself
-    accept = [math.exp(beta * d) for d in range(-2 * g.delta_max, 0)]
-    iu = rng.integers(0, len(plus), size=T)
-    iw = rng.integers(0, len(minus), size=T)
-    us = rng.random(size=T)
-    for a, b, r in _chunks(iu, iw, us):
-        u, w = plus[a], minus[b]
-        nu = nbrs[u]
-        d = e[u] - e[w] - 2 * nu.count(w)
-        if d >= 0 or r < accept[d]:
-            spins[u], spins[w] = -1, 1
-            plus[a], minus[b] = w, u
-            for x in nu:
-                e[x] += 2
-            for x in nbrs[w]:
-                e[x] -= 2
-            yield u, w, d
-        else:
-            yield None
 
 
 def run_glauber_trace(g: Graph, beta: float, lam: float, start: str, T: int,

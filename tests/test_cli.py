@@ -174,6 +174,11 @@ def test_validation_rejects_bad_params(tmp_path, capsys):
     assert run(["simulate", "--chain", "glauber", "--n", "6", "--delta", "3",
                 "--beta", "0.5", "--lam", "1.0", "--steps", "10", "--seed", "-1",
                 "--out", str(tmp_path)]) == 2
+    # no seeds for metastability
+    for seeds in ("0", "-1"):
+        assert run(["metastability", "--mode", "glauber", "--delta", "3",
+                    "--beta", "1.2", "--lam", "1.01", "--n", "60", "--T", "100",
+                    "--seeds", seeds, "--out", str(tmp_path)]) == 2
     # thin < 1
     assert run(["simulate", "--chain", "kawasaki", "--n", "6", "--delta", "3",
                 "--beta", "0.5", "--k", "3", "--steps", "10", "--thin", "0",

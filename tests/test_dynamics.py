@@ -297,9 +297,24 @@ def test_kl_step_too_large_without_flag():
     rng = make_rng(9)
     with pytest.raises(TooLargeError):
         kl_downup_step(g, 0.4, 15, 0, start, rng)
-    out = kl_downup_step(g, 0.4, 15, 0, start, rng, approximate=True,
-                         inner_sweeps=5)
-    assert out.plus_count == 15
+
+
+def test_completion_law_matches_enumerated_conditional():
+    """The down-up resampling law over completions W of a kept plus set
+    equals the heat-bath law of the fixed-k states containing it, on a
+    multigraph with a self-loop and parallel edges."""
+    # loop at 0; doubled edges 1-2 and 3-4
+    g = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
+                              [3, 3, 5], [4, 0]], delta_max=4)
+    beta = 0.8
+    for keep, r in (({1, 4}, 1), ({2}, 2), ({5}, 3), (set(), 3)):
+        completions, p = dynamics._completion_law(g, beta, keep, r)
+        states, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
+        w = np.exp(beta * (mono - mono.max()))
+        want = dict(zip(states, w / w.sum()))
+        assert len(completions) == len(want) == math.comb(g.n - len(keep), r)
+        for W, q in zip(completions, p):
+            assert abs(q - want[frozenset(keep).union(W)]) < 1e-12, (keep, W)
 
 
 def test_kernel_comparison_kawasaki_downup():
@@ -399,20 +414,6 @@ def test_coupled_marginal_matches_exact_kawasaki_row():
         observed = counts.get(s, 0) / n
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(observed - p) <= 4 * se + 1e-12, (s, observed, p)
-
-
-def test_coupled_step_function_wrapper():
-    from isinglab.dynamics import coupled_kawasaki_step
-
-    g = complete_graph(4)
-    driver = CoupledKawasaki(g, beta=0.6, k=2, plus_pinning=EMPTY_PINNING, phi=0.8)
-    st = driver.make_state((0, 1), (2, 3))
-    out = coupled_kawasaki_step(g, 0.6, 2, EMPTY_PINNING, st, make_rng(4))
-    assert out.phi == st.phi
-    assert len(out.X) == len(st.X)
-    # same seed through the driver path gives the identical transition
-    out2 = driver.step(st, make_rng(4))
-    assert out.X == out2.X and out.Y == out2.Y
 
 
 def test_coupled_rho_zero_iff_equal():

@@ -193,7 +193,8 @@ def test_trace_loops_handle_multigraph_defects():
 
 
 def test_kawasaki_trace_exact_mono_on_multigraph():
-    """Incremental mono bookkeeping equals a recount at every thinned step."""
+    """Incremental mono bookkeeping equals a recount at every step, with
+    and without a pinning; pinned vertices never move."""
     g = Graph(
         n=4,
         adjacency=[[0, 0, 1], [0, 2, 2], [1, 1, 3], [2]],
@@ -201,10 +202,12 @@ def test_kawasaki_trace_exact_mono_on_multigraph():
     )
     from isinglab.measures import monochromatic_edges
 
-    # re-run the kernel manually to compare final mono with a recount
     rng = make_rng(36)
-    spins = [1, 1, -1, -1]
-    sigma = SpinConfiguration.from_spins(g, spins)
-    for _ in range(200):
-        sigma = kawasaki_step(g, 0.8, 2, EMPTY_PINNING, sigma, rng)
-        assert sigma.mono_edges == monochromatic_edges(g, sigma.spins)
+    for pin, spins in ((EMPTY_PINNING, [1, 1, -1, -1]),
+                       (Pinning.plus([0]), [1, 1, -1, -1]),
+                       (Pinning({1: 1, 3: -1}), [-1, 1, 1, -1])):
+        sigma = SpinConfiguration.from_spins(g, spins)
+        for _ in range(200):
+            sigma = kawasaki_step(g, 0.8, 2, pin, sigma, rng)
+            assert sigma.mono_edges == monochromatic_edges(g, sigma.spins)
+            assert all(sigma.spins[v] == s for v, s in pin.assignments.items())
