@@ -15,13 +15,12 @@ error, 3 runtime cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .errors import (
@@ -31,9 +30,7 @@ from .errors import (
     RetriesExhaustedError,
     TooLargeError,
 )
-from .graphs import random_regular, read_edge_list, write_edge_list, disjoint_union
-from .measures import exact_partition_table, k_of_eta, size_distribution
-from .meanfield import critical_points, f_eta
+from .meanfield import ETA_CLIP, critical_points, f_eta
 from .thresholds import (
     beta_u,
     compute_thresholds,
@@ -61,11 +58,23 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
+    np = sys.modules.get("numpy")  # a numpy scalar means numpy is loaded
+    if np is not None and isinstance(obj, np.floating):
         return float(f"{float(obj):.12g}")
-    if isinstance(obj, (np.integer,)):
+    if np is not None and isinstance(obj, np.integer):
         return int(obj)
     return obj
+
+
+@functools.cache
+def _numpy_version() -> str:
+    """numpy's version, without importing numpy for the commands that need none."""
+    np = sys.modules.get("numpy")
+    if np is not None:
+        return np.__version__
+    from importlib.metadata import version
+
+    return version("numpy")
 
 
 class RunContext:
@@ -112,7 +121,7 @@ class RunContext:
             "command": self.command,
             "parameters": _json_ready(self.params),
             "isinglab_version": __version__,
-            "numpy_version": np.__version__,
+            "numpy_version": _numpy_version(),
             "wall_time_s": round(time.time() - self.t0, 3),
             "outputs": [p.name for p in self.written],
         }
@@ -168,6 +177,8 @@ def validate_args(args) -> list:
 
 
 def _load_graph(args):
+    from .graphs import random_regular, read_edge_list
+
     if getattr(args, "graph", None):
         return read_edge_list(args.graph)
     if getattr(args, "n", None) and getattr(args, "delta", None):
@@ -217,10 +228,12 @@ def cmd_phase_diagram(args, ctx: RunContext) -> int:
 def cmd_landscape(args, ctx: RunContext) -> int:
     pts = critical_points(args.delta, args.beta, args.lam, grid_resolution=args.grid)
     n_grid = max(2, int(2 / args.grid))
-    etas = np.linspace(-1 + 1e-6, 1 - 1e-6, n_grid + 1)
+    lo, hi = -1 + ETA_CLIP, 1 - ETA_CLIP
+    step = (hi - lo) / n_grid
+    # the points of numpy.linspace(lo, hi, n_grid + 1), bit for bit
+    etas = [i * step + lo for i in range(n_grid)] + [hi]
     rows = [
-        (float(e), f_eta(float(e), args.delta, args.beta, args.lam),
-         "interior-critical-none")
+        (e, f_eta(e, args.delta, args.beta, args.lam), "interior-critical-none")
         for e in etas
     ]
     rows.extend((p.eta, p.f_value, p.classification) for p in pts)
@@ -237,6 +250,8 @@ def cmd_landscape(args, ctx: RunContext) -> int:
 
 
 def cmd_graph_gen(args, ctx: RunContext) -> int:
+    from .graphs import random_regular, write_edge_list
+
     g = random_regular(args.n, args.delta, seed=args.seed, simple=args.simple)
     out = ctx.path(args.out_file)
     write_edge_list(g, out)
@@ -293,7 +308,7 @@ def cmd_spectra(args, ctx: RunContext) -> int:
         mixing_time_upper,
         spectral_gap,
     )
-    from .measures import cumulants_of_size
+    from .measures import cumulants_of_size, exact_partition_table
 
     g = _load_graph(args)
     report = {"graph_n": g.n, "beta": args.beta, "report": args.report}
@@ -367,7 +382,10 @@ def cmd_spectra(args, ctx: RunContext) -> int:
 
 
 def cmd_exactcheck(args, ctx: RunContext) -> int:
+    import numpy as np
+
     from .dynamics import ChainKernel, build_transition_matrix
+    from .measures import exact_partition_table, size_distribution
     from .spectral import gap_factorization_check
 
     g = _load_graph(args)
@@ -398,6 +416,10 @@ def cmd_exactcheck(args, ctx: RunContext) -> int:
 
 
 def cmd_metastability(args, ctx: RunContext) -> int:
+    import numpy as np
+
+    from .graphs import disjoint_union, random_regular
+    from .measures import k_of_eta
     from .metastability import (
         find_union_parameters,
         run_glauber_trace,
@@ -613,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(ap: argparse.ArgumentParser, argv):
+def _apply_config_file(argv):
     """Pre-parse --config and turn its lines into leading defaults."""
     if "--config" not in argv:
         return argv
@@ -644,7 +666,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        argv = _apply_config_file(ap, argv)
+        argv = _apply_config_file(argv)
         args = ap.parse_args(argv)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -340,9 +340,6 @@ class TransitionMatrix:
         P.flags.writeable = False
         return P
 
-    def state_index(self, state) -> int:
-        return self.states.index(state)
-
 
 def _detailed_balance_error(K, pi: np.ndarray) -> float:
     """max |pi(x) K(x, y) - pi(y) K(y, x)| over the stored entries of K."""

@@ -10,8 +10,11 @@ like e^{n f(eta)} with
 
 where B is the symmetric 2x2 edge-statistics matrix with row sums
 (1+eta)/2 and (1-eta)/2 and H is the binary entropy.  The inner maximum is
-one-dimensional in the bichromatic fraction b0 and strictly concave, so a
-bounded scalar search plus a Newton polish pins it to full precision.
+one-dimensional in the bichromatic fraction b0 and strictly concave; its
+stationarity condition is a quadratic in b0, so B*(eta) is in closed form.
+Critical points of f come from a sign-change scan of a central difference of
+f and are classified by the analytic f'', got by differentiating that
+quadratic along eta.
 
 Also provides the finite-n annealed value log E[Z_{G,k}] computed exactly in
 log space from binomials and double factorials.
@@ -20,12 +23,12 @@ log space from binomials and double factorials.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log, exp
+from math import exp, expm1, lgamma, log, sqrt
 
 from .errors import InvalidInputError
+from .thresholds import bisect_root
 
 ETA_CLIP = 1e-6  # landscape grids stay inside [-1 + clip, 1 - clip]
-STATIONARITY_TOL = 1e-10
 MARGINAL_F2_BAND = 1e-8
 
 
@@ -70,74 +73,24 @@ def _g_of_b0(eta: float, b0: float, delta: int, beta: float, lam: float) -> floa
 
 
 def maximize_B(eta: float, delta: int, beta: float, lam: float) -> EdgeStatistics:
-    """Unique maximizer of g(eta, .) on the constraint set.
+    """Unique maximizer of g(eta, .) on the constraint set, in closed form.
 
-    g is strictly concave in b0, so the interior optimum is the unique root
-    of the stationarity condition b0^2 e^{2 beta} = b_plus b_minus, whose log
-    form is strictly decreasing in b0.  Bisection on it followed by a damped
-    Newton polish resolves the optimum even when it hugs the b_minus = 0
-    boundary (|eta| -> 1), where a fixed-xatol golden-section search cannot.
+    g is strictly concave in b0; its stationarity condition b0^2 e^{2 beta} =
+    b_plus b_minus is (e^{2 beta}-1) b0^2 + b0 - ac = 0, a, c = (1 +- eta)/2.
+    With q = 4(e^{2 beta}-1)ac and s = 1 + sqrt(1 + q) the root is b0 = 2ac/s,
+    b_plus = a(2a + q/s)/s and b_minus = c(2c + q/s)/s.  Nothing cancels, so
+    b_minus keeps full relative precision as |eta| -> 1, and |eta| = 1 gives
+    b0 = 0.  Points within ETA_CLIP of |eta| = 1 set ``boundary``.
     """
     if not (-1.0 <= eta <= 1.0):
         raise InvalidInputError("eta must lie in [-1, 1]")
-    hi = min((1 + eta) / 2, (1 - eta) / 2)
-    if hi <= 0.0:
-        return EdgeStatistics(
-            eta=eta, b_plus=(1 + eta) / 2, b_zero=0.0, b_minus=(1 - eta) / 2,
-            boundary=True,
-        )
-    # Inside the singular zone next to |eta| = 1 the entropy terms are too
-    # ill-conditioned for the 1e-10 stationarity guarantee; flag as boundary.
-    singular = abs(eta) >= 1 - ETA_CLIP
-
-    def stat(b0):
-        bp = (1 + eta) / 2 - b0
-        bm = (1 - eta) / 2 - b0
-        if bp <= 0.0 or bm <= 0.0:
-            return float("-inf")
-        return log(bp) + log(bm) - 2 * log(b0) - 2 * beta
-
-    def stat_prime(b0):
-        bp = (1 + eta) / 2 - b0
-        bm = (1 - eta) / 2 - b0
-        return -1 / bp - 1 / bm - 2 / b0
-
-    lo, up = 0.0, hi
-    b0 = 0.5 * hi
-    for _ in range(120):
-        b0 = 0.5 * (lo + up)
-        s = stat(b0)
-        if s > 0:
-            lo = b0
-        elif s < 0:
-            up = b0
-        else:
-            break
-        if up - lo <= 1e-18 * hi:
-            break
-
-    for _ in range(30):
-        s = stat(b0)
-        if s == float("-inf"):
-            break
-        step = s / stat_prime(b0)
-        b0_new = b0 - step
-        if not (lo < b0_new < up) or not (0 < b0_new < hi):
-            break
-        b0 = b0_new
-        if abs(step) < 1e-18 * hi:
-            break
-
-    if not singular and abs(stat(b0)) > STATIONARITY_TOL:
-        raise AssertionError(f"stationarity residual {stat(b0):.3e} at eta={eta}")
-    if stat_prime(b0) >= 0:
-        raise AssertionError("g lost concavity in b0; should be impossible")
+    a, c = (1 + eta) / 2, (1 - eta) / 2
+    q = 4 * expm1(2 * beta) * a * c
+    s = 1 + sqrt(1 + q)
+    d = q / s  # sqrt(1 + q) - 1 without cancellation
     return EdgeStatistics(
-        eta=eta,
-        b_plus=(1 + eta) / 2 - b0,
-        b_zero=b0,
-        b_minus=(1 - eta) / 2 - b0,
-        boundary=singular,
+        eta=eta, b_plus=a * (2 * a + d) / s, b_zero=2 * a * c / s,
+        b_minus=c * (2 * c + d) / s, boundary=abs(eta) >= 1 - ETA_CLIP,
     )
 
 
@@ -155,30 +108,26 @@ class LandscapePoint:
     classification: str  # local-max | local-min | inflection
 
 
-def _f_derivatives(eta: float, delta: int, beta: float, lam: float, h: float):
-    """Richardson-extrapolated central differences for f' and f''."""
+def _f_second_derivative(eta: float, delta: int, beta: float) -> float:
+    """Analytic f''(eta), which does not depend on lambda.
 
-    def d1(h):
-        return (f_eta(eta + h, delta, beta, lam) - f_eta(eta - h, delta, beta, lam)) / (
-            2 * h
-        )
-
-    def d2(h):
-        return (
-            f_eta(eta + h, delta, beta, lam)
-            - 2 * f_eta(eta, delta, beta, lam)
-            + f_eta(eta - h, delta, beta, lam)
-        ) / h**2
-
-    f1 = (4 * d1(h / 2) - d1(h)) / 3
-    f2 = (4 * d2(h / 2) - d2(h)) / 3
-    return f1, f2
+    f'' = (delta-1)/(1-eta^2) - delta/4 (b_plus'/b_plus - b_minus'/b_minus)
+    with b_plus' = 1/2 - b0', b_minus' = -1/2 - b0', and b0' from
+    differentiating the stationarity condition along eta.
+    """
+    st = maximize_B(eta, delta, beta, 1.0)
+    bp, b0, bm = st.b_plus, st.b_zero, st.b_minus
+    db0 = -eta / (2 * (2 * bp * bm / b0 + bp + bm))
+    return ((delta - 1) / (1 - eta**2)
+            - delta / 4 * ((0.5 - db0) / bp + (0.5 + db0) / bm))
 
 
 def critical_points(
     delta: int, beta: float, lam: float, grid_resolution: float = 1e-3
 ) -> list:
-    """Interior critical points of f, located by a sign-change scan of f'.
+    """Interior critical points of f, located by a sign-change scan of the
+    central difference of f with step grid_resolution/8, each sign change
+    bisected to adjacent floats.
 
     Classification is by the sign of f'' with a marginal band mapped to
     'inflection'.
@@ -189,6 +138,9 @@ def critical_points(
     h = max(step / 8, 1e-6)
     lo, hi = -1 + ETA_CLIP + 2 * h, 1 - ETA_CLIP - 2 * h
     n_steps = int((hi - lo) / step)
+    if n_steps < 1:
+        raise InvalidInputError(f"grid resolution {grid_resolution} leaves "
+                                "no scan step in (-1, 1)")
 
     def fprime(eta):
         return (
@@ -202,38 +154,16 @@ def critical_points(
         if vals[i] == 0.0:
             found.append(etas[i])
         elif (vals[i] < 0) != (vals[i + 1] < 0):
-            a, b = etas[i], etas[i + 1]
-            fa = vals[i]
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                fm = fprime(mid)
-                if (fa < 0) == (fm < 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-                if b - a < 1e-13:
-                    break
-            found.append(0.5 * (a + b))
-
+            found.append(bisect_root(fprime, etas[i], etas[i + 1], vals[i]))
     out = []
     for eta in found:
         if out and abs(eta - out[-1].eta) < 10 * grid_resolution * 1e-3:
             continue
-        _, f2 = _f_derivatives(eta, delta, beta, lam, h=1e-4)
-        if abs(f2) < MARGINAL_F2_BAND:
-            cls = "inflection"
-        elif f2 < 0:
-            cls = "local-max"
-        else:
-            cls = "local-min"
-        out.append(
-            LandscapePoint(
-                eta=eta,
-                B_star=maximize_B(eta, delta, beta, lam),
-                f_value=f_eta(eta, delta, beta, lam),
-                classification=cls,
-            )
-        )
+        f2 = _f_second_derivative(eta, delta, beta)
+        cls = ("inflection" if abs(f2) < MARGINAL_F2_BAND
+               else "local-max" if f2 < 0 else "local-min")
+        out.append(LandscapePoint(eta, maximize_B(eta, delta, beta, lam),
+                                  f_eta(eta, delta, beta, lam), cls))
     return out
 
 

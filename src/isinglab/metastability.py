@@ -40,7 +40,7 @@ from .measures import (
     monochromatic_edges,
     size_distribution,
 )
-from .meanfield import annealed_log_EZ_per_k, critical_points
+from .meanfield import annealed_log_EZ_per_k
 from .rng import as_rng
 from .thresholds import (beta_u, bisect_root, eta_minus, eta_of_fixed_point,
                          eta_plus, lambda_u, tree_fixed_points)
@@ -370,11 +370,13 @@ class TraceSummary:
 def default_band_epsilon(delta: int, beta: float, lam: float) -> float:
     """Half the minimum gap between adjacent landscape critical points.
 
-    With a unique critical point, falls back to half the distance to the
-    nearer magnetization boundary, capped at 0.1.
+    The critical points are the magnetizations of the tree fixed points,
+    which the tree solver gives exactly.  With a unique critical point, falls
+    back to half the distance to the nearer magnetization boundary, capped
+    at 0.1.
     """
-    pts = critical_points(delta, beta, lam, grid_resolution=1e-3)
-    etas = [p.eta for p in pts]
+    etas = [eta_of_fixed_point(fp.R, beta)
+            for fp in tree_fixed_points(delta, beta, lam)]
     if len(etas) >= 2:
         return min(b - a for a, b in zip(etas, etas[1:])) / 2
     eta0 = etas[0]

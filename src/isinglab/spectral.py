@@ -134,10 +134,6 @@ class InfluenceMatrix:
     top_eigenvalue: float
     has_complex_pair: bool
 
-    @property
-    def spectral_radius(self) -> float:
-        return self.top_eigenvalue
-
 
 def _marginals(states, probs, vertices):
     """pi(v) and pi(u and v) over ``vertices``: p X and X^T diag(p) X for the

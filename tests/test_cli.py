@@ -179,6 +179,9 @@ def test_validation_rejects_bad_params(tmp_path, capsys):
         assert run(["metastability", "--mode", "glauber", "--delta", "3",
                     "--beta", "1.2", "--lam", "1.01", "--n", "60", "--T", "100",
                     "--seeds", seeds, "--out", str(tmp_path)]) == 2
+    # a landscape grid too coarse to leave one scan step
+    assert run(["landscape", "--delta", "4", "--beta", "0.7931", "--lam", "1.01",
+                "--grid", "3", "--out", str(tmp_path)]) == 2
     # thin < 1
     assert run(["simulate", "--chain", "kawasaki", "--n", "6", "--delta", "3",
                 "--beta", "0.5", "--k", "3", "--steps", "10", "--thin", "0",
@@ -200,6 +203,7 @@ def test_validation_rejects_bad_params(tmp_path, capsys):
             chain, k, source)
     err = capsys.readouterr().err
     assert "Traceback" not in err and "1 <= k <= n - 1" in err
+    assert "no scan step" in err
 
 
 def test_runtime_cap_exit(tmp_path):
@@ -225,6 +229,32 @@ def test_cli_and_chains_import_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_tree_commands_load_no_numpy(tmp_path):
+    """thresholds, phase-diagram and landscape run on the standard library."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import isinglab
+
+    code = (
+        "import sys; from isinglab.cli import main; out = sys.argv[1]; "
+        "main(['thresholds', '--delta', '4', '--beta', '0.7931', '--out', out]); "
+        "main(['phase-diagram', '--delta', '3', '--beta-min', '0.2', "
+        "'--beta-max', '1.5', '--steps', '3', '--out', out]); "
+        "main(['landscape', '--delta', '3', '--beta', '1.2', '--lam', '1.01', "
+        "'--grid', '2e-2', '--out', out]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(isinglab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["numpy_version"]
 
 
 def test_write_csv_matches_fmt_per_cell(tmp_path):

@@ -7,6 +7,7 @@ from isinglab.errors import InvalidInputError
 from isinglab.graphs import random_regular
 from isinglab.measures import exact_partition_table
 from isinglab.meanfield import (
+    _f_second_derivative,
     annealed_log_EZ_per_k,
     critical_points,
     f_eta,
@@ -15,6 +16,13 @@ from isinglab.meanfield import (
 from isinglab.thresholds import eta_of_fixed_point, tree_fixed_points
 
 LN2 = math.log(2)
+REGIMES = [
+    (4, LN2 + 0.1, 1.01),
+    (4, LN2 + 0.1, 1.08),
+    (3, 1.2, 1.01),
+    (3, 1.2, 1.0),
+    (4, 0.4, 1.3),
+]
 
 
 def test_maximizer_closed_form_symmetric_point():
@@ -42,6 +50,15 @@ def test_maximizer_closed_form_quadratic_everywhere():
             a = math.exp(2 * beta) - 1
             b0 = (-1 + math.sqrt(1 + a * (1 - eta**2))) / (2 * a)
             assert math.isclose(stats.b_zero, b0, rel_tol=1e-10)
+    # the returned statistics satisfy b+ b- = b0^2 e^{2 beta} to rounding,
+    # also where b- is tiny next to |eta| = 1
+    for beta in (0.0, 0.1, 0.5, 1.0, 2.0, 3.5, 5.0):
+        for eta in (0.0, 0.3, 0.9, 0.99, 0.9999, 1 - 1e-5, 1 - 1e-6):
+            for s in (eta, -eta):
+                st = maximize_B(s, 4, beta, 1.3)
+                res = (math.log(st.b_plus) + math.log(st.b_minus)
+                       - 2 * math.log(st.b_zero) - 2 * beta)
+                assert abs(res) <= 1e-12, (beta, s, res)
 
 
 def test_maximizer_constraint_residuals():
@@ -110,15 +127,21 @@ def test_critical_points_symmetric_regime():
     assert math.isclose(pts[0].eta, -pts[2].eta, abs_tol=1e-7)
 
 
+def test_analytic_f2_matches_central_difference():
+    """f'' at each critical point agrees with a central difference of f."""
+    h = 1e-4
+    for delta, beta, lam in REGIMES:
+        for pt in critical_points(delta, beta, lam, grid_resolution=1e-3):
+            e = pt.eta
+            fd = (f_eta(e + h, delta, beta, lam) - 2 * f_eta(e, delta, beta, lam)
+                  + f_eta(e - h, delta, beta, lam)) / h**2
+            f2 = _f_second_derivative(e, delta, beta)
+            assert math.isclose(f2, fd, rel_tol=1e-5), (delta, beta, lam, e)
+
+
 def test_correspondence_with_tree_fixed_points():
     """Landscape critical points match tree fixed points in count, type, location."""
-    for delta, beta, lam in [
-        (4, LN2 + 0.1, 1.01),
-        (4, LN2 + 0.1, 1.08),
-        (3, 1.2, 1.01),
-        (3, 1.2, 1.0),
-        (4, 0.4, 1.3),
-    ]:
+    for delta, beta, lam in REGIMES:
         fps = tree_fixed_points(delta, beta, lam)
         pts = critical_points(delta, beta, lam, grid_resolution=1e-3)
         assert len(fps) == len(pts), (delta, beta, lam)
@@ -179,3 +202,5 @@ def test_annealed_parity_infeasible():
 def test_resolution_guard():
     with pytest.raises(InvalidInputError):
         critical_points(4, 0.5, 1.0, grid_resolution=1e-5)
+    with pytest.raises(InvalidInputError, match="no scan step"):
+        critical_points(4, 0.5, 1.0, grid_resolution=3.0)

@@ -6,7 +6,7 @@ import pytest
 from isinglab.errors import InvalidInputError
 from isinglab.graphs import cycle_graph, complete_graph, disjoint_union, random_regular
 from isinglab.measures import NEG_INF, exact_partition_table, size_distribution
-from isinglab.meanfield import annealed_log_EZ_per_k, f_eta
+from isinglab.meanfield import annealed_log_EZ_per_k, critical_points, f_eta
 from isinglab.metastability import (
     ConductanceReport,
     GlauberBandSpec,
@@ -244,6 +244,22 @@ def test_default_band_epsilon_regimes():
     assert 0 < eps_meta < 0.5
     eps_unique = default_band_epsilon(4, LN2 + 0.1, 1.5)
     assert 0 < eps_unique <= 0.1
+
+
+def test_default_band_epsilon_matches_landscape_scan():
+    """The tree roots give the band half-width that a landscape scan gives."""
+    for delta, beta, lam in [
+        (4, LN2 + 0.1, 1.01),  # metastable
+        (3, 1.2, 1.0),  # symmetric
+        (4, LN2 + 0.1, 1.5),  # unique
+    ]:
+        etas = [p.eta for p in critical_points(delta, beta, lam, grid_resolution=1e-3)]
+        if len(etas) >= 2:
+            want = min(b - a for a, b in zip(etas, etas[1:])) / 2
+        else:
+            want = min(0.1, (1 - abs(etas[0])) / 2)
+        got = default_band_epsilon(delta, beta, lam)
+        assert abs(got - want) <= 1e-6, (delta, beta, lam, got, want)
 
 
 def test_mc_band_occupancy_ratio_decreases_in_n():
