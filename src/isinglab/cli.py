@@ -9,7 +9,8 @@ config and seed (the manifest's wall-time field is the one exception).
 A config file of flat ``key = value`` lines can pre-populate any flag;
 explicit flags override the file.  Exit codes: 0 ok, 1 failed check
 (exactcheck, a non-reversible kernel or a degenerate spectrum), 2 validation
-error, 3 runtime cap exceeded.
+error (also a missing input file, or a float overflow at extreme beta or
+lambda), 3 runtime cap exceeded.
 """
 
 from __future__ import annotations
@@ -160,10 +161,12 @@ def validate_args(args) -> list:
     ell = getattr(args, "ell", None)
     if ell is not None and k is not None and not (0 <= ell <= k - 1):
         problems.append("need 0 <= ell <= k - 1")
-    for name in ("steps", "T", "thin", "seeds"):
+    for name in ("steps", "T", "thin", "seeds", "m"):
         val = getattr(args, name, None)
         if val is not None and val < 1:
             problems.append(f"{name} must be >= 1")
+    if args.command == "phase-diagram" and args.steps == 1:
+        problems.append("phase-diagram needs steps >= 2")
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         problems.append("seed must be >= 0")
@@ -465,7 +468,7 @@ def cmd_metastability(args, ctx: RunContext) -> int:
         if args.eta is None:
             raise InvalidInputError("kawasaki-union mode needs --eta")
         params = find_union_parameters(args.delta, args.beta, args.eta)
-        m = args.m if args.m else params.m
+        m = params.m if args.m is None else args.m
         if m % params.m:
             raise InvalidInputError(
                 f"--m must be a multiple of the minimal m = {params.m}"
@@ -644,8 +647,12 @@ def _apply_config_file(argv):
         path = argv[i + 1]
     except IndexError:
         raise InvalidInputError("--config needs a path")
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read config {path}: {exc.strerror}") from exc
     extra = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -686,6 +693,11 @@ def main(argv=None) -> int:
     except (InvalidInputError, NoNonuniquenessError) as exc:
         ctx.cleanup()
         print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OverflowError:
+        ctx.cleanup()
+        print("validation error: float overflow; beta or lambda too extreme",
+              file=sys.stderr)
         return EXIT_VALIDATION
     except (TooLargeError, RetriesExhaustedError) as exc:
         ctx.cleanup()

@@ -160,7 +160,11 @@ def write_edge_list(g: Graph, path) -> None:
 
 def read_edge_list(path) -> Graph:
     """Inverse of :func:`write_edge_list` on the adjacency multiset."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read graph {path}: {exc.strerror}") from exc
+    with fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise InvalidInputError(f"{path}: header must be 'n delta'")

@@ -85,19 +85,6 @@ class GlauberBandSpec:
         )
         return s1, s2, s3
 
-    def validate_separation(self):
-        """Single +-1 steps from S2 toward k1 land in S3 before reaching S1."""
-        s1, s2, s3 = self.sets()
-        assert not (s1 & s2) and not (s1 & s3) and not (s2 & s3)
-        step = 1 if self.k1 > self.k2 else -1
-        j = self.k2 + step * self.inner
-        crossed = False
-        while j != self.k1:
-            j += step
-            if j in s3:
-                crossed = True
-        assert crossed, "no S3 crossing between S2 and S1"
-
 
 @dataclass(frozen=True)
 class UnionBandSpec:
@@ -132,6 +119,12 @@ class UnionBandSpec:
             raise InvalidInputError(
                 "bands and escape windows overlap: need k_plus - k_minus > 4 eps"
             )
+        if self.balanced_s1 and not (
+            self.k_minus + 2 * self.eps < self.k_balanced < self.k_plus - 2 * self.eps
+        ):
+            raise InvalidInputError(
+                "balanced size must lie strictly between the escape windows"
+            )
 
     @property
     def k_total(self) -> int:
@@ -157,91 +150,62 @@ class UnionBandSpec:
     def minus_escape(self):
         return (self.k_minus + self.eps + 1, self.k_minus + 2 * self.eps)
 
-    def validate_separation(self):
-        """Escape windows are adjacent to the bands and shield S1."""
-        if self.balanced_s1:
-            k = self.k_balanced
-            if not (self.k_minus + 2 * self.eps < k < self.k_plus - 2 * self.eps):
-                raise InvalidInputError(
-                    "balanced size must lie strictly between the escape windows"
-                )
-        lo_p, hi_p = self.plus_band()
-        lo_m, hi_m = self.minus_band()
-        if hi_m >= lo_p:
-            raise InvalidInputError("plus and minus bands overlap")
-        # adjacency of windows to bands (one step leaves the band into them)
-        assert self.plus_escape()[1] == lo_p - 1
-        assert self.minus_escape()[0] == hi_m + 1
-
 
 # ---------------------------------------------------------------------------
 # Band weights: exact and annealed
 # ---------------------------------------------------------------------------
 
 
-def _dp_logsum(per_component_values, target_total):
-    """log sum over per-component choices with a fixed total.
+def _window(values, lo, hi):
+    """Log values by size, -inf outside [lo, hi]."""
+    out = np.full(len(values), NEG_INF)
+    lo = max(lo, 0)
+    out[lo:hi + 1] = values[lo:hi + 1]
+    return out
 
-    ``per_component_values`` is a list (one per component) of dicts
-    {k: log_value}; returns log sum over tuples with sum(k_i) = target of
-    sum of values.
+
+def _convolve(acc, window):
+    """log sum_k exp(acc[t - k] + window[k]) for every total t."""
+    out = np.full(len(acc) + len(window) - 1, NEG_INF)
+    for k in np.flatnonzero(window > NEG_INF):
+        shifted = out[k:k + len(acc)]
+        np.logaddexp(shifted, acc + window[k], out=shifted)
+    return out
+
+
+def _copy_pass(copies, total):
+    """Log weights of per-copy size tuples with sum ``total``.
+
+    ``copies`` holds one (band, escape) pair of windows per copy.  Returns
+    (no copy escaped, some copy escaped): every copy in its band, and every
+    copy in its band or its escape window with at least one in the window.
     """
-    dp = {0: 0.0}
-    for vals in per_component_values:
-        new = {}
-        for tot, acc in dp.items():
-            for k, lv in vals.items():
-                if lv == NEG_INF:
-                    continue
-                key = tot + k
-                contrib = acc + lv
-                if key in new:
-                    new[key] = _logsumexp([new[key], contrib])
-                else:
-                    new[key] = contrib
-        dp = new
-    return dp.get(target_total, NEG_INF)
-
-
-def _range_dict(values_by_k, lo, hi):
-    return {k: values_by_k[k] for k in range(max(lo, 0), hi + 1) if k < len(values_by_k)}
+    stay, gone = np.zeros(1), np.full(1, NEG_INF)
+    for band, escape in copies:
+        stay, gone = _convolve(stay, band), np.logaddexp(
+            _convolve(gone, np.logaddexp(band, escape)), _convolve(stay, escape))
+    if total >= len(stay):
+        return NEG_INF, NEG_INF
+    return float(stay[total]), float(gone[total])
 
 
 def _union_set_logweights(spec: UnionBandSpec, values_by_k):
     """Unnormalized log weights of S1, S2, S3 from per-k component values."""
-    band_p = _range_dict(values_by_k, *spec.plus_band())
-    band_m = _range_dict(values_by_k, *spec.minus_band())
-    esc_p = _range_dict(values_by_k, *spec.plus_escape())
-    esc_m = _range_dict(values_by_k, *spec.minus_escape())
-    total = spec.k_total
-
+    values = np.asarray(values_by_k, dtype=float)
+    band_p = _window(values, *spec.plus_band())
+    band_m = _window(values, *spec.minus_band())
+    esc_p = _window(values, *spec.plus_escape())
+    esc_m = _window(values, *spec.minus_escape())
+    ell, rest = spec.ell, spec.m - spec.ell
+    w2, w3 = _copy_pass([(band_p, esc_p)] * ell + [(band_m, esc_m)] * rest,
+                        spec.k_total)
     if spec.balanced_s1:
-        w1 = spec.m * values_by_k[spec.k_balanced]
+        w1 = spec.m * values[spec.k_balanced]
     else:
-        comps = [band_m] * (spec.m - spec.ell) + [band_p] * spec.ell
-        w1 = _dp_logsum(comps, total)
-
-    comps2 = [band_p] * spec.ell + [band_m] * (spec.m - spec.ell)
-    w2 = _dp_logsum(comps2, total)
-
-    terms = []
-    for i in range(spec.ell + 1):
-        for j in range(spec.m - spec.ell + 1):
-            if (i, j) == (0, 0):
-                continue
-            comps = (
-                [esc_p] * i + [band_p] * (spec.ell - i)
-                + [esc_m] * j + [band_m] * (spec.m - spec.ell - j)
-            )
-            w = _dp_logsum(comps, total)
-            if w != NEG_INF:
-                terms.append(
-                    w
-                    + math.log(math.comb(spec.ell, i))
-                    + math.log(math.comb(spec.m - spec.ell, j))
-                )
-    w3 = _logsumexp(terms) if terms else NEG_INF
-    return {"S1": w1, "S2": w2, "S3": w3}
+        no_escape = np.full(len(values), NEG_INF)
+        w1, _ = _copy_pass(
+            [(band_m, no_escape)] * rest + [(band_p, no_escape)] * ell, spec.k_total)
+    return {"S1": float(w1), "S2": w2, "S3": w3}
 
 
 def annealed_band_weights(
@@ -288,11 +252,10 @@ def exact_band_weights(g_or_union, beta: float, spec, lam: float = None) -> dict
         )
         if base.n != spec.base_n:
             raise InvalidInputError("base graph size differs from spec")
-        table = exact_partition_table(base, beta)
-        values = list(table.log_zhat_by_k)
+        values = np.asarray(exact_partition_table(base, beta).log_zhat_by_k)
         weights = _union_set_logweights(spec, values)
-        all_k = {k: v for k, v in enumerate(values) if v != NEG_INF}
-        log_z_total = _dp_logsum([all_k] * spec.m, spec.k_total)
+        no_escape = np.full(len(values), NEG_INF)
+        log_z_total, _ = _copy_pass([(values, no_escape)] * spec.m, spec.k_total)
         return {
             name: math.exp(w - log_z_total) if w != NEG_INF else 0.0
             for name, w in weights.items()

@@ -16,9 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateError, InvalidInputError
+from .errors import DegenerateError, InvalidInputError, TooLargeError
 from .graphs import Graph
 from .measures import (
+    DEFAULT_ENUMERATION_CAP,
     EMPTY_PINNING,
     PartitionTable,
     Pinning,
@@ -177,8 +178,14 @@ def influence_matrix(states, probs, vertices) -> InfluenceMatrix:
 def grand_canonical_distribution(g: Graph, beta: float, lam: float,
                                  pinning: Pinning = EMPTY_PINNING):
     """(states, probs) over plus-sets for the grand-canonical measure."""
-    table = exact_partition_table(g, beta, pinning)
+    if beta < 0:
+        raise InvalidInputError("beta must be >= 0")
+    if any(not 0 <= v < g.n for v in pinning.assignments):
+        raise InvalidInputError("pinned vertex not in graph")
     free = [v for v in range(g.n) if v not in pinning]
+    cap = DEFAULT_ENUMERATION_CAP
+    if len(free) > cap:
+        raise TooLargeError(f"{len(free)} free vertices exceeds enumeration cap {cap}")
     pinned_plus = frozenset(v for v, s in pinning.assignments.items() if s == 1)
     states, logw = [], []
     for r in range(len(free) + 1):

@@ -214,6 +214,58 @@ def test_runtime_cap_exit(tmp_path):
     assert code == 3
 
 
+def test_influence_runtime_cap_exit(tmp_path, capsys):
+    # 2^30 grand-canonical states exceed the enumeration cap -> exit 3
+    code = run(["spectra", "--report", "influence", "--n", "30", "--delta", "3",
+                "--beta", "0.5", "--lam", "1", "--out", str(tmp_path)])
+    assert code == 3
+    assert "exceeds enumeration cap 24" in capsys.readouterr().err
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["landscape", "--delta", "3", "--beta", "400", "--lam", "1.0", "--grid", "2e-2"],
+    ["thresholds", "--delta", "3", "--beta", "240"],
+    ["simulate", "--chain", "glauber", "--n", "10", "--delta", "3",
+     "--beta", "1000", "--lam", "1", "--steps", "5"],
+    ["spectra", "--report", "gap", "--chain", "glauber", "--n", "6",
+     "--delta", "3", "--beta", "400", "--lam", "1"],
+    ["metastability", "--mode", "glauber", "--delta", "3", "--beta", "300",
+     "--lam", "1.01", "--n", "20", "--T", "10", "--seeds", "1"],
+])
+def test_float_overflow_at_extreme_beta_exits_2(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "{missing}", "thresholds", "--delta", "3", "--beta", "1"],
+    ["simulate", "--chain", "kawasaki", "--graph", "{missing}", "--beta", "1",
+     "--k", "2", "--steps", "3"],
+])
+def test_missing_input_file_exits_2(tmp_path, capsys, argv):
+    missing = str(tmp_path / "no-such-file")
+    argv = [a.replace("{missing}", missing) for a in argv]
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-diagram", "--delta", "3", "--beta-min", "1", "--beta-max", "2",
+     "--steps", "1"],
+    ["metastability", "--mode", "kawasaki-union", "--delta", "3", "--beta", "1.2",
+     "--eta", "0.0", "--n", "20", "--T", "10", "--seeds", "1", "--m", "0"],
+])
+def test_unchecked_counts_exit_2(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys)
+
+
 def test_cli_and_chains_import_no_scipy():
     """scipy loads only where an exact kernel is built or solved."""
     import os

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -39,7 +40,9 @@ def test_glauber_band_spec_sets_and_separation():
     assert s1 == {80}
     assert s2 == set(range(15, 26))
     assert s3 == set(range(10, 15)) | set(range(26, 31))
-    spec.validate_separation()
+    assert not (s1 & s2) and not (s1 & s3) and not (s2 & s3)
+    # a +-1 walk from the S2 edge toward k1 enters S3 before it reaches S1
+    assert spec.k2 + spec.inner + 1 in s3 and max(s3) < spec.k1
 
 
 def test_glauber_band_spec_rejects_overlap():
@@ -54,7 +57,18 @@ def test_union_band_spec_arithmetic():
     assert spec.plus_band() == (5, 7)
     assert spec.plus_escape() == (4, 4)
     assert spec.minus_escape() == (2, 2)
-    spec.validate_separation()
+    # each window is one step outside its band, and they shield the balanced S1
+    assert spec.plus_escape()[1] == spec.plus_band()[0] - 1
+    assert spec.minus_escape()[0] == spec.minus_band()[1] + 1
+    assert spec.minus_escape()[1] < spec.k_balanced < spec.plus_escape()[0]
+
+
+def test_union_band_spec_rejects_balanced_size_in_escape_window():
+    # k_total / m = 15 / 3 = 5 falls in the minus escape window [5, 6]
+    with pytest.raises(InvalidInputError, match="between the escape windows"):
+        UnionBandSpec(base_n=12, m=3, ell=1, k_plus=11, k_minus=2, eps=2)
+    UnionBandSpec(base_n=12, m=3, ell=1, k_plus=11, k_minus=2, eps=2,
+                  balanced_s1=False)
 
 
 def test_union_band_spec_rejects_window_overlap():
@@ -152,6 +166,97 @@ def test_exact_vs_annealed_sign_agreement_union_bands():
     ann = annealed_band_weights(6, 2, beta, 1.0, spec)
     # S3 guards S2 in both: exact and annealed agree the annulus is lighter
     assert (exact["S3"] < exact["S2"]) == (ann["S3"] < ann["S2"])
+
+
+def _brute_union_logweights(spec, values):
+    """Log weights of S1, S2, S3 and of all tuples, summed over every tuple
+    of per-copy sizes with the spec's total."""
+    m, ell = spec.m, spec.ell
+
+    def inside(k, window):
+        return window[0] <= k <= window[1]
+
+    def own(i, plus, minus):
+        return plus if i < ell else minus
+
+    terms = {"S1": [], "S2": [], "S3": [], "all": []}
+    for ks in itertools.product(range(spec.base_n + 1), repeat=m):
+        if sum(ks) != spec.k_total:
+            continue
+        w = sum(values[k] for k in ks)
+        if w == NEG_INF:
+            continue
+        terms["all"].append(w)
+        bands = [inside(k, own(i, spec.plus_band(), spec.minus_band()))
+                 for i, k in enumerate(ks)]
+        escapes = [inside(k, own(i, spec.plus_escape(), spec.minus_escape()))
+                   for i, k in enumerate(ks)]
+        if all(bands):
+            terms["S2"].append(w)
+        if all(b or e for b, e in zip(bands, escapes)) and any(escapes):
+            terms["S3"].append(w)
+        if spec.balanced_s1:
+            s1 = all(k == spec.k_balanced for k in ks)
+        else:  # the first m - ell copies near k_minus, the rest near k_plus
+            s1 = all(inside(k, spec.minus_band() if i < m - ell else spec.plus_band())
+                     for i, k in enumerate(ks))
+        if s1:
+            terms["S1"].append(w)
+
+    def logsum(ws):
+        if not ws:
+            return NEG_INF
+        top = max(ws)
+        return top + math.log(math.fsum(math.exp(w - top) for w in ws))
+
+    return {name: logsum(ws) for name, ws in terms.items()}
+
+
+UNION_ORACLE_BASES = {
+    "C6": lambda: cycle_graph(6),
+    "RR8s1": lambda: random_regular(8, 3, seed=1),
+    "RR8s2": lambda: random_regular(8, 3, seed=2),
+    "C9": lambda: cycle_graph(9),
+}
+# (base, m, ell, k_plus, k_minus, eps, balanced_s1); a balanced S1 needs
+# k_total / m strictly between the escape windows, which with m = 3 takes a
+# base of at least 9 vertices
+UNION_ORACLE_CASES = [
+    ("C6", 2, 1, 6, 0, 1, True),
+    ("C6", 2, 1, 6, 0, 1, False),
+    ("C6", 3, 1, 6, 0, 1, False),
+    ("C6", 4, 2, 6, 0, 1, True),
+    ("RR8s1", 2, 1, 7, 1, 1, True),
+    ("RR8s1", 3, 2, 8, 0, 1, False),
+    ("RR8s2", 4, 2, 7, 1, 1, True),
+    ("RR8s2", 4, 1, 7, 1, 1, False),
+    ("C9", 3, 1, 9, 0, 1, True),
+]
+
+
+@pytest.mark.parametrize("base_name, m, ell, k_plus, k_minus, eps, balanced",
+                         UNION_ORACLE_CASES)
+def test_union_weights_match_brute_force(base_name, m, ell, k_plus, k_minus,
+                                         eps, balanced):
+    base = UNION_ORACLE_BASES[base_name]()
+    spec = UnionBandSpec(base_n=base.n, m=m, ell=ell, k_plus=k_plus,
+                         k_minus=k_minus, eps=eps, balanced_s1=balanced)
+    beta, lam = 0.9, 1.1
+
+    table = exact_partition_table(base, beta)
+    brute = _brute_union_logweights(spec, table.log_zhat_by_k)
+    exact = exact_band_weights(base, beta, spec)
+    for name in ("S1", "S2", "S3"):
+        want = math.exp(brute[name] - brute["all"])
+        assert math.isclose(exact[name], want, rel_tol=1e-12), name
+
+    delta = base.delta_max
+    values = [annealed_log_EZ_per_k(base.n, k, delta, beta, lam)
+              for k in range(base.n + 1)]
+    brute = _brute_union_logweights(spec, values)
+    ann = annealed_band_weights(base.n, delta, beta, lam, spec)
+    for name in ("S1", "S2", "S3"):
+        assert math.isclose(ann[name], brute[name], rel_tol=1e-12), name
 
 
 def test_exact_glauber_band_masses_match_pmf():
