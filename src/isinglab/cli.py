@@ -170,6 +170,9 @@ def validate_args(args) -> list:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         problems.append("seed must be >= 0")
+    enum_cap = getattr(args, "enum_cap", None)
+    if enum_cap is not None and enum_cap < 0:
+        problems.append("enum-cap must be >= 0")
     delta = getattr(args, "delta", None)
     if delta is not None and delta < 0:
         problems.append("delta must be nonnegative")
@@ -336,7 +339,8 @@ def cmd_spectra(args, ctx: RunContext) -> int:
         else:
             if args.lam is None:
                 raise InvalidInputError("influence needs --k or --lam")
-            states, probs = grand_canonical_distribution(g, args.beta, args.lam)
+            states, probs = grand_canonical_distribution(
+                g, args.beta, args.lam, max_free=args.enum_cap)
         infl = influence_matrix(states, probs, range(g.n))
         report.update(
             linf_norm=infl.linf_norm,

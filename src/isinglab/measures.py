@@ -1,10 +1,12 @@
 """Spin configurations, pinnings, and exact partition tables.
 
-The partition table is the enumeration oracle behind every exact test in the
+The partition table is the exact oracle behind every exact test in the
 package: it aggregates configuration weights e^{beta * mono_edges} by
 plus-count k, in log space, so that the grand-canonical measure for any
 external field lambda and the fixed-magnetization measure for any k can both
-be recovered exactly from one enumeration pass.
+be recovered exactly from one table.  A transfer-matrix DP over the free
+vertices builds it in about n^2 * 2^w steps, w being the widest frontier of a
+greedy vertex order, instead of visiting all 2^n configurations.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .errors import (
 from .graphs import Graph
 
 DEFAULT_ENUMERATION_CAP = 24
+# Largest frontier-DP table, 256 MB of float64; as dynamics.KERNEL_NONZERO_CAP.
+TABLE_ENTRY_CAP = 1 << 25
 
 NEG_INF = float("-inf")
 
@@ -183,18 +187,53 @@ class PartitionTable:
         )
 
 
+def _frontier_steps(free, nbrs):
+    """Greedy vertex order for the frontier DP, and its peak width in bits.
+
+    Each step takes the free vertex that leaves the smallest frontier once
+    finished vertices (those with no unprocessed neighbour) are dropped; ties
+    go to the lowest id.  Returns ([(v, finished after v enters), ...], peak),
+    where ``peak`` counts the frontier spins held just after a vertex enters.
+    """
+    left = list(free)
+    remaining = {v: len(nbrs[v]) for v in free}
+    frontier = set()
+    steps, peak = [], 0
+
+    def frontier_after(v):
+        done = sum(1 for u in nbrs[v] if u in frontier and remaining[u] == 1)
+        return len(frontier) + 1 - done - (remaining[v] == 0)
+
+    while left:
+        v = min(left, key=frontier_after)
+        left.remove(v)
+        peak = max(peak, len(frontier) + 1)
+        for u in nbrs[v]:
+            remaining[u] -= 1
+        frontier.add(v)
+        done = sorted(u for u in frontier if remaining[u] == 0)
+        frontier.difference_update(done)
+        steps.append((v, done))
+    return steps, peak
+
+
 def exact_partition_table(
     g: Graph,
     beta: float,
     pinning: Pinning = EMPTY_PINNING,
     max_free: int = DEFAULT_ENUMERATION_CAP,
 ) -> PartitionTable:
-    """Enumerate all configurations consistent with the pinning.
+    """Exact per-k log partition values, by a transfer-matrix DP.
 
-    Iterates the free vertices in Gray-code order, updating the
-    monochromatic-edge count incrementally per flipped vertex (O(deg) per
-    configuration), and tallies exact integer counts N[k][m]; log values come
-    from a stable log-sum-exp over m at the end.
+    Self-loops and pinned-pinned edges fold into a constant, free-pinned edges
+    into a per-spin field on the free vertex, and parallel free-free edges
+    into a multiplicity.  The free vertices then enter one at a time in a
+    greedy minimum-frontier order (``_frontier_steps``), and the table holds
+    log-weights indexed by (spins of the frontier, plus-count so far): an
+    entering vertex doubles it, and a vertex whose neighbours have all
+    entered is summed out.  The cost is about n_free^2 * 2^w for peak
+    frontier width w; a table of more than TABLE_ENTRY_CAP entries is refused
+    before anything is allocated.
     """
     if beta < 0:
         raise InvalidInputError("beta must be >= 0")
@@ -207,37 +246,58 @@ def exact_partition_table(
             f"{len(free)} free vertices exceeds enumeration cap {max_free}"
         )
 
-    spins = [-1] * g.n
-    for v, s in pinning.assignments.items():
-        spins[v] = s
-    k = pinning.plus_count
-    m = monochromatic_edges(g, spins)
+    spin = pinning.assignments
+    const = 0  # monochromatic edges fixed by the pinning, self-loops included
+    field = {v: {-1: 0, 1: 0} for v in free}  # pinned neighbours by spin
+    mult = {v: {} for v in free}  # free-free edge multiplicities
+    for u, w in g.edges():
+        if u == w or (u in spin and w in spin):
+            if u == w or spin[u] == spin[w]:
+                const += 1
+        elif u in spin or w in spin:
+            pinned, v = (u, w) if u in spin else (w, u)
+            field[v][spin[pinned]] += 1
+        else:
+            mult[u][w] = mult[u].get(w, 0) + 1
+            mult[w][u] = mult[w].get(u, 0) + 1
 
-    # counts[k][m] over the enumeration; ints are exact.
-    counts = [dict() for _ in range(g.n + 1)]
-    counts[k][m] = counts[k].get(m, 0) + 1
-
-    adj = g.adjacency
-    nfree = len(free)
-    for i in range(1, 1 << nfree):
-        v = free[(i & -i).bit_length() - 1]
-        s_new = -spins[v]
-        spins[v] = s_new
-        k += 1 if s_new == 1 else -1
-        for w in adj[v]:
-            if w == v:
-                continue  # self-loops stay monochromatic under any flip
-            m += 1 if spins[w] == s_new else -1
-        counts[k][m] = counts[k].get(m, 0) + 1
-
-    log_by_k = []
-    for kk in range(g.n + 1):
-        if not counts[kk]:
-            log_by_k.append(NEG_INF)
-            continue
-        log_by_k.append(
-            _logsumexp(beta * mm + math.log(c) for mm, c in counts[kk].items())
+    steps, peak = _frontier_steps(free, mult)
+    if (1 << peak) * (len(free) + 1) > TABLE_ENTRY_CAP:
+        raise TooLargeError(
+            f"a frontier table of 2^{peak} x {len(free) + 1} entries is over "
+            f"the {TABLE_ENTRY_CAP}-entry cap"
         )
+
+    table = np.zeros((1, 1))
+    frontier = []  # vertex of each spin bit of the table's row index
+    for v, done in steps:
+        rows, cols = table.shape
+        # beta * (frontier neighbours of v that are plus), by row, and for all
+        index = np.arange(rows)
+        plus_nbrs = np.zeros(rows)
+        for i, u in enumerate(frontier):
+            if u in mult[v]:
+                plus_nbrs += beta * mult[v][u] * ((index >> i) & 1)
+        all_nbrs = beta * sum(mult[v].get(u, 0) for u in frontier)
+        # rows with v minus, then rows with v plus (one more plus spin)
+        grown = np.empty((2 * rows, cols + 1))
+        grown[:rows, -1] = grown[rows:, 0] = NEG_INF
+        minus_mono = beta * field[v][-1] + all_nbrs - plus_nbrs
+        np.add(table, minus_mono[:, None], out=grown[:rows, :-1])
+        plus_mono = beta * field[v][1] + plus_nbrs
+        np.add(table, plus_mono[:, None], out=grown[rows:, 1:])
+        frontier.append(v)
+        for u in done:
+            i = frontier.index(u)
+            halves = grown.reshape(-1, 2, 1 << i, cols + 1)
+            grown = np.logaddexp(halves[:, 0], halves[:, 1]).reshape(-1, cols + 1)
+            frontier.pop(i)
+        table = grown
+
+    log_by_k = [NEG_INF] * (g.n + 1)
+    base = pinning.plus_count
+    for k, value in enumerate(table[0]):
+        log_by_k[base + k] = float(value) + beta * const
     return PartitionTable(
         n=g.n,
         beta=beta,

@@ -202,9 +202,7 @@ def _union_set_logweights(spec: UnionBandSpec, values_by_k):
     if spec.balanced_s1:
         w1 = spec.m * values[spec.k_balanced]
     else:
-        no_escape = np.full(len(values), NEG_INF)
-        w1, _ = _copy_pass(
-            [(band_m, no_escape)] * rest + [(band_p, no_escape)] * ell, spec.k_total)
+        w1 = w2  # the copies are exchangeable: the mirrored S1 is S2 relabelled
     return {"S1": float(w1), "S2": w2, "S3": w3}
 
 

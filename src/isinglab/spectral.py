@@ -176,16 +176,18 @@ def influence_matrix(states, probs, vertices) -> InfluenceMatrix:
 
 
 def grand_canonical_distribution(g: Graph, beta: float, lam: float,
-                                 pinning: Pinning = EMPTY_PINNING):
-    """(states, probs) over plus-sets for the grand-canonical measure."""
+                                 pinning: Pinning = EMPTY_PINNING,
+                                 max_free: int = DEFAULT_ENUMERATION_CAP):
+    """(states, probs) over plus-sets for the grand-canonical measure,
+    enumerating at most ``max_free`` free vertices."""
     if beta < 0:
         raise InvalidInputError("beta must be >= 0")
     if any(not 0 <= v < g.n for v in pinning.assignments):
         raise InvalidInputError("pinned vertex not in graph")
     free = [v for v in range(g.n) if v not in pinning]
-    cap = DEFAULT_ENUMERATION_CAP
-    if len(free) > cap:
-        raise TooLargeError(f"{len(free)} free vertices exceeds enumeration cap {cap}")
+    if len(free) > max_free:
+        raise TooLargeError(
+            f"{len(free)} free vertices exceeds enumeration cap {max_free}")
     pinned_plus = frozenset(v for v, s in pinning.assignments.items() if s == 1)
     states, logw = [], []
     for r in range(len(free) + 1):
@@ -409,10 +411,13 @@ def edgeworth_pmf(kappas, ells, d: int) -> EdgeworthApprox:
     if s2 <= 0:
         raise DegenerateError("variance must be positive")
     s = math.sqrt(s2)
-    beta_coeffs = {
-        j: kappas[j - 1] / (math.factorial(j) * s**j)
-        for j in range(3, 2 * d + 2)
-    }
+    beta_coeffs = {}
+    for j in range(3, 2 * d + 2):
+        scale = math.factorial(j) * s**j  # underflows to 0 for a tiny variance
+        if scale == 0 or not math.isfinite(kappas[j - 1] / scale):
+            raise DegenerateError(
+                f"Edgeworth coefficient of order {j} is not finite (s = {s:.3g})")
+        beta_coeffs[j] = kappas[j - 1] / scale
     values = []
     for ell in ells:
         x = ell / s

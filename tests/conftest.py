@@ -1,4 +1,7 @@
-"""Shared fixtures: the small exact test-set graphs used across the suite."""
+"""Shared fixtures: the small exact test-set graphs used across the suite, and
+the Gray-code enumeration that the partition-table DP is checked against."""
+
+import math
 
 import pytest
 
@@ -8,6 +11,13 @@ from isinglab.graphs import (
     disjoint_union,
     path_graph,
     random_regular,
+)
+from isinglab.measures import (
+    EMPTY_PINNING,
+    NEG_INF,
+    PartitionTable,
+    _logsumexp,
+    monochromatic_edges,
 )
 
 
@@ -54,3 +64,35 @@ def exact_test_set():
     graphs["RR10"] = random_regular(10, 3, seed=7, simple=True)
     graphs["2xC6"] = disjoint_union(cycle_graph(6), 2).graph
     return graphs
+
+
+def gray_code_table(g, beta, pinning=EMPTY_PINNING):
+    """Reference partition table: visit every configuration consistent with
+    the pinning in Gray-code order, updating the monochromatic-edge count per
+    flipped vertex, and tally exact integer counts N[k][m]; log values come
+    from a log-sum-exp over m at the end."""
+    spins = [-1] * g.n
+    for v, s in pinning.assignments.items():
+        spins[v] = s
+    free = [v for v in range(g.n) if v not in pinning]
+    k = pinning.plus_count
+    m = monochromatic_edges(g, spins)
+
+    counts = [dict() for _ in range(g.n + 1)]
+    counts[k][m] = 1
+    for i in range(1, 1 << len(free)):
+        v = free[(i & -i).bit_length() - 1]
+        s_new = -spins[v]
+        spins[v] = s_new
+        k += 1 if s_new == 1 else -1
+        for w in g.adjacency[v]:
+            if w != v:  # self-loops stay monochromatic under any flip
+                m += 1 if spins[w] == s_new else -1
+        counts[k][m] = counts[k].get(m, 0) + 1
+
+    log_by_k = tuple(
+        _logsumexp(beta * mm + math.log(c) for mm, c in by_m.items())
+        if by_m else NEG_INF
+        for by_m in counts
+    )
+    return PartitionTable(n=g.n, beta=beta, pinning=pinning, log_zhat_by_k=log_by_k)

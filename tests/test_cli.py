@@ -222,6 +222,25 @@ def test_influence_runtime_cap_exit(tmp_path, capsys):
     assert "exceeds enumeration cap 24" in capsys.readouterr().err
 
 
+def test_influence_honours_enum_cap(tmp_path, capsys):
+    # 2^10 grand-canonical states are within the default cap but not within 5
+    code = run(["spectra", "--report", "influence", "--n", "10", "--delta", "3",
+                "--beta", "0.5", "--lam", "1", "--enum-cap", "5",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert "exceeds enumeration cap 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["1e300", "1e-300"])
+def test_edgeworth_at_extreme_lambda_exits_1(tmp_path, capsys, lam):
+    # the variance is positive but so small that s**3 underflows to 0
+    code = run(["spectra", "--report", "edgeworth", "--n", "18", "--delta", "3",
+                "--beta", "0.5", "--lam", lam, "--out", str(tmp_path)])
+    assert code == 1
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
@@ -260,6 +279,8 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
      "--steps", "1"],
     ["metastability", "--mode", "kawasaki-union", "--delta", "3", "--beta", "1.2",
      "--eta", "0.0", "--n", "20", "--T", "10", "--seeds", "1", "--m", "0"],
+    ["spectra", "--report", "edgeworth", "--n", "18", "--delta", "3",
+     "--beta", "0.5", "--lam", "1", "--enum-cap", "-1"],
 ])
 def test_unchecked_counts_exit_2(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path)]) == 2

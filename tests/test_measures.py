@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from isinglab.errors import InvalidInputError, TooLargeError
 from isinglab.graphs import Graph, complete_graph, cycle_graph, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
+    NEG_INF,
     IsingParams,
     PartitionTable,
     Pinning,
@@ -21,7 +24,7 @@ from isinglab.measures import (
     monochromatic_edges,
     size_distribution,
 )
-from conftest import exact_test_set
+from conftest import exact_test_set, gray_code_table
 
 
 def cfg(g, spins):
@@ -78,6 +81,89 @@ def test_enumeration_cap():
     g = random_regular(26, 3, seed=0)
     with pytest.raises(TooLargeError):
         exact_partition_table(g, beta=0.1, max_free=24)
+
+
+def assert_tables_match(got, want, where):
+    """Equal -inf entries, and the finite ones equal to 1e-12 relative."""
+    assert len(got.log_zhat_by_k) == len(want.log_zhat_by_k), where
+    for k, (a, b) in enumerate(zip(got.log_zhat_by_k, want.log_zhat_by_k)):
+        assert (a == NEG_INF) == (b == NEG_INF), (where, k, a, b)
+        if b != NEG_INF:
+            assert math.isclose(a, b, rel_tol=1e-12), (where, k, a, b)
+
+
+def _mixed_pinnings(n):
+    return [
+        EMPTY_PINNING,
+        Pinning({0: 1}),
+        Pinning({1: -1, n - 1: 1, n // 2: -1}),
+        Pinning({v: 1 if v % 3 else -1 for v in range(0, n, 2)}),
+    ]
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
+def test_dp_matches_gray_code_on_exact_test_set(beta):
+    for name, g in exact_test_set().items():
+        for pinning in _mixed_pinnings(g.n):
+            assert_tables_match(
+                exact_partition_table(g, beta, pinning),
+                gray_code_table(g, beta, pinning), (name, pinning),
+            )
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
+def test_dp_matches_gray_code_on_multigraphs(beta):
+    """Configuration-model draws keep their self-loops and parallel edges."""
+    loops = parallel = 0
+    for seed, (n, delta) in enumerate([(6, 3), (8, 4), (9, 2), (10, 3), (12, 3),
+                                       (12, 4), (7, 4), (11, 2)]):
+        g = random_regular(n, delta, seed=seed)
+        loops += any(v in row for v, row in enumerate(g.adjacency))
+        parallel += any(c > 1 for (u, w), c in g.edge_multiset().items() if u != w)
+        for pinning in _mixed_pinnings(n):
+            assert_tables_match(
+                exact_partition_table(g, beta, pinning),
+                gray_code_table(g, beta, pinning), (n, delta, seed, pinning),
+            )
+    assert loops and parallel
+
+
+def test_dp_fully_pinned_graph_is_one_entry():
+    g = random_regular(8, 3, seed=4)
+    pinning = Pinning({v: 1 if v < 5 else -1 for v in range(8)})
+    t = exact_partition_table(g, 0.9, pinning)
+    assert_tables_match(t, gray_code_table(g, 0.9, pinning), "fully pinned")
+    finite = [k for k, v in enumerate(t.log_zhat_by_k) if v != NEG_INF]
+    assert finite == [5]
+    mono = monochromatic_edges(g, [pinning.assignments[v] for v in range(8)])
+    assert t.log_zhat(5) == pytest.approx(0.9 * mono, rel=1e-15)
+
+
+def test_dp_matches_gray_code_on_cubic_20():
+    g = random_regular(20, 3, seed=5, simple=True)
+    assert_tables_match(exact_partition_table(g, 0.7), gray_code_table(g, 0.7),
+                        "RR20")
+
+
+def test_frontier_table_cap_refuses_before_allocating():
+    # K22 holds every vertex in the frontier: 2^22 x 23 entries
+    g = complete_graph(22)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(TooLargeError, match="entry cap"):
+            exact_partition_table(g, beta=0.5)
+        assert time.perf_counter() - t0 < 1.0
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_spin_flip_symmetry_of_cubic_24_table():
+    g = random_regular(24, 3, seed=3, simple=True)
+    z = exact_partition_table(g, beta=0.7).log_zhat_by_k
+    for k in range(g.n + 1):
+        assert math.isclose(z[k], z[g.n - k], rel_tol=1e-12), k
 
 
 def test_size_distribution_k2_beta0():
