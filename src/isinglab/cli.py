@@ -31,15 +31,6 @@ from .errors import (
     RetriesExhaustedError,
     TooLargeError,
 )
-from .meanfield import ETA_CLIP, critical_points, f_eta
-from .thresholds import (
-    beta_u,
-    compute_thresholds,
-    lambda_a_bar,
-    lambda_u,
-    eta_plus,
-)
-
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME_CAP = 3
@@ -201,12 +192,16 @@ def _load_graph(args):
 
 
 def cmd_thresholds(args, ctx: RunContext) -> int:
+    from .thresholds import compute_thresholds
+
     ts = compute_thresholds(args.delta, args.beta, lam=args.lam)
     ctx.write_json("thresholds.json", ts.to_dict())
     return EXIT_OK
 
 
 def cmd_phase_diagram(args, ctx: RunContext) -> int:
+    from .thresholds import beta_u, eta_plus, lambda_a_bar, lambda_u
+
     if args.beta_max <= args.beta_min:
         raise InvalidInputError("need beta_max > beta_min")
     betas = [
@@ -232,6 +227,8 @@ def cmd_phase_diagram(args, ctx: RunContext) -> int:
 
 
 def cmd_landscape(args, ctx: RunContext) -> int:
+    from .meanfield import ETA_CLIP, critical_points, f_eta
+
     pts = critical_points(args.delta, args.beta, args.lam, grid_resolution=args.grid)
     n_grid = max(2, int(2 / args.grid))
     lo, hi = -1 + ETA_CLIP, 1 - ETA_CLIP
@@ -335,7 +332,8 @@ def cmd_spectra(args, ctx: RunContext) -> int:
         )
     elif args.report == "influence":
         if args.k is not None:
-            states, probs = fixed_mag_distribution(g, args.beta, args.k)
+            states, probs = fixed_mag_distribution(g, args.beta, args.k,
+                                                   max_free=args.enum_cap)
         else:
             if args.lam is None:
                 raise InvalidInputError("influence needs --k or --lam")
@@ -350,7 +348,7 @@ def cmd_spectra(args, ctx: RunContext) -> int:
     elif args.report == "localwalks":
         if args.k is None:
             raise InvalidInputError("localwalks needs --k")
-        zetas = local_expansion_zetas(g, args.beta, args.k)
+        zetas = local_expansion_zetas(g, args.beta, args.k, max_free=args.enum_cap)
         ell = args.ell if args.ell is not None else args.k - 1
         bound = local_to_global_gap_bound(zetas, ell)
         report.update(
@@ -527,59 +525,51 @@ def cmd_metastability(args, ctx: RunContext) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="isinglab",
-        description="Fixed-magnetization Ising dynamics: exact kernels, "
-        "tree thresholds, landscapes, and metastability experiments.",
-    )
-    ap.add_argument("--config", help="flat key=value file; flags override it")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _common(p):
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--enum-cap", type=int, default=24,
+                   help="max free vertices for exact enumeration")
 
-    def common(p):
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--enum-cap", type=int, default=24,
-                       help="max free vertices for exact enumeration")
 
-    p = sub.add_parser("thresholds", help="tree-recursion threshold report")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float)
-    common(p)
-    p.set_defaults(func=cmd_thresholds)
-
-    p = sub.add_parser("phase-diagram", help="threshold curves vs beta")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--beta-min", type=float, required=True)
-    p.add_argument("--beta-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=20)
-    common(p)
-    p.set_defaults(func=cmd_phase_diagram)
-
-    p = sub.add_parser("landscape", help="annealed free-energy curve")
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--grid", type=float, default=1e-3)
-    common(p)
-    p.set_defaults(func=cmd_landscape)
-
-    p = sub.add_parser("graph-gen", help="configuration-model regular graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--simple", action="store_true")
-    p.add_argument("--out-file", default="graph.edges")
-    common(p)
-    p.set_defaults(func=cmd_graph_gen)
-
-    p = sub.add_parser("simulate", help="run a chain, emit a trace CSV")
-    p.add_argument("--chain", required=True,
-                   choices=["glauber", "kawasaki", "coupled-kawasaki"])
+def _graph_source(p):
     p.add_argument("--graph", help="edge-list file")
     p.add_argument("--n", type=int)
     p.add_argument("--delta", type=int)
     p.add_argument("--simple", action="store_true")
+
+
+def _thresholds_args(p):
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--lam", "--lambda", dest="lam", type=float)
+
+
+def _phase_diagram_args(p):
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--beta-min", type=float, required=True)
+    p.add_argument("--beta-max", type=float, required=True)
+    p.add_argument("--steps", type=int, default=20)
+
+
+def _landscape_args(p):
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--grid", type=float, default=1e-3)
+
+
+def _graph_gen_args(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--simple", action="store_true")
+    p.add_argument("--out-file", default="graph.edges")
+
+
+def _simulate_args(p):
+    p.add_argument("--chain", required=True,
+                   choices=["glauber", "kawasaki", "coupled-kawasaki"])
+    _graph_source(p)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--lam", "--lambda", dest="lam", type=float)
     p.add_argument("--k", type=int)
@@ -588,16 +578,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all_plus", "all_minus", "band_sample"])
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--thin", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("spectra", help="exact spectral diagnostics")
+
+def _spectra_args(p):
     p.add_argument("--chain", default="downup",
                    choices=["glauber", "kawasaki", "downup", "kl_downup"])
-    p.add_argument("--graph", help="edge-list file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--simple", action="store_true")
+    _graph_source(p)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--lam", "--lambda", dest="lam", type=float)
     p.add_argument("--k", type=int)
@@ -609,21 +595,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="assumed zero-free activity interval, recorded verbatim")
     p.add_argument("--zero-free-delta", type=float,
                    help="assumed zero-freeness radius, recorded verbatim")
-    common(p)
-    p.set_defaults(func=cmd_spectra)
 
-    p = sub.add_parser("exactcheck", help="stationarity/reversibility asserts")
-    p.add_argument("--graph", help="edge-list file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=int)
-    p.add_argument("--simple", action="store_true")
+
+def _exactcheck_args(p):
+    _graph_source(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=cmd_exactcheck)
 
-    p = sub.add_parser("metastability", help="dwell/escape experiments")
+
+def _metastability_args(p):
     p.add_argument("--mode", required=True, choices=["glauber", "kawasaki-union"])
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -636,9 +617,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simple", action="store_true")
     p.add_argument("--start", default="all_minus",
                    choices=["all_plus", "all_minus", "band_sample"])
-    common(p)
-    p.set_defaults(func=cmd_metastability)
 
+
+# name -> (help, handler, its arguments), in --help order
+COMMANDS = {
+    "thresholds": ("tree-recursion threshold report", cmd_thresholds,
+                   _thresholds_args),
+    "phase-diagram": ("threshold curves vs beta", cmd_phase_diagram,
+                      _phase_diagram_args),
+    "landscape": ("annealed free-energy curve", cmd_landscape, _landscape_args),
+    "graph-gen": ("configuration-model regular graph", cmd_graph_gen,
+                  _graph_gen_args),
+    "simulate": ("run a chain, emit a trace CSV", cmd_simulate, _simulate_args),
+    "spectra": ("exact spectral diagnostics", cmd_spectra, _spectra_args),
+    "exactcheck": ("stationarity/reversibility asserts", cmd_exactcheck,
+                   _exactcheck_args),
+    "metastability": ("dwell/escape experiments", cmd_metastability,
+                      _metastability_args),
+}
+
+
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """Every command is registered, but only ``command``'s subparser gets its
+    arguments: adding all of them takes longer than a tree command runs."""
+    ap = argparse.ArgumentParser(
+        prog="isinglab",
+        description="Fixed-magnetization Ising dynamics: exact kernels, "
+        "tree thresholds, landscapes, and metastability experiments.",
+    )
+    ap.add_argument("--config", help="flat key=value file; flags override it")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if name == command:
+            add_arguments(p)
+            _common(p)
     return ap
 
 
@@ -675,10 +689,10 @@ def _apply_config_file(argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
         argv = _apply_config_file(argv)
-        args = ap.parse_args(argv)
+        command = next((a for a in argv if a in COMMANDS), None)
+        args = build_parser(command).parse_args(argv)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

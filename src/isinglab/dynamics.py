@@ -45,10 +45,10 @@ from .rng import as_rng
 
 EXACT_SUPPORT_CAP = 200_000  # states enumerated for one exact (k, l) resample
 DENSE_KERNEL_BYTES = 512 << 20  # dense view P: at most 8 192 states
-# A build peaks near 35 bytes per nonzero, measured as peak RSS growth:
-# C(20, 10) = 184 756 Kawasaki states (18.7 M nonzeros) 0.62 GB, the +1
-# down-up walk there 0.65 GB, Glauber at n = 20 (22 M) 0.70 GB.  So about
-# 1.2 GB at the cap.
+# A build peaks near 35 bytes per nonzero, measured as peak RSS growth on a
+# random cubic graph: C(20, 10) = 184 756 Kawasaki states (18.7 M nonzeros)
+# 610 MiB, the +1 down-up walk there 630 MiB, Glauber at n = 20 (22 M)
+# 699 MiB.  So about 1.2 GB at the cap.
 KERNEL_NONZERO_CAP = 1 << 25
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-10
@@ -441,10 +441,11 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     """Kawasaki, +1 down-up and (k, l) down-up as moves on links.
 
     From a state S every l-subset K of its free pluses is kept in turn; the
-    link of pinned + K is the set of states containing it, listed as
-    pinned + K + W over the completions W.  The down-up walks resample from
-    the link by its heat-bath law and average over the C(k_free, l) choices
-    of K; the +1 walk is l = k_free - 1.  At that l the link is S and the
+    link of pinned + K is the set of states containing it.  The down-up
+    walks resample from the link by its heat-bath law and average over the
+    C(k_free, l) choices of K, so their kernel is the product of the state x
+    link matrix of kept subsets and the link x state matrix of heat-bath
+    laws; the +1 walk is l = k_free - 1.  At that l the link is S and the
     states with one free plus of S moved, so Kawasaki proposes each of those
     moves with probability 1 / (k_free (n - k)) and accepts by Metropolis.
     """
@@ -466,26 +467,33 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     _check_nonzeros(size * min(size, math.comb(k_free, ell)
                                * math.comb(m - ell, k_free - ell)))
     states, mono = fixed_k_states(g, k, plus_pinned=pinned)
-    free = [v for v in range(g.n) if v not in pinned]
+    X, bit = _free_plus_matrix(states, [v for v in range(g.n) if v not in pinned], g.n)
     if kernel.kind == "kawasaki":
-        K = _kawasaki_kernel(states, mono, free, g.n, beta, k_free)
+        K = _kawasaki_kernel(X, bit, mono, beta)
     else:
-        K = _downup_kernel(states, mono, free, beta, pinned, ell)
+        K = _downup_kernel(X, bit, mono, beta, ell)
     pi = _fixed_mag_stationary(mono, beta)
     return TransitionMatrix(states=tuple(states), K=K, pi=pi, kind=kernel.kind)
 
 
-def _kawasaki_kernel(states, mono, free, n, beta, k_free):
-    """Row i: its own state, then the k_free (n - k) swaps of a free plus
-    with a minus, found by bitmask over the free vertices."""
-    size, m = len(states), len(free)
-    k = len(states[0])
+def _free_plus_matrix(states, free, n):
+    """The states as rows of a boolean matrix over the free vertices (True
+    at a plus), and each free vertex's bit in a state's bitmask."""
+    size, k = len(states), len(states[0])
     X = np.zeros((size, n), dtype=bool)
     X[np.repeat(np.arange(size), k),
       np.fromiter(chain.from_iterable(states), np.intp, size * k)] = True
-    X = X[:, free]
+    m = len(free)
     # Python integers past 62 free vertices
     bit = np.array([1 << j for j in range(m)], dtype=np.int64 if m < 63 else object)
+    return X[:, free], bit
+
+
+def _kawasaki_kernel(X, bit, mono, beta):
+    """Row i: its own state, then the k_free (n - k) swaps of a free plus
+    with a minus, found by bitmask over the free vertices."""
+    size, m = X.shape
+    k_free = int(X[0].sum())
     masks = X @ bit
     order = np.argsort(masks, kind="stable").astype(np.int32)
     ranked = masks[order]
@@ -505,38 +513,35 @@ def _kawasaki_kernel(states, mono, free, n, beta, k_free):
     return _csr(vals, cols, size)
 
 
-def _downup_kernel(states, mono, free, beta, pinned, ell):
-    """Row i: the link of every kept l-subset of its free pluses, weighted
-    by the link's heat-bath law over C(k_free, l); repeats are summed.
+def _downup_kernel(X, bit, mono, beta, ell):
+    """Row S averages, over the C(k_free, l) kept l-subsets K of its free
+    pluses, the heat-bath law of the link of K (the states T containing K).
 
-    Rows are summed in blocks, so that the repeats, which outnumber the
-    nonzeros for small l, never all exist at once."""
-    from scipy.sparse import vstack
+    As one sparse product K = A L: A[S, K] = 1 / C(k_free, l) for K in S,
+    and L has A^T's pattern with each link's row holding its law, taken
+    after subtracting the link's largest log-weight so that large beta stays
+    finite.  A link is named by the bitmask of K.  The product sums the
+    repeats as it forms each row, so they never all exist at once."""
+    from scipy.sparse import csr_array
 
-    k_free = len(states[0]) - len(pinned)
-    index = {s: i for i, s in enumerate(states)}
-    n_subsets = math.comb(k_free, ell)
-    width = n_subsets * math.comb(len(free) - ell, k_free - ell)
-    links = {}  # K -> (state indices of its link, heat-bath law / C(k_free, l))
-
-    def link(K):
-        if K not in links:
-            base = pinned.union(K)
-            rest = [v for v in free if v not in base]
-            idxs = np.array([index[base.union(W)]
-                             for W in combinations(rest, k_free - ell)], dtype=np.int32)
-            links[K] = idxs, _fixed_mag_stationary(mono[idxs], beta) / n_subsets
-        return links[K]
-
-    step = max(1, (1 << 22) // width)
-    blocks = []
-    for lo in range(0, len(states), step):
-        row = [link(K) for s in states[lo:lo + step]
-               for K in combinations(sorted(s - pinned), ell)]
-        blocks.append(_csr(np.concatenate([law for _, law in row]).reshape(-1, width),
-                           np.concatenate([idxs for idxs, _ in row]).reshape(-1, width),
-                           len(states)))
-    return blocks[0] if len(blocks) == 1 else vstack(blocks, format="csr")
+    size = len(X)
+    plus = np.nonzero(X)[1].reshape(size, -1)
+    k_free = plus.shape[1]
+    kept = np.array(list(combinations(range(k_free), ell)),
+                    dtype=np.intp).reshape(math.comb(k_free, ell), ell)
+    masks = np.zeros((size, len(kept)), dtype=bit.dtype)
+    for j in range(ell):
+        masks += bit[plus[:, kept[:, j]]]
+    links, link_of = np.unique(masks.ravel(), return_inverse=True)
+    A = csr_array((np.full(link_of.size, 1.0 / len(kept)), link_of.astype(np.int32),
+                   np.arange(0, link_of.size + 1, len(kept), dtype=np.int32)),
+                  shape=(size, len(links)))
+    L = A.T.tocsr()
+    starts, counts = L.indptr[:-1], np.diff(L.indptr)
+    logw = beta * mono[L.indices]
+    w = np.exp(logw - np.repeat(np.maximum.reduceat(logw, starts), counts))
+    L.data = w / np.repeat(np.add.reduceat(w, starts), counts)
+    return A @ L
 
 
 # ---------------------------------------------------------------------------

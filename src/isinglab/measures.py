@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -426,22 +426,22 @@ def fixed_mag_prob(
 def fixed_k_states(g: Graph, k: int, plus_pinned=()):
     """All plus-sets of size k containing the pinned vertices, with mono counts.
 
-    Returns (states, mono) where states is a list of frozensets and mono the
-    matching array of monochromatic edge counts.  Used by the exact-kernel
-    and spectral machinery; sizes are small by construction.
+    Returns (states, mono) where states is a list of frozensets, in
+    ``combinations`` order of the free pluses, and mono the matching array of
+    monochromatic edge counts (self-loops always, parallel copies once each).
+    Used by the exact-kernel and spectral machinery; sizes are small by
+    construction.
     """
     pinned = frozenset(plus_pinned)
     if len(pinned) > k:
         raise InvalidInputError("pinning larger than k")
     free = [v for v in range(g.n) if v not in pinned]
-    edge_list = list(g.edges())
-    states, mono = [], []
-    for extra in combinations(free, k - len(pinned)):
-        s = pinned | frozenset(extra)
-        m = 0
-        for u, w in edge_list:
-            if u == w or ((u in s) == (w in s)):
-                m += 1
-        states.append(s)
-        mono.append(m)
-    return states, np.array(mono, dtype=float)
+    r = k - len(pinned)
+    size = math.comb(len(free), r)
+    X = np.zeros((size, g.n), dtype=bool)
+    X[:, sorted(pinned)] = True
+    X[np.repeat(np.arange(size), r),
+      np.fromiter(chain.from_iterable(combinations(free, r)), np.intp, size * r)] = True
+    u, w = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
+    mono = (X[:, u] == X[:, w]).sum(axis=1, dtype=float)
+    return [pinned.union(extra) for extra in combinations(free, r)], mono

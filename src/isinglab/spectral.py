@@ -203,8 +203,13 @@ def grand_canonical_distribution(g: Graph, beta: float, lam: float,
     return states, p
 
 
-def fixed_mag_distribution(g: Graph, beta: float, k: int, plus_pinned=()):
-    """(states, probs) over plus-sets for the fixed-magnetization measure."""
+def fixed_mag_distribution(g: Graph, beta: float, k: int, plus_pinned=(),
+                           max_free: int = DEFAULT_ENUMERATION_CAP):
+    """(states, probs) over plus-sets for the fixed-magnetization measure,
+    enumerating at most ``max_free`` free vertices."""
+    free = g.n - len(frozenset(plus_pinned))
+    if free > max_free:
+        raise TooLargeError(f"{free} free vertices exceeds enumeration cap {max_free}")
     states, mono = fixed_k_states(g, k, plus_pinned)
     logw = beta * mono
     p = np.exp(logw - logw.max())
@@ -334,9 +339,10 @@ def gap_factorization_check(g: Graph, beta: float, k: int, ell: int,
     )
 
 
-def local_expansion_zetas(g: Graph, beta: float, k: int) -> list:
+def local_expansion_zetas(g: Graph, beta: float, k: int,
+                          max_free: int = DEFAULT_ENUMERATION_CAP) -> list:
     """zeta_m = max over U in C(V, m) of the local-walk second eigenvalue."""
-    states, probs = fixed_mag_distribution(g, beta, k)
+    states, probs = fixed_mag_distribution(g, beta, k, max_free=max_free)
     zetas = []
     for m in range(k - 1):
         worst = -1.0

@@ -1,10 +1,14 @@
-"""Shared fixtures: the small exact test-set graphs used across the suite, and
-the Gray-code enumeration that the partition-table DP is checked against."""
+"""Shared fixtures: the small exact test-set graphs used across the suite, the
+Gray-code enumeration that the partition-table DP is checked against, and the
+per-link loop that the down-up kernel product is checked against."""
 
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 
+from isinglab.dynamics import _csr, _fixed_mag_stationary
 from isinglab.graphs import (
     complete_graph,
     cycle_graph,
@@ -96,3 +100,29 @@ def gray_code_table(g, beta, pinning=EMPTY_PINNING):
         for by_m in counts
     )
     return PartitionTable(n=g.n, beta=beta, pinning=pinning, log_zhat_by_k=log_by_k)
+
+
+def downup_kernel_loop(states, mono, free, beta, pinned, ell):
+    """Reference (k, l) down-up kernel over frozenset states: for each state
+    and each kept l-subset K of its free pluses, list the link of pinned + K
+    as the states pinned + K + W over the completions W, and give them the
+    link's heat-bath law over C(k_free, l); repeats are summed."""
+    k_free = len(states[0]) - len(pinned)
+    index = {s: i for i, s in enumerate(states)}
+    n_subsets = math.comb(k_free, ell)
+    width = n_subsets * math.comb(len(free) - ell, k_free - ell)
+    links = {}  # K -> (state indices of its link, heat-bath law / C(k_free, l))
+
+    def link(K):
+        if K not in links:
+            base = pinned.union(K)
+            rest = [v for v in free if v not in base]
+            idxs = np.array([index[base.union(W)]
+                             for W in combinations(rest, k_free - ell)], dtype=np.int32)
+            links[K] = idxs, _fixed_mag_stationary(mono[idxs], beta) / n_subsets
+        return links[K]
+
+    row = [link(K) for s in states for K in combinations(sorted(s - pinned), ell)]
+    return _csr(np.concatenate([law for _, law in row]).reshape(-1, width),
+                np.concatenate([idxs for idxs, _ in row]).reshape(-1, width),
+                len(states))

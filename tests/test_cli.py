@@ -231,6 +231,17 @@ def test_influence_honours_enum_cap(tmp_path, capsys):
     assert "exceeds enumeration cap 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("report", ["influence", "localwalks"])
+def test_fixed_mag_reports_honour_enum_cap(tmp_path, capsys, report):
+    # C(10, 5) fixed-magnetization states: 10 free vertices, over a cap of 5
+    code = run(["spectra", "--report", report, "--n", "10", "--delta", "3",
+                "--beta", "0.5", "--k", "5", "--enum-cap", "5",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert "10 free vertices exceeds enumeration cap 5" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("lam", ["1e300", "1e-300"])
 def test_edgeworth_at_extreme_lambda_exits_1(tmp_path, capsys, lam):
     # the variance is positive but so small that s**3 underflows to 0
@@ -302,6 +313,62 @@ def test_cli_and_chains_import_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_tree_modules_or_numpy():
+    """Each command imports its own modules when it runs."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import isinglab
+
+    code = ("import sys, isinglab.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy' or m in "
+            "('isinglab.meanfield', 'isinglab.thresholds')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(isinglab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("thresholds", "phase-diagram", "landscape", "graph-gen",
+                 "simulate", "spectra", "exactcheck", "metastability"):
+        assert f"    {name} " in out, name
+
+
+def test_command_help_lists_its_arguments(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["landscape", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--grid" in out and "--enum-cap" in out
+
+
+def test_unknown_command_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["bogus", "--delta", "3"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_config_file_before_a_command_with_its_own_arguments(tmp_path):
+    """Config flags land on the command's subparser, ahead of explicit ones."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 3\nbeta = 0.5\nlam = 1.01\n")
+    code = run(["--config", str(cfg), "landscape", "--grid", "2e-2",
+                "--out", str(tmp_path)])
+    assert code == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["command"] == "landscape"
+    assert manifest["parameters"]["grid"] == 0.02
+    assert manifest["parameters"]["lam"] == 1.01
 
 
 def test_tree_commands_load_no_numpy(tmp_path):

@@ -17,7 +17,7 @@ from isinglab.dynamics import (
     kl_downup_step,
 )
 from isinglab.errors import InvalidInputError, TooLargeError
-from isinglab.graphs import Graph, complete_graph, cycle_graph
+from isinglab.graphs import Graph, complete_graph, cycle_graph, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     IsingParams,
@@ -28,6 +28,8 @@ from isinglab.measures import (
     size_distribution,
 )
 from isinglab.rng import make_rng
+
+from conftest import downup_kernel_loop, exact_test_set
 
 
 def cfg(g, spins):
@@ -246,6 +248,46 @@ def test_kl_matrix_matches_expectation_formula():
                 assert abs(q - entry) < 1e-12, (g.n, k, ell, pinned, s1, s2)
 
 
+# loop at 0; doubled edges 1-2 and 3-4
+LOOPED = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
+                               [3, 3, 5], [4, 0]], delta_max=4)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
+def test_downup_product_matches_per_link_loop(beta):
+    """The sparse product A L equals the per-link loop entry by entry, for
+    every l from 0 to k_free - 1, with and without plus pinnings, on the exact
+    test set and on multigraphs with self-loops and parallel edges.  On the
+    24-edge multigraph beta * mono passes 709, where exp overflows."""
+    graphs = {**exact_test_set(), "looped": LOOPED,
+              "RR12 multigraph": random_regular(12, 4, seed=3)}
+    for name, g in graphs.items():
+        for k in sorted({1, g.n // 2, g.n - 1}):
+            for pinned in ((), (1, g.n - 1)):
+                if len(pinned) >= k:
+                    continue
+                states, mono = fixed_k_states(g, k, plus_pinned=pinned)
+                free = [v for v in range(g.n) if v not in pinned]
+                X, bit = dynamics._free_plus_matrix(states, free, g.n)
+                for ell in range(k - len(pinned)):
+                    K = dynamics._downup_kernel(X, bit, mono, beta, ell)
+                    want = downup_kernel_loop(states, mono, free, beta,
+                                              frozenset(pinned), ell)
+                    assert abs(K - want).max() <= 1e-14, (name, k, pinned, ell)
+
+
+def test_downup_product_past_62_free_vertices():
+    """On C70 the link bitmasks over 70 free vertices need Python integers."""
+    g, beta = cycle_graph(70), 0.7
+    states, mono = fixed_k_states(g, 2)
+    want = downup_kernel_loop(states, mono, list(range(g.n)), beta, frozenset(), 1)
+    for kernel in (ChainKernel("kl_downup", beta=beta, k=2, ell=1),
+                   ChainKernel("downup", beta=beta, k=2)):
+        tm = build_transition_matrix(kernel, g)
+        assert tm.states == tuple(states)
+        assert abs(tm.K - want).max() <= 1e-14
+
+
 def test_kawasaki_matrix_matches_definition():
     """Every entry against min(1, e^{beta dm}) / (k_free (n - k)), with dm
     from the local swap count, and the diagonal holding the rest."""
@@ -303,9 +345,7 @@ def test_completion_law_matches_enumerated_conditional():
     """The down-up resampling law over completions W of a kept plus set
     equals the heat-bath law of the fixed-k states containing it, on a
     multigraph with a self-loop and parallel edges."""
-    # loop at 0; doubled edges 1-2 and 3-4
-    g = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
-                              [3, 3, 5], [4, 0]], delta_max=4)
+    g = LOOPED
     beta = 0.8
     for keep, r in (({1, 4}, 1), ({2}, 2), ({5}, 3), (set(), 3)):
         completions, p = dynamics._completion_law(g, beta, keep, r)

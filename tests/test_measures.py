@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import combinations
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from isinglab.measures import (
     cumulants_by_t_derivative,
     cumulants_of_size,
     exact_partition_table,
+    fixed_k_states,
     fixed_mag_prob,
     gibbs_prob,
     monochromatic_edges,
@@ -126,6 +128,21 @@ def test_dp_matches_gray_code_on_multigraphs(beta):
                 gray_code_table(g, beta, pinning), (n, delta, seed, pinning),
             )
     assert loops and parallel
+
+
+def test_fixed_k_states_against_per_state_count():
+    """States in combinations order of the free pluses, each with the mono
+    count of its spins, on multigraphs with self-loops and parallel edges."""
+    for seed, (n, delta) in enumerate([(6, 3), (8, 4), (7, 4)]):
+        g = random_regular(n, delta, seed=seed)
+        for k, pinned in ((3, ()), (3, (0, 5)), (2, (1, 4)), (n, ()), (0, ())):
+            states, mono = fixed_k_states(g, k, plus_pinned=pinned)
+            free = [v for v in range(n) if v not in pinned]
+            assert states == [frozenset(pinned).union(c)
+                              for c in combinations(free, k - len(pinned))]
+            want = [monochromatic_edges(g, [1 if v in s else -1 for v in range(n)])
+                    for s in states]
+            assert mono.dtype == float and mono.tolist() == want, (n, k, pinned)
 
 
 def test_dp_fully_pinned_graph_is_one_entry():
