@@ -657,14 +657,17 @@ def build_parser(command: str = None) -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv):
-    """Pre-parse --config and turn its lines into leading defaults."""
-    if "--config" not in argv:
+    """Pre-parse --config PATH or --config=PATH and turn its lines into
+    leading defaults."""
+    i = next((i for i, a in enumerate(argv)
+              if a == "--config" or a.startswith("--config=")), None)
+    if i is None:
         return argv
-    i = argv.index("--config")
-    try:
+    _, joined, path = argv[i].partition("=")
+    if not joined:
+        if i + 1 == len(argv):
+            raise InvalidInputError("--config needs a path")
         path = argv[i + 1]
-    except IndexError:
-        raise InvalidInputError("--config needs a path")
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -682,7 +685,7 @@ def _apply_config_file(argv):
             extra.append(flag)
         else:
             extra.extend([flag, value])
-    rest = argv[:i] + argv[i + 2:]
+    rest = argv[:i] + argv[i + (1 if joined else 2):]
     # config-derived flags come first so explicit flags override them
     return rest[:1] + extra + rest[1:]
 

@@ -13,7 +13,8 @@ Chains:
 Each chain has one update.  ``_heat_bath`` and ``_kawasaki_swaps`` run T
 Glauber updates or Kawasaki swaps in O(Delta) per step; the long traces in
 ``metastability`` and the single-step functions (T = 1) both run them.  Both
-down-up walks resample from one conditional law, ``_completion_law``.
+down-up walks resample from one conditional law: ``gibbs_law`` over the
+``fixed_k_states`` that contain the kept plus set.
 
 On enumerable instances every kernel can also be realized as an explicit
 row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
@@ -39,6 +40,7 @@ from .measures import (
     Pinning,
     SpinConfiguration,
     fixed_k_states,
+    gibbs_law,
     monochromatic_edges,
 )
 from .rng import as_rng
@@ -93,37 +95,6 @@ def heat_bath_table(beta: float, lam: float, d: int) -> list:
     return [lam * math.exp(beta * j) / (lam * math.exp(beta * j)
                                         + math.exp(beta * (d - j)))
             for j in range(d + 1)]
-
-
-def _local_mono(g: Graph, spins, vertices) -> int:
-    """Monochromatic edges among those incident to the given vertex set.
-
-    Edges inside the set are counted from their smaller endpoint only;
-    parallel copies count once per adjacency occurrence; self-loops are
-    always monochromatic.
-    """
-    m = 0
-    for v in vertices:
-        loops = 0
-        for w in g.adjacency[v]:
-            if w == v:
-                loops += 1
-            elif w in vertices:
-                if w > v and spins[v] == spins[w]:
-                    m += 1
-            elif spins[v] == spins[w]:
-                m += 1
-        m += loops // 2
-    return m
-
-
-def _swap_delta_mono(g: Graph, spins, u: int, w: int) -> int:
-    """Change in monochromatic edges when the spins of u and w are swapped."""
-    before = _local_mono(g, spins, {u, w})
-    spins[u], spins[w] = spins[w], spins[u]
-    after = _local_mono(g, spins, {u, w})
-    spins[u], spins[w] = spins[w], spins[u]
-    return after - before
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +178,14 @@ def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int,
             yield None
 
 
-def _completion_law(g: Graph, beta: float, keep, r: int):
-    """The r-subsets W of the vertices outside ``keep``, with their
-    probabilities under the fixed-magnetization measure given that the plus
-    set contains ``keep`` and is keep + W.
-
-    Up to a constant of ``keep``, keep + W has log-weight
-    beta (sum_{u in W} (2 j_u - d_u) + 2 e(W)): j_u counts the edges from u
-    into ``keep``, d_u is the non-loop degree of u and e(W) counts the
-    non-loop edges inside W, parallel edges once per copy.
-    """
-    nbrs = g.neighbors
-    rest = [v for v in range(g.n) if v not in keep]
-    a = {u: 2 * sum(w in keep for w in nbrs[u]) - len(nbrs[u]) for u in rest}
-    completions = list(combinations(rest, r))
-    # sum over u in W of its neighbours in W is 2 e(W)
-    logw = beta * np.array([sum(a[u] + sum(w in W for w in nbrs[u]) for u in W)
-                            for W in completions], dtype=float)
-    p = np.exp(logw - logw.max())
-    return completions, p / p.sum()
-
-
 def _resample(g: Graph, beta: float, keep: set, r: int, rng) -> SpinConfiguration:
-    """Add r pluses to ``keep``, drawn from :func:`_completion_law`."""
-    completions, p = _completion_law(g, beta, keep, r)
-    plus = keep.union(completions[int(rng.choice(len(p), p=p))])
-    return SpinConfiguration.from_spins(g, [1 if v in plus else -1 for v in range(g.n)])
+    """Add r pluses to ``keep``, drawn by Gibbs law among the plus sets of
+    size |keep| + r that contain it; the draw keeps its listed mono count."""
+    states, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
+    i = int(rng.choice(len(states), p=gibbs_law(beta * mono)))
+    plus = states[i]
+    return SpinConfiguration(spins=tuple(1 if v in plus else -1 for v in range(g.n)),
+                             plus_count=len(plus), mono_edges=int(mono[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +325,8 @@ def _check_dense_size(size: int) -> None:
 
 
 def _check_nonzeros(bound: int) -> None:
-    """Refuse, before enumerating, a kernel with up to ``bound`` entries
-    beyond KERNEL_NONZERO_CAP."""
+    """Refuse, before enumerating, a kernel (or a factor of one) with up to
+    ``bound`` entries beyond KERNEL_NONZERO_CAP."""
     if bound > KERNEL_NONZERO_CAP:
         raise TooLargeError(
             f"a kernel with up to {bound} nonzeros is over the "
@@ -391,12 +344,6 @@ def _csr(data: np.ndarray, indices: np.ndarray, size: int):
     K = csr_array((data.ravel(), indices.ravel(), indptr), shape=(rows, size))
     K.sum_duplicates()
     return K
-
-
-def _fixed_mag_stationary(mono: np.ndarray, beta: float) -> np.ndarray:
-    logw = beta * mono
-    pi = np.exp(logw - logw.max())
-    return pi / pi.sum()
 
 
 def build_transition_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
@@ -417,9 +364,7 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     plus = [((s >> v) & 1).astype(bool) for v in range(n)]
     zero = np.zeros(size, dtype=np.int64)
     mono = sum((plus[u] == plus[w] for u, w in g.edges()), zero)
-    logw = beta * mono + sum(plus, zero) * math.log(lam)
-    pi = np.exp(logw - logw.max())
-    pi /= pi.sum()
+    pi = gibbs_law(beta * mono + sum(plus, zero) * math.log(lam))
 
     cols = np.empty((size, n + 1), dtype=np.int32)
     vals = np.empty((size, n + 1))
@@ -463,16 +408,18 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     ell = kernel.ell if kernel.kind == "kl_downup" else k_free - 1
     m = g.n - len(pinned)
     size = math.comb(m, k_free)
-    # a row lies in C(k_free, l) links of C(m - l, k_free - l) states each
-    _check_nonzeros(size * min(size, math.comb(k_free, ell)
-                               * math.comb(m - ell, k_free - ell)))
+    # a row lies in C(k_free, l) links of C(m - l, k_free - l) states each;
+    # the down-up product first lists its C(k_free, l) kept subsets
+    subsets = math.comb(k_free, ell)
+    link = math.comb(m - ell, k_free - ell)
+    _check_nonzeros(size * max(subsets, min(size, subsets * link)))
     states, mono = fixed_k_states(g, k, plus_pinned=pinned)
     X, bit = _free_plus_matrix(states, [v for v in range(g.n) if v not in pinned], g.n)
     if kernel.kind == "kawasaki":
         K = _kawasaki_kernel(X, bit, mono, beta)
     else:
         K = _downup_kernel(X, bit, mono, beta, ell)
-    pi = _fixed_mag_stationary(mono, beta)
+    pi = gibbs_law(beta * mono)
     return TransitionMatrix(states=tuple(states), K=K, pi=pi, kind=kernel.kind)
 
 

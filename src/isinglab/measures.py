@@ -306,6 +306,14 @@ def exact_partition_table(
     )
 
 
+def gibbs_law(logw: np.ndarray) -> np.ndarray:
+    """Probabilities proportional to exp(logw), taken after subtracting the
+    largest log-weight so that large beta stays finite."""
+    p = np.exp(logw - logw.max())
+    p /= p.sum()
+    return p
+
+
 def size_distribution(table: PartitionTable, lam: float) -> np.ndarray:
     """Exact pmf of the plus-count X under the grand-canonical measure."""
     if lam <= 0:
@@ -318,9 +326,7 @@ def size_distribution(table: PartitionTable, lam: float) -> np.ndarray:
     )
     if np.all(np.isneginf(logs)):
         raise DegenerateError("partition table is identically -inf")
-    hi = logs.max()
-    p = np.exp(logs - hi)
-    p /= p.sum()
+    p = gibbs_law(logs)
     assert abs(p.sum() - 1.0) < 1e-12
     return p
 
@@ -429,8 +435,9 @@ def fixed_k_states(g: Graph, k: int, plus_pinned=()):
     Returns (states, mono) where states is a list of frozensets, in
     ``combinations`` order of the free pluses, and mono the matching array of
     monochromatic edge counts (self-loops always, parallel copies once each).
-    Used by the exact-kernel and spectral machinery; sizes are small by
-    construction.
+    The one lister of plus sets (exact kernels, down-up resamples, spectral
+    distributions).  It lists C(n - |pinned|, k - |pinned|) states, which the
+    kernel, (k, l) resample and spectral callers cap before calling it.
     """
     pinned = frozenset(plus_pinned)
     if len(pinned) > k:

@@ -26,7 +26,7 @@ from .measures import (
     cumulants_of_size,
     exact_partition_table,
     fixed_k_states,
-    monochromatic_edges,
+    gibbs_law,
     size_distribution,
 )
 from .dynamics import ChainKernel, TransitionMatrix, build_transition_matrix
@@ -176,45 +176,29 @@ def influence_matrix(states, probs, vertices) -> InfluenceMatrix:
 
 
 def grand_canonical_distribution(g: Graph, beta: float, lam: float,
-                                 pinning: Pinning = EMPTY_PINNING,
                                  max_free: int = DEFAULT_ENUMERATION_CAP):
-    """(states, probs) over plus-sets for the grand-canonical measure,
-    enumerating at most ``max_free`` free vertices."""
+    """(states, probs) over plus-sets for the grand-canonical measure, listed
+    size by size, enumerating at most ``max_free`` vertices."""
     if beta < 0:
         raise InvalidInputError("beta must be >= 0")
-    if any(not 0 <= v < g.n for v in pinning.assignments):
-        raise InvalidInputError("pinned vertex not in graph")
-    free = [v for v in range(g.n) if v not in pinning]
-    if len(free) > max_free:
-        raise TooLargeError(
-            f"{len(free)} free vertices exceeds enumeration cap {max_free}")
-    pinned_plus = frozenset(v for v, s in pinning.assignments.items() if s == 1)
+    if g.n > max_free:
+        raise TooLargeError(f"{g.n} free vertices exceeds enumeration cap {max_free}")
     states, logw = [], []
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            s = pinned_plus | frozenset(extra)
-            spins = [1 if v in s else -1 for v in range(g.n)]
-            m = monochromatic_edges(g, spins)
-            states.append(s)
-            logw.append(beta * m + len(s) * math.log(lam))
-    logw = np.array(logw)
-    p = np.exp(logw - logw.max())
-    p /= p.sum()
-    return states, p
+    for r in range(g.n + 1):
+        plus_sets, mono = fixed_k_states(g, r)
+        states += plus_sets
+        logw.append(beta * mono + r * math.log(lam))
+    return states, gibbs_law(np.concatenate(logw))
 
 
-def fixed_mag_distribution(g: Graph, beta: float, k: int, plus_pinned=(),
+def fixed_mag_distribution(g: Graph, beta: float, k: int,
                            max_free: int = DEFAULT_ENUMERATION_CAP):
     """(states, probs) over plus-sets for the fixed-magnetization measure,
-    enumerating at most ``max_free`` free vertices."""
-    free = g.n - len(frozenset(plus_pinned))
-    if free > max_free:
-        raise TooLargeError(f"{free} free vertices exceeds enumeration cap {max_free}")
-    states, mono = fixed_k_states(g, k, plus_pinned)
-    logw = beta * mono
-    p = np.exp(logw - logw.max())
-    p /= p.sum()
-    return states, p
+    enumerating at most ``max_free`` vertices."""
+    if g.n > max_free:
+        raise TooLargeError(f"{g.n} free vertices exceeds enumeration cap {max_free}")
+    states, mono = fixed_k_states(g, k)
+    return states, gibbs_law(beta * mono)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Shared fixtures: the small exact test-set graphs used across the suite, the
-Gray-code enumeration that the partition-table DP is checked against, and the
-per-link loop that the down-up kernel product is checked against."""
+"""Shared fixtures: the small exact test-set graphs used across the suite, and
+the slow references the fast paths are checked against: the Gray-code
+enumeration behind the partition-table DP, the per-link loop behind the
+down-up kernel product, the closed-form completion law behind the down-up
+resample, the per-state grand-canonical loop, and local mono counts."""
 
 import math
 from itertools import combinations
@@ -8,8 +10,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from isinglab.dynamics import _csr, _fixed_mag_stationary
+from isinglab.dynamics import _csr
 from isinglab.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -21,8 +24,13 @@ from isinglab.measures import (
     NEG_INF,
     PartitionTable,
     _logsumexp,
+    gibbs_law,
     monochromatic_edges,
 )
+
+# loop at 0; doubled edges 1-2 and 3-4
+LOOPED = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
+                               [3, 3, 5], [4, 0]], delta_max=4)
 
 
 @pytest.fixture(scope="session")
@@ -119,10 +127,77 @@ def downup_kernel_loop(states, mono, free, beta, pinned, ell):
             rest = [v for v in free if v not in base]
             idxs = np.array([index[base.union(W)]
                              for W in combinations(rest, k_free - ell)], dtype=np.int32)
-            links[K] = idxs, _fixed_mag_stationary(mono[idxs], beta) / n_subsets
+            links[K] = idxs, gibbs_law(beta * mono[idxs]) / n_subsets
         return links[K]
 
     row = [link(K) for s in states for K in combinations(sorted(s - pinned), ell)]
     return _csr(np.concatenate([law for _, law in row]).reshape(-1, width),
                 np.concatenate([idxs for idxs, _ in row]).reshape(-1, width),
                 len(states))
+
+
+def completion_law(g, beta, keep, r):
+    """The r-subsets W of the vertices outside ``keep``, with their
+    probabilities under the fixed-magnetization measure given that the plus
+    set contains ``keep`` and is keep + W.
+
+    Up to a constant of ``keep``, keep + W has log-weight
+    beta (sum_{u in W} (2 j_u - d_u) + 2 e(W)): j_u counts the edges from u
+    into ``keep``, d_u is the non-loop degree of u and e(W) counts the
+    non-loop edges inside W, parallel edges once per copy.
+    """
+    nbrs = g.neighbors
+    rest = [v for v in range(g.n) if v not in keep]
+    a = {u: 2 * sum(w in keep for w in nbrs[u]) - len(nbrs[u]) for u in rest}
+    completions = list(combinations(rest, r))
+    # sum over u in W of its neighbours in W is 2 e(W)
+    logw = beta * np.array([sum(a[u] + sum(w in W for w in nbrs[u]) for u in W)
+                            for W in completions], dtype=float)
+    p = np.exp(logw - logw.max())
+    return completions, p / p.sum()
+
+
+def grand_canonical_loop(g, beta, lam):
+    """(states, probs) of the grand-canonical measure, state by state: every
+    plus set by size, in ``combinations`` order, with its mono count."""
+    states, logw = [], []
+    for r in range(g.n + 1):
+        for s in combinations(range(g.n), r):
+            spins = [1 if v in s else -1 for v in range(g.n)]
+            states.append(frozenset(s))
+            logw.append(beta * monochromatic_edges(g, spins) + r * math.log(lam))
+    logw = np.array(logw)
+    p = np.exp(logw - logw.max())
+    p /= p.sum()
+    return states, p
+
+
+def local_mono(g, spins, vertices):
+    """Monochromatic edges among those incident to the given vertex set.
+
+    Edges inside the set are counted from their smaller endpoint only;
+    parallel copies count once per adjacency occurrence; self-loops are
+    always monochromatic.
+    """
+    m = 0
+    for v in vertices:
+        loops = 0
+        for w in g.adjacency[v]:
+            if w == v:
+                loops += 1
+            elif w in vertices:
+                if w > v and spins[v] == spins[w]:
+                    m += 1
+            elif spins[v] == spins[w]:
+                m += 1
+        m += loops // 2
+    return m
+
+
+def swap_delta_mono(g, spins, u, w):
+    """Change in monochromatic edges when the spins of u and w are swapped."""
+    before = local_mono(g, spins, {u, w})
+    spins[u], spins[w] = spins[w], spins[u]
+    after = local_mono(g, spins, {u, w})
+    spins[u], spins[w] = spins[w], spins[u]
+    return after - before

@@ -423,6 +423,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert (tmp_path / "y" / "thresholds.json").exists()
 
 
+def test_config_file_as_one_token(tmp_path):
+    """--config=PATH reads the file as --config PATH does."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 4\nbeta = 0.7931\nout = {}\n".format(tmp_path / "x"))
+    assert run([f"--config={cfg}", "thresholds"]) == 0
+    assert (tmp_path / "x" / "thresholds.json").exists()
+
+
 def test_metastability_glauber_smoke(tmp_path):
     code = run(["metastability", "--mode", "glauber", "--delta", "3",
                 "--beta", "1.2", "--lam", "1.01", "--n", "100", "--T", "5000",

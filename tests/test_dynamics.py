@@ -9,7 +9,6 @@ from isinglab.dynamics import (
     ChainKernel,
     CoupledKawasaki,
     TransitionMatrix,
-    _swap_delta_mono,
     build_transition_matrix,
     downup_step,
     glauber_step,
@@ -25,11 +24,18 @@ from isinglab.measures import (
     SpinConfiguration,
     exact_partition_table,
     fixed_k_states,
+    monochromatic_edges,
     size_distribution,
 )
 from isinglab.rng import make_rng
 
-from conftest import downup_kernel_loop, exact_test_set
+from conftest import (
+    LOOPED,
+    completion_law,
+    downup_kernel_loop,
+    exact_test_set,
+    swap_delta_mono,
+)
 
 
 def cfg(g, spins):
@@ -248,11 +254,6 @@ def test_kl_matrix_matches_expectation_formula():
                 assert abs(q - entry) < 1e-12, (g.n, k, ell, pinned, s1, s2)
 
 
-# loop at 0; doubled edges 1-2 and 3-4
-LOOPED = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
-                               [3, 3, 5], [4, 0]], delta_max=4)
-
-
 @pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
 def test_downup_product_matches_per_link_loop(beta):
     """The sparse product A L equals the per-link loop entry by entry, for
@@ -305,7 +306,7 @@ def test_kawasaki_matrix_matches_definition():
                 expected = np.zeros(len(tm.states))
                 for u in s - set(pinned):
                     for w in set(range(g.n)) - s:
-                        dm = _swap_delta_mono(g, spins, u, w)
+                        dm = swap_delta_mono(g, spins, u, w)
                         j = tm.states.index((s - {u}) | {w})
                         expected[j] = min(1.0, math.exp(beta * dm)) / pairs
                 expected[i] = 1.0 - expected.sum()
@@ -348,13 +349,54 @@ def test_completion_law_matches_enumerated_conditional():
     g = LOOPED
     beta = 0.8
     for keep, r in (({1, 4}, 1), ({2}, 2), ({5}, 3), (set(), 3)):
-        completions, p = dynamics._completion_law(g, beta, keep, r)
+        completions, p = completion_law(g, beta, keep, r)
         states, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
         w = np.exp(beta * (mono - mono.max()))
         want = dict(zip(states, w / w.sum()))
         assert len(completions) == len(want) == math.comb(g.n - len(keep), r)
         for W, q in zip(completions, p):
             assert abs(q - want[frozenset(keep).union(W)]) < 1e-12, (keep, W)
+
+
+def _reference_downup(g, beta, spins, rng, pinning, ell):
+    """One step with the random draws of downup_step (``ell`` None) or of
+    kl_downup_step, completed from the closed-form completion law."""
+    plus = [v for v in range(g.n) if spins[v] == 1]
+    if ell is None:
+        free_plus = [v for v in plus if v not in pinning]
+        keep, r = set(plus) - {free_plus[int(rng.integers(len(free_plus)))]}, 1
+    else:
+        keep = {plus[i] for i in rng.choice(len(plus), size=ell, replace=False)}
+        r = len(plus) - ell
+    completions, p = completion_law(g, beta, keep, r)
+    new = keep.union(completions[int(rng.choice(len(p), p=p))])
+    return tuple(1 if v in new else -1 for v in range(g.n))
+
+
+@pytest.mark.parametrize("walk", ["downup", "downup pinned", "kl"])
+def test_downup_steps_draw_the_completion_law_and_carry_mono(walk):
+    """200 steps at seeds 0-4, on LOOPED and on a cubic multigraph with a
+    self-loop and parallel edges: every configuration is the one the
+    closed-form completion law draws from the same random stream, and its
+    mono_edges equals a recount.  The (k, l) walk keeps l = k/2 - 1 pluses:
+    a full resample on LOOPED, 210 completions on the cubic graph."""
+    beta = 0.8
+    for g in (LOOPED, random_regular(12, 3, seed=1)):
+        k = g.n // 2
+        pinning = Pinning.plus([0]) if walk == "downup pinned" else EMPTY_PINNING
+        ell = k // 2 - 1 if walk == "kl" else None
+        for seed in range(5):
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            sigma = cfg(g, [1] * k + [-1] * (g.n - k))
+            for _ in range(200):
+                want = _reference_downup(g, beta, sigma.spins, ref_rng, pinning, ell)
+                if ell is None:
+                    sigma = downup_step(g, beta, k, pinning, sigma, rng)
+                else:
+                    sigma = kl_downup_step(g, beta, k, ell, sigma, rng)
+                assert sigma.spins == want, (g.n, seed)
+                assert sigma.plus_count == k
+                assert sigma.mono_edges == monochromatic_edges(g, sigma.spins)
 
 
 def test_kernel_comparison_kawasaki_downup():
@@ -393,18 +435,29 @@ def test_matrix_cap():
         build_transition_matrix(ChainKernel("glauber", beta=0.1, lam=1.0), g)
 
 
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("states enumerated before the size check")
+
+
 def test_nonzero_cap_counts_entries(monkeypatch):
     """C(22, 11) states with 11 x 12 link entries each, and 2^22 Glauber states
     with 23 each, exceed the nonzero cap: refused before enumerating."""
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("states enumerated before the size check")
-
-    monkeypatch.setattr(dynamics, "fixed_k_states", no_enumeration)
+    monkeypatch.setattr(dynamics, "fixed_k_states", _no_enumeration)
     with pytest.raises(TooLargeError, match="up to 93117024 nonzeros"):
         build_transition_matrix(ChainKernel("kawasaki", beta=0.5, k=11), cycle_graph(22))
     with pytest.raises(TooLargeError, match="up to 96468992 nonzeros"):
         build_transition_matrix(ChainKernel("glauber", beta=0.5, lam=1.0),
                                 cycle_graph(22))
+
+
+def test_nonzero_cap_counts_kept_subsets(monkeypatch):
+    """(k, l) down-up on C30 at k = 29, l = 14: 30 states and at most 900
+    kernel entries, but the product first lists 30 C(29, 14) kept subsets,
+    so it is refused before enumerating."""
+    monkeypatch.setattr(dynamics, "fixed_k_states", _no_enumeration)
+    with pytest.raises(TooLargeError, match=f"up to {30 * math.comb(29, 14)} nonzeros"):
+        build_transition_matrix(ChainKernel("kl_downup", beta=0.5, k=29, ell=14),
+                                cycle_graph(30))
 
 
 def test_sparse_gap_needs_no_dense_view(monkeypatch):
@@ -482,7 +535,7 @@ def test_coupled_bad_disagreement_definition():
 def test_coupled_incremental_matches_from_scratch():
     """Step's incremental D, B and caches equal make_state's, step by step,
     and its swap probabilities equal those from the whole spin vector."""
-    from isinglab.dynamics import _disagreements, _swap_delta_mono
+    from isinglab.dynamics import _disagreements
     from isinglab.graphs import random_regular
 
     # loops at 3 and 13, parallel edges at 0, 9, 14 and 15
@@ -508,7 +561,7 @@ def test_coupled_incremental_matches_from_scratch():
         spins = [1 if v in (0, 5) or v in state.X else -1 for v in range(g.n)]
         minus = [v for v in range(g.n) if spins[v] == -1]
         u, v = state.X[t % 6], minus[t % len(minus)]
-        want = min(1.0, math.exp(0.6 * _swap_delta_mono(g, spins, u, v)))
+        want = min(1.0, math.exp(0.6 * swap_delta_mono(g, spins, u, v)))
         assert driver._accept_prob(state.x_index, u, v) == want
     assert len(moved) > 3  # the chain visited several (|D|, |B|) values
     # step(start) returns a new state and leaves start as it was

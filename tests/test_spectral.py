@@ -34,6 +34,8 @@ from isinglab.spectral import (
 )
 from isinglab.rng import make_rng
 
+from conftest import LOOPED, exact_test_set, grand_canonical_loop
+
 
 def swap_chain():
     return TransitionMatrix(
@@ -161,6 +163,20 @@ def test_influence_beta0_independent():
     off = infl.M - np.diag(np.diag(infl.M))
     assert np.max(np.abs(off)) < 1e-12
     assert np.allclose(np.diag(infl.M), 1 - lam / (1 + lam))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.8, 40.0])
+def test_grand_canonical_matches_per_state_loop(beta):
+    """Listed size by size, the grand-canonical distribution has the per-state
+    loop's labels in its order and bit-equal probabilities, on the exact test
+    set and on multigraphs with self-loops and parallel edges."""
+    graphs = {**exact_test_set(), "looped": LOOPED,
+              "RR12 multigraph": random_regular(12, 4, seed=3)}
+    for name, g in graphs.items():
+        states, probs = grand_canonical_distribution(g, beta, 1.3)
+        want_states, want_probs = grand_canonical_loop(g, beta, 1.3)
+        assert states == want_states, name
+        assert np.array_equal(probs, want_probs), name
 
 
 def test_influence_uniform_fixed_k():
