@@ -332,14 +332,14 @@ def cmd_spectra(args, ctx: RunContext) -> int:
         )
     elif args.report == "influence":
         if args.k is not None:
-            states, probs = fixed_mag_distribution(g, args.beta, args.k,
-                                                   max_free=args.enum_cap)
+            X, probs = fixed_mag_distribution(g, args.beta, args.k,
+                                              max_free=args.enum_cap)
         else:
             if args.lam is None:
                 raise InvalidInputError("influence needs --k or --lam")
-            states, probs = grand_canonical_distribution(
+            X, probs = grand_canonical_distribution(
                 g, args.beta, args.lam, max_free=args.enum_cap)
-        infl = influence_matrix(states, probs, range(g.n))
+        infl = influence_matrix(X, probs)
         report.update(
             linf_norm=infl.linf_norm,
             top_eigenvalue=infl.top_eigenvalue,

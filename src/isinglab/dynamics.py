@@ -41,6 +41,7 @@ from .measures import (
     SpinConfiguration,
     fixed_k_states,
     gibbs_law,
+    mono_counts,
     monochromatic_edges,
 )
 from .rng import as_rng
@@ -181,11 +182,10 @@ def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int,
 def _resample(g: Graph, beta: float, keep: set, r: int, rng) -> SpinConfiguration:
     """Add r pluses to ``keep``, drawn by Gibbs law among the plus sets of
     size |keep| + r that contain it; the draw keeps its listed mono count."""
-    states, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
-    i = int(rng.choice(len(states), p=gibbs_law(beta * mono)))
-    plus = states[i]
-    return SpinConfiguration(spins=tuple(1 if v in plus else -1 for v in range(g.n)),
-                             plus_count=len(plus), mono_edges=int(mono[i]))
+    X, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
+    i = int(rng.choice(len(X), p=gibbs_law(beta * mono)))
+    return SpinConfiguration(spins=tuple(np.where(X[i], 1, -1).tolist()),
+                             plus_count=len(keep) + r, mono_edges=int(mono[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -354,29 +354,29 @@ def build_transition_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
 
 
 def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
-    """States are the integers s < 2^n, bit v set where vertex v is plus; a
-    row holds its n single-flip moves and the diagonal."""
+    """States are the integers s < 2^n, bit v set where vertex v is plus, and
+    the rows of the plus matrix X; a row holds its n single-flip moves and
+    the diagonal."""
     n = g.n
     size = 2**n
     _check_nonzeros(size * (n + 1))
     beta, lam = kernel.beta, kernel.lam
     s = np.arange(size)
-    plus = [((s >> v) & 1).astype(bool) for v in range(n)]
-    zero = np.zeros(size, dtype=np.int64)
-    mono = sum((plus[u] == plus[w] for u, w in g.edges()), zero)
-    pi = gibbs_law(beta * mono + sum(plus, zero) * math.log(lam))
+    X = np.empty((size, n), dtype=bool)
+    for v in range(n):
+        X[:, v] = (s >> v) & 1
+    pi = gibbs_law(beta * mono_counts(g, X) + X.sum(axis=1) * math.log(lam))
 
     cols = np.empty((size, n + 1), dtype=np.int32)
     vals = np.empty((size, n + 1))
     cols[:, 0] = s
     stay = np.zeros(size)
     for v, nb in enumerate(g.neighbors):
-        j = sum((plus[w] for w in nb), zero)
-        p_plus = np.asarray(heat_bath_table(beta, lam, len(nb)))[j]
+        p_plus = np.asarray(heat_bath_table(beta, lam, len(nb)))[X[:, nb].sum(axis=1)]
         up, down = p_plus / n, (1 - p_plus) / n
         cols[:, v + 1] = s ^ (1 << v)
-        vals[:, v + 1] = np.where(plus[v], down, up)
-        stay += np.where(plus[v], up, down)
+        vals[:, v + 1] = np.where(X[:, v], down, up)
+        stay += np.where(X[:, v], up, down)
     vals[:, 0] = stay
     return TransitionMatrix(states=tuple(range(size)), K=_csr(vals, cols, size),
                             pi=pi, kind="glauber")
@@ -413,39 +413,30 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     subsets = math.comb(k_free, ell)
     link = math.comb(m - ell, k_free - ell)
     _check_nonzeros(size * max(subsets, min(size, subsets * link)))
-    states, mono = fixed_k_states(g, k, plus_pinned=pinned)
-    X, bit = _free_plus_matrix(states, [v for v in range(g.n) if v not in pinned], g.n)
-    if kernel.kind == "kawasaki":
-        K = _kawasaki_kernel(X, bit, mono, beta)
-    else:
-        K = _downup_kernel(X, bit, mono, beta, ell)
-    pi = gibbs_law(beta * mono)
-    return TransitionMatrix(states=tuple(states), K=K, pi=pi, kind=kernel.kind)
-
-
-def _free_plus_matrix(states, free, n):
-    """The states as rows of a boolean matrix over the free vertices (True
-    at a plus), and each free vertex's bit in a state's bitmask."""
-    size, k = len(states), len(states[0])
-    X = np.zeros((size, n), dtype=bool)
-    X[np.repeat(np.arange(size), k),
-      np.fromiter(chain.from_iterable(states), np.intp, size * k)] = True
-    m = len(free)
-    # Python integers past 62 free vertices
+    X, mono = fixed_k_states(g, k, plus_pinned=pinned)
+    states = tuple(map(frozenset, np.nonzero(X)[1].reshape(size, k).tolist()))
+    # over the free vertices: the plus matrix, each state's plus positions,
+    # and each vertex's bit in a state's bitmask (Python integers past 62)
+    X = X[:, [v for v in range(g.n) if v not in pinned]]
+    plus = np.nonzero(X)[1].reshape(size, k_free)
     bit = np.array([1 << j for j in range(m)], dtype=np.int64 if m < 63 else object)
-    return X[:, free], bit
+    if kernel.kind == "kawasaki":
+        K = _kawasaki_kernel(X, plus, bit, mono, beta)
+    else:
+        K = _downup_kernel(plus, bit, mono, beta, ell)
+    pi = gibbs_law(beta * mono)
+    return TransitionMatrix(states=states, K=K, pi=pi, kind=kernel.kind)
 
 
-def _kawasaki_kernel(X, bit, mono, beta):
+def _kawasaki_kernel(X, plus, bit, mono, beta):
     """Row i: its own state, then the k_free (n - k) swaps of a free plus
-    with a minus, found by bitmask over the free vertices."""
-    size, m = X.shape
-    k_free = int(X[0].sum())
+    (at ``plus``, by row) with a minus of the free plus matrix X, found by
+    bitmask over the free vertices."""
+    size, k_free = plus.shape
     masks = X @ bit
     order = np.argsort(masks, kind="stable").astype(np.int32)
     ranked = masks[order]
-    width = m - k_free
-    plus = np.nonzero(X)[1].reshape(size, k_free)
+    width = X.shape[1] - k_free
     minus = np.nonzero(~X)[1].reshape(size, width)
     cols = np.empty((size, 1 + k_free * width), dtype=np.int32)
     vals = np.empty(cols.shape)
@@ -460,9 +451,10 @@ def _kawasaki_kernel(X, bit, mono, beta):
     return _csr(vals, cols, size)
 
 
-def _downup_kernel(X, bit, mono, beta, ell):
+def _downup_kernel(plus, bit, mono, beta, ell):
     """Row S averages, over the C(k_free, l) kept l-subsets K of its free
-    pluses, the heat-bath law of the link of K (the states T containing K).
+    pluses (at ``plus``, by row), the heat-bath law of the link of K (the
+    states T containing K).
 
     As one sparse product K = A L: A[S, K] = 1 / C(k_free, l) for K in S,
     and L has A^T's pattern with each link's row holding its law, taken
@@ -471,9 +463,7 @@ def _downup_kernel(X, bit, mono, beta, ell):
     repeats as it forms each row, so they never all exist at once."""
     from scipy.sparse import csr_array
 
-    size = len(X)
-    plus = np.nonzero(X)[1].reshape(size, -1)
-    k_free = plus.shape[1]
+    size, k_free = plus.shape
     kept = np.array(list(combinations(range(k_free), ell)),
                     dtype=np.intp).reshape(math.comb(k_free, ell), ell)
     masks = np.zeros((size, len(kept)), dtype=bit.dtype)

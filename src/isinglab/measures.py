@@ -429,12 +429,19 @@ def fixed_mag_prob(
     return math.exp(beta * sigma.mono_edges - log_zhat)
 
 
+def mono_counts(g: Graph, X: np.ndarray) -> np.ndarray:
+    """Monochromatic edge counts of the plus sets that are the rows of the
+    boolean matrix X (True at a plus), as floats; self-loops always count,
+    parallel copies once each."""
+    u, w = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
+    return (X[:, u] == X[:, w]).sum(axis=1, dtype=float)
+
+
 def fixed_k_states(g: Graph, k: int, plus_pinned=()):
     """All plus-sets of size k containing the pinned vertices, with mono counts.
 
-    Returns (states, mono) where states is a list of frozensets, in
-    ``combinations`` order of the free pluses, and mono the matching array of
-    monochromatic edge counts (self-loops always, parallel copies once each).
+    Returns (X, mono): X is the (states x n) boolean plus matrix, its rows in
+    ``combinations`` order of the free pluses, and mono their ``mono_counts``.
     The one lister of plus sets (exact kernels, down-up resamples, spectral
     distributions).  It lists C(n - |pinned|, k - |pinned|) states, which the
     kernel, (k, l) resample and spectral callers cap before calling it.
@@ -449,6 +456,4 @@ def fixed_k_states(g: Graph, k: int, plus_pinned=()):
     X[:, sorted(pinned)] = True
     X[np.repeat(np.arange(size), r),
       np.fromiter(chain.from_iterable(combinations(free, r)), np.intp, size * r)] = True
-    u, w = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
-    mono = (X[:, u] == X[:, w]).sum(axis=1, dtype=float)
-    return [pinned.union(extra) for extra in combinations(free, r)], mono
+    return X, mono_counts(g, X)

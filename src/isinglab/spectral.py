@@ -21,6 +21,7 @@ from .graphs import Graph
 from .measures import (
     DEFAULT_ENUMERATION_CAP,
     EMPTY_PINNING,
+    TABLE_ENTRY_CAP,
     PartitionTable,
     Pinning,
     cumulants_of_size,
@@ -129,36 +130,32 @@ def exact_mixing_time(tm: TransitionMatrix, lazy: bool = True,
 
 @dataclass(frozen=True)
 class InfluenceMatrix:
-    vertices: tuple
     M: np.ndarray = field(repr=False)
     linf_norm: float
     top_eigenvalue: float
     has_complex_pair: bool
 
 
-def _marginals(states, probs, vertices):
-    """pi(v) and pi(u and v) over ``vertices``: p X and X^T diag(p) X for the
-    0/1 incidence matrix X[s, i] = [vertices[i] in states[s]]."""
-    vi = {v: i for i, v in enumerate(vertices)}
-    X = np.zeros((len(states), len(vertices)))
-    for r, s in enumerate(states):
-        X[r, [vi[v] for v in s]] = 1.0
+def _marginals(X, probs):
+    """pi(v) and pi(u and v) over the columns of the plus matrix X: p X and
+    X^T diag(p) X, in C order (BLAS sums in an order set by the layout)."""
+    X = X.astype(float, order="C")
     return probs @ X, X.T @ (probs[:, None] * X)
 
 
-def influence_matrix(states, probs, vertices) -> InfluenceMatrix:
+def influence_matrix(X, probs) -> InfluenceMatrix:
     """M[u, v] = pi(v | u) - pi(v) for a distribution on subsets.
 
-    ``states`` are subsets of ``vertices`` (any iterable of hashables) and
-    ``probs`` their probabilities.  Rows with pi(u) = 0 are zero.  The top
-    eigenvalue is the largest real part of the spectrum; a flag reports
-    complex pairs (none appear for FKG measures, where M is nonnegative).
+    The subsets are the rows of the boolean plus matrix X (states x
+    vertices) and ``probs`` their probabilities.  Rows with pi(u) = 0 are
+    zero.  The top eigenvalue is the largest real part of the spectrum; a
+    flag reports complex pairs (none appear for FKG measures, where M is
+    nonnegative).
     """
     probs = np.asarray(probs, dtype=float)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise InvalidInputError("probabilities must sum to 1")
-    vertices = tuple(vertices)
-    marg, joint = _marginals(states, probs, vertices)
+    marg, joint = _marginals(X, probs)
     M = np.zeros_like(joint)
     live = marg > 0
     M[live] = joint[live] / marg[live, None] - marg
@@ -166,39 +163,45 @@ def influence_matrix(states, probs, vertices) -> InfluenceMatrix:
     eigs = np.linalg.eigvals(M)
     has_complex = bool(np.any(np.abs(eigs.imag) > 1e-9))
     top = float(np.max(eigs.real))
-    return InfluenceMatrix(
-        vertices=vertices,
-        M=M,
-        linf_norm=linf,
-        top_eigenvalue=top,
-        has_complex_pair=has_complex,
-    )
+    return InfluenceMatrix(M=M, linf_norm=linf, top_eigenvalue=top,
+                           has_complex_pair=has_complex)
+
+
+def _check_listing(g: Graph, size: int, max_free: int) -> None:
+    """Refuse, before listing, more than ``max_free`` free vertices, or a plus
+    matrix of ``size`` states over TABLE_ENTRY_CAP entries (as many float64
+    as ``_marginals`` then holds)."""
+    if g.n > max_free:
+        raise TooLargeError(f"{g.n} free vertices exceeds enumeration cap {max_free}")
+    if size * g.n > TABLE_ENTRY_CAP:
+        raise TooLargeError(f"a plus matrix of {size} x {g.n} entries is over "
+                            f"the {TABLE_ENTRY_CAP}-entry cap")
 
 
 def grand_canonical_distribution(g: Graph, beta: float, lam: float,
                                  max_free: int = DEFAULT_ENUMERATION_CAP):
-    """(states, probs) over plus-sets for the grand-canonical measure, listed
-    size by size, enumerating at most ``max_free`` vertices."""
+    """(X, probs) over plus-sets for the grand-canonical measure: the plus
+    matrix listed size by size, enumerating at most ``max_free`` vertices."""
     if beta < 0:
         raise InvalidInputError("beta must be >= 0")
-    if g.n > max_free:
-        raise TooLargeError(f"{g.n} free vertices exceeds enumeration cap {max_free}")
-    states, logw = [], []
+    _check_listing(g, 2**g.n, max_free)
+    X, logw = [], []
     for r in range(g.n + 1):
         plus_sets, mono = fixed_k_states(g, r)
-        states += plus_sets
+        X.append(plus_sets)
         logw.append(beta * mono + r * math.log(lam))
-    return states, gibbs_law(np.concatenate(logw))
+    return np.concatenate(X), gibbs_law(np.concatenate(logw))
 
 
 def fixed_mag_distribution(g: Graph, beta: float, k: int,
                            max_free: int = DEFAULT_ENUMERATION_CAP):
-    """(states, probs) over plus-sets for the fixed-magnetization measure,
+    """(X, probs) over plus-sets for the fixed-magnetization measure,
     enumerating at most ``max_free`` vertices."""
-    if g.n > max_free:
-        raise TooLargeError(f"{g.n} free vertices exceeds enumeration cap {max_free}")
-    states, mono = fixed_k_states(g, k)
-    return states, gibbs_law(beta * mono)
+    if not 0 <= k <= g.n:
+        raise InvalidInputError(f"k={k} outside [0, {g.n}]")
+    _check_listing(g, math.comb(g.n, k), max_free)
+    X, mono = fixed_k_states(g, k)
+    return X, gibbs_law(beta * mono)
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +217,26 @@ class LocalWalk:
     second_eigenvalue: float
 
 
-def local_walk(states, probs, pinned, k) -> LocalWalk:
+def local_walk(X, probs, pinned, k) -> LocalWalk:
     """Single-element exchange walk on the link of a pinned set.
 
+    The distribution is ``probs`` over the rows of the plus matrix X.
     Q(u, v) = pi^{U + u}(v) / (k - |U| - 1) for u != v over the unpinned
     vertices; reversible with respect to pi^U(.)/(k - |U|).
     """
     pinned = frozenset(pinned)
     if len(pinned) > k - 2:
         raise InvalidInputError("need |U| <= k - 2 for a nontrivial local walk")
+    if not pinned <= set(range(X.shape[1])):
+        raise InvalidInputError("pinned vertices must be columns of X")
     probs = np.asarray(probs, dtype=float)
-    keep = [i for i, s in enumerate(states) if pinned <= s]
+    keep = X[:, sorted(pinned)].all(axis=1)
     mass = probs[keep].sum()
     if mass <= 0:
         raise InvalidInputError("pinned set has zero probability")
-    sub_states = [states[i] for i in keep]
-    sub_probs = probs[keep] / mass
-
-    support = sorted(set().union(*sub_states) - pinned)
-    marg, joint = _marginals([s - pinned for s in sub_states], sub_probs, support)
+    X = X[keep]
+    support = np.setdiff1d(np.flatnonzero(X.any(axis=0)), list(pinned))
+    marg, joint = _marginals(X[:, support], probs[keep] / mass)
     np.fill_diagonal(joint, 0.0)
     Q = np.zeros_like(joint)
     live = marg > 0
@@ -247,7 +251,7 @@ def local_walk(states, probs, pinned, k) -> LocalWalk:
     eigs = np.linalg.eigvalsh(A)
     return LocalWalk(
         pinned=pinned,
-        vertices=tuple(support),
+        vertices=tuple(support.tolist()),
         Q=Q,
         second_eigenvalue=float(eigs[-2]),
     )
@@ -326,13 +330,13 @@ def gap_factorization_check(g: Graph, beta: float, k: int, ell: int,
 def local_expansion_zetas(g: Graph, beta: float, k: int,
                           max_free: int = DEFAULT_ENUMERATION_CAP) -> list:
     """zeta_m = max over U in C(V, m) of the local-walk second eigenvalue."""
-    states, probs = fixed_mag_distribution(g, beta, k, max_free=max_free)
+    X, probs = fixed_mag_distribution(g, beta, k, max_free=max_free)
     zetas = []
     for m in range(k - 1):
         worst = -1.0
         for u in combinations(range(g.n), m):
             try:
-                lw = local_walk(states, probs, u, k)
+                lw = local_walk(X, probs, u, k)
             except InvalidInputError:
                 continue
             worst = max(worst, lw.second_eigenvalue)

@@ -2,7 +2,8 @@
 the slow references the fast paths are checked against: the Gray-code
 enumeration behind the partition-table DP, the per-link loop behind the
 down-up kernel product, the closed-form completion law behind the down-up
-resample, the per-state grand-canonical loop, and local mono counts."""
+resample, the per-state grand-canonical loop, the frozenset influence matrix
+and local walks behind the plus-matrix ones, and local mono counts."""
 
 import math
 from itertools import combinations
@@ -155,6 +156,46 @@ def completion_law(g, beta, keep, r):
                             for W in completions], dtype=float)
     p = np.exp(logw - logw.max())
     return completions, p / p.sum()
+
+
+def plus_sets(X):
+    """The rows of a boolean plus matrix as frozenset labels."""
+    return [frozenset(np.flatnonzero(row).tolist()) for row in X]
+
+
+def marginals_loop(states, probs, vertices):
+    """pi(v) and pi(u and v) over ``vertices`` for ``probs`` on frozenset
+    states, from the 0/1 incidence matrix filled state by state."""
+    vi = {v: i for i, v in enumerate(vertices)}
+    X = np.zeros((len(states), len(vertices)))
+    for r, s in enumerate(states):
+        X[r, [vi[v] for v in s]] = 1.0
+    return probs @ X, X.T @ (probs[:, None] * X)
+
+
+def influence_loop(states, probs, vertices):
+    """Influence matrix M[u, v] = pi(v | u) - pi(v) over frozenset states."""
+    marg, joint = marginals_loop(states, probs, tuple(vertices))
+    M = np.zeros_like(joint)
+    live = marg > 0
+    M[live] = joint[live] / marg[live, None] - marg
+    return M
+
+
+def local_walk_loop(states, probs, pinned, k):
+    """(support, Q) of the local walk at ``pinned`` over frozenset states: the
+    states containing it, selected by set inclusion, and their marginals."""
+    pinned = frozenset(pinned)
+    keep = [i for i, s in enumerate(states) if pinned <= s]
+    sub_states = [states[i] for i in keep]
+    support = sorted(set().union(*sub_states) - pinned)
+    marg, joint = marginals_loop([s - pinned for s in sub_states],
+                                 probs[keep] / probs[keep].sum(), support)
+    np.fill_diagonal(joint, 0.0)
+    Q = np.zeros_like(joint)
+    live = marg > 0
+    Q[live] = joint[live] / marg[live, None] / (k - len(pinned) - 1)
+    return tuple(support), Q
 
 
 def grand_canonical_loop(g, beta, lam):

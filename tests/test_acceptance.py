@@ -196,7 +196,7 @@ def criterion_4():
     for gname, k, ells in FACTORIZATION_INSTANCES:
         g = graphs[gname]
         for beta in (0.0, 0.5, 1.0):
-            states, probs = fixed_mag_distribution(g, beta, k)
+            X, probs = fixed_mag_distribution(g, beta, k)
             zetas = local_expansion_zetas(g, beta, k)
             for ell in ells:
                 tm = build_transition_matrix(
@@ -210,20 +210,19 @@ def criterion_4():
             # every local walk against its influence-eigenvalue bound
             for m in range(k - 1):
                 for u in combinations(range(g.n), m):
-                    lw = local_walk(states, probs, u, k)
-                    keep = [i for i, s in enumerate(states) if frozenset(u) <= s]
+                    lw = local_walk(X, probs, u, k)
+                    keep = X[:, list(u)].all(axis=1)
                     sp = probs[keep] / probs[keep].sum()
-                    infl = influence_matrix([states[i] for i in keep], sp,
-                                            range(g.n))
+                    infl = influence_matrix(X[keep], sp)
                     ib = (infl.top_eigenvalue - 1) / (k - m - 1)
                     if lw.second_eigenvalue > ib + 1e-10:
                         ok = False
                         details.append(f"infl@{gname} k={k} U={u} beta={beta}")
     # equality case: uniform C(4, 2), U = empty -> second eigenvalue -1/3
     g4 = graphs["K4"]
-    states, probs = fixed_mag_distribution(g4, 0.0, 2)
-    lw = local_walk(states, probs, (), 2)
-    infl = influence_matrix(states, probs, range(4))
+    X, probs = fixed_mag_distribution(g4, 0.0, 2)
+    lw = local_walk(X, probs, (), 2)
+    infl = influence_matrix(X, probs)
     eq = abs(lw.second_eigenvalue + 1 / 3) < 1e-12 and abs(
         (infl.top_eigenvalue - 1) / 1 + 1 / 3
     ) < 1e-12

@@ -222,6 +222,36 @@ def test_influence_runtime_cap_exit(tmp_path, capsys):
     assert "exceeds enumeration cap 24" in capsys.readouterr().err
 
 
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("states listed before the size check")
+
+
+@pytest.mark.parametrize("size", [("--lam", "1.1", "--n", "22"),
+                                  ("--k", "12", "--n", "24")])
+def test_influence_listing_cap_exit(tmp_path, capsys, monkeypatch, size):
+    # 2^22 grand-canonical and C(24, 12) fixed-k plus sets are within the
+    # enumeration cap, but their plus matrices are over the table-entry cap
+    from isinglab import spectral
+
+    monkeypatch.setattr(spectral, "fixed_k_states", _no_enumeration)
+    code = run(["spectra", "--report", "influence", *size, "--delta", "3",
+                "--beta", "0.5", "--out", str(tmp_path)])
+    assert code == 3
+    assert "entry cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report", ["influence", "localwalks"])
+def test_fixed_mag_reports_k_above_graph_size_exit(tmp_path, capsys, report):
+    # --k is checked against the vertex count of a --graph file too
+    path = tmp_path / "k4.edges"
+    write_edge_list(complete_graph(4), str(path))
+    code = run(["spectra", "--report", report, "--graph", str(path),
+                "--beta", "0.5", "--k", "50", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "k=50 outside [0, 4]" in err
+
+
 def test_influence_honours_enum_cap(tmp_path, capsys):
     # 2^10 grand-canonical states are within the default cap but not within 5
     code = run(["spectra", "--report", "influence", "--n", "10", "--delta", "3",

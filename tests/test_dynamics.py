@@ -34,6 +34,7 @@ from conftest import (
     completion_law,
     downup_kernel_loop,
     exact_test_set,
+    plus_sets,
     swap_delta_mono,
 )
 
@@ -179,7 +180,8 @@ def test_kawasaki_stationary_matches_partition_table():
     # power iteration vs PartitionTable-based mu-hat
     M = np.linalg.matrix_power(0.5 * (np.eye(len(tm.states)) + tm.P), 4000)
     pi_power = M[0]
-    states, mono = fixed_k_states(g, k)
+    X, mono = fixed_k_states(g, k)
+    states = plus_sets(X)
     w = np.exp(beta * mono)
     w /= w.sum()
     order = [states.index(s) for s in tm.states]
@@ -234,7 +236,8 @@ def test_kl_matrix_matches_expectation_formula():
         else:
             kernel = ChainKernel("kl_downup", beta=beta, k=k, ell=ell)
         tm = build_transition_matrix(kernel, g)
-        states, mono = fixed_k_states(g, k, plus_pinned=pinned)
+        X, mono = fixed_k_states(g, k, plus_pinned=pinned)
+        states = plus_sets(X)
         w = np.exp(beta * (mono - mono.max()))
         pi = w / w.sum()
         idx = {s: i for i, s in enumerate(states)}
@@ -267,12 +270,13 @@ def test_downup_product_matches_per_link_loop(beta):
             for pinned in ((), (1, g.n - 1)):
                 if len(pinned) >= k:
                     continue
-                states, mono = fixed_k_states(g, k, plus_pinned=pinned)
+                X, mono = fixed_k_states(g, k, plus_pinned=pinned)
                 free = [v for v in range(g.n) if v not in pinned]
-                X, bit = dynamics._free_plus_matrix(states, free, g.n)
+                plus = np.nonzero(X[:, free])[1].reshape(len(X), -1)
+                bit = 1 << np.arange(len(free))
                 for ell in range(k - len(pinned)):
-                    K = dynamics._downup_kernel(X, bit, mono, beta, ell)
-                    want = downup_kernel_loop(states, mono, free, beta,
+                    K = dynamics._downup_kernel(plus, bit, mono, beta, ell)
+                    want = downup_kernel_loop(plus_sets(X), mono, free, beta,
                                               frozenset(pinned), ell)
                     assert abs(K - want).max() <= 1e-14, (name, k, pinned, ell)
 
@@ -280,7 +284,8 @@ def test_downup_product_matches_per_link_loop(beta):
 def test_downup_product_past_62_free_vertices():
     """On C70 the link bitmasks over 70 free vertices need Python integers."""
     g, beta = cycle_graph(70), 0.7
-    states, mono = fixed_k_states(g, 2)
+    X, mono = fixed_k_states(g, 2)
+    states = plus_sets(X)
     want = downup_kernel_loop(states, mono, list(range(g.n)), beta, frozenset(), 1)
     for kernel in (ChainKernel("kl_downup", beta=beta, k=2, ell=1),
                    ChainKernel("downup", beta=beta, k=2)):
@@ -324,10 +329,10 @@ def test_kl_step_exact_sampling_distribution():
         out = kl_downup_step(g, beta, k, ell, start, rng)
         counts[out.spins] = counts.get(out.spins, 0) + 1
     # ell=0 resamples from mu-hat exactly, independent of the start
-    states, mono = fixed_k_states(g, k)
+    X, mono = fixed_k_states(g, k)
     w = np.exp(beta * (mono - mono.max()))
     pi = w / w.sum()
-    for s, m in zip(states, pi):
+    for s, m in zip(plus_sets(X), pi):
         spins = tuple(1 if v in s else -1 for v in range(4))
         assert abs(counts.get(spins, 0) / n - m) < 0.02
 
@@ -350,9 +355,9 @@ def test_completion_law_matches_enumerated_conditional():
     beta = 0.8
     for keep, r in (({1, 4}, 1), ({2}, 2), ({5}, 3), (set(), 3)):
         completions, p = completion_law(g, beta, keep, r)
-        states, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
+        X, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
         w = np.exp(beta * (mono - mono.max()))
-        want = dict(zip(states, w / w.sum()))
+        want = dict(zip(plus_sets(X), w / w.sum()))
         assert len(completions) == len(want) == math.comb(g.n - len(keep), r)
         for W, q in zip(completions, p):
             assert abs(q - want[frozenset(keep).union(W)]) < 1e-12, (keep, W)

@@ -23,10 +23,11 @@ from isinglab.measures import (
     fixed_k_states,
     fixed_mag_prob,
     gibbs_prob,
+    mono_counts,
     monochromatic_edges,
     size_distribution,
 )
-from conftest import exact_test_set, gray_code_table
+from conftest import LOOPED, exact_test_set, gray_code_table, plus_sets
 
 
 def cfg(g, spins):
@@ -131,18 +132,29 @@ def test_dp_matches_gray_code_on_multigraphs(beta):
 
 
 def test_fixed_k_states_against_per_state_count():
-    """States in combinations order of the free pluses, each with the mono
-    count of its spins, on multigraphs with self-loops and parallel edges."""
+    """Plus-matrix rows in combinations order of the free pluses, each with
+    the mono count of its spins, on multigraphs with self-loops and parallel
+    edges; and mono_counts over all 2^n plus sets of two such multigraphs."""
     for seed, (n, delta) in enumerate([(6, 3), (8, 4), (7, 4)]):
         g = random_regular(n, delta, seed=seed)
         for k, pinned in ((3, ()), (3, (0, 5)), (2, (1, 4)), (n, ()), (0, ())):
-            states, mono = fixed_k_states(g, k, plus_pinned=pinned)
+            X, mono = fixed_k_states(g, k, plus_pinned=pinned)
             free = [v for v in range(n) if v not in pinned]
+            assert X.dtype == bool and X.shape[1] == n
+            states = plus_sets(X)
             assert states == [frozenset(pinned).union(c)
                               for c in combinations(free, k - len(pinned))]
             want = [monochromatic_edges(g, [1 if v in s else -1 for v in range(n)])
                     for s in states]
             assert mono.dtype == float and mono.tolist() == want, (n, k, pinned)
+    multigraph = random_regular(8, 4, seed=2)
+    assert any(v in row for v, row in enumerate(multigraph.adjacency))
+    assert any(c > 1 for (u, w), c in multigraph.edge_multiset().items() if u != w)
+    for g in (LOOPED, multigraph):
+        X = (np.arange(2**g.n)[:, None] >> np.arange(g.n)) & 1 == 1
+        want = [monochromatic_edges(g, [1 if x else -1 for x in row]) for row in X]
+        mono = mono_counts(g, X)
+        assert mono.dtype == float and mono.tolist() == want
 
 
 def test_dp_fully_pinned_graph_is_one_entry():

@@ -34,7 +34,14 @@ from isinglab.spectral import (
 )
 from isinglab.rng import make_rng
 
-from conftest import LOOPED, exact_test_set, grand_canonical_loop
+from conftest import (
+    LOOPED,
+    exact_test_set,
+    grand_canonical_loop,
+    influence_loop,
+    local_walk_loop,
+    plus_sets,
+)
 
 
 def swap_chain():
@@ -158,8 +165,8 @@ def test_gap_comparison_from_measured_kernel_ratios():
 def test_influence_beta0_independent():
     g = cycle_graph(4)
     lam = 1.7
-    states, probs = grand_canonical_distribution(g, 0.0, lam)
-    infl = influence_matrix(states, probs, range(g.n))
+    X, probs = grand_canonical_distribution(g, 0.0, lam)
+    infl = influence_matrix(X, probs)
     off = infl.M - np.diag(np.diag(infl.M))
     assert np.max(np.abs(off)) < 1e-12
     assert np.allclose(np.diag(infl.M), 1 - lam / (1 + lam))
@@ -173,17 +180,40 @@ def test_grand_canonical_matches_per_state_loop(beta):
     graphs = {**exact_test_set(), "looped": LOOPED,
               "RR12 multigraph": random_regular(12, 4, seed=3)}
     for name, g in graphs.items():
-        states, probs = grand_canonical_distribution(g, beta, 1.3)
+        X, probs = grand_canonical_distribution(g, beta, 1.3)
         want_states, want_probs = grand_canonical_loop(g, beta, 1.3)
-        assert states == want_states, name
+        assert plus_sets(X) == want_states, name
         assert np.array_equal(probs, want_probs), name
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.8, 40.0])
+def test_influence_and_local_walks_match_state_loop(beta):
+    """From the plus matrix, the grand-canonical and fixed-k influence
+    matrices and every local walk are bit-equal to the frozenset loop's, on
+    the exact test set and on a multigraph with self-loops and parallel
+    edges."""
+    for name, g in {**exact_test_set(), "looped": LOOPED}.items():
+        X, probs = grand_canonical_distribution(g, beta, 1.3)
+        assert np.array_equal(influence_matrix(X, probs).M,
+                              influence_loop(plus_sets(X), probs, range(g.n))), name
+        for k in sorted({2, g.n // 2}):
+            X, probs = fixed_mag_distribution(g, beta, k)
+            states = plus_sets(X)
+            assert np.array_equal(influence_matrix(X, probs).M,
+                                  influence_loop(states, probs, range(g.n))), (name, k)
+            for m in range(k - 1):
+                for u in combinations(range(g.n), m):
+                    lw = local_walk(X, probs, u, k)
+                    support, Q = local_walk_loop(states, probs, u, k)
+                    assert lw.vertices == support, (name, k, u)
+                    assert np.array_equal(lw.Q, Q), (name, k, u)
 
 
 def test_influence_uniform_fixed_k():
     # uniform over C(4, 2): off-diagonal (k-1)/(n-1) - k/n = -1/6, diag 1/2
     g = complete_graph(4)
-    states, probs = fixed_mag_distribution(g, 0.0, 2)
-    infl = influence_matrix(states, probs, range(4))
+    X, probs = fixed_mag_distribution(g, 0.0, 2)
+    infl = influence_matrix(X, probs)
     assert np.allclose(infl.M, np.full((4, 4), -1 / 6) + np.eye(4) * (0.5 + 1 / 6))
     eigs = sorted(np.linalg.eigvalsh(infl.M))
     assert np.allclose(eigs, [0.0, 2 / 3, 2 / 3, 2 / 3], atol=1e-12)
@@ -193,8 +223,8 @@ def test_influence_uniform_fixed_k():
 def test_influence_fkg_nonnegative():
     g = cycle_graph(5)
     for lam in (0.7, 1.0, 1.5):
-        states, probs = grand_canonical_distribution(g, 0.8, lam)
-        infl = influence_matrix(states, probs, range(g.n))
+        X, probs = grand_canonical_distribution(g, 0.8, lam)
+        infl = influence_matrix(X, probs)
         assert infl.M.min() >= -1e-12
         assert not infl.has_complex_pair
 
@@ -206,25 +236,34 @@ def test_influence_linf_trend_bounded():
     norms = []
     for n in (8, 12, 16, 20):
         g = random_regular(n, 3, seed=1, simple=True)
-        states, probs = fixed_mag_distribution(g, 0.3, n // 4)
-        infl = influence_matrix(states, probs, range(n))
+        X, probs = fixed_mag_distribution(g, 0.3, n // 4)
+        infl = influence_matrix(X, probs)
         norms.append(infl.linf_norm)
     assert max(norms) <= norms[0] * 1.25 + 0.1
 
 
 def test_local_walk_uniform_complete():
     g = complete_graph(4)
-    states, probs = fixed_mag_distribution(g, 0.0, 2)
-    lw = local_walk(states, probs, (), 2)
+    X, probs = fixed_mag_distribution(g, 0.0, 2)
+    lw = local_walk(X, probs, (), 2)
     assert np.allclose(lw.Q, (np.ones((4, 4)) - np.eye(4)) / 3)
     assert math.isclose(lw.second_eigenvalue, -1 / 3, abs_tol=1e-12)
 
 
+def test_local_walk_refuses_pinned_outside_columns():
+    """A pinned vertex that is not a column of X, such as -1, is refused
+    rather than read as the last column."""
+    X, probs = fixed_mag_distribution(complete_graph(5), 0.5, 3)
+    for pinned in ((-1,), (5,)):
+        with pytest.raises(InvalidInputError, match="columns of X"):
+            local_walk(X, probs, pinned, 3)
+
+
 def test_influence_bound_equality_at_uniform():
     g = complete_graph(4)
-    states, probs = fixed_mag_distribution(g, 0.0, 2)
-    infl = influence_matrix(states, probs, range(4))
-    lw = local_walk(states, probs, (), 2)
+    X, probs = fixed_mag_distribution(g, 0.0, 2)
+    infl = influence_matrix(X, probs)
+    lw = local_walk(X, probs, (), 2)
     bound = (infl.top_eigenvalue - 1) / (2 - 0 - 1)
     assert math.isclose(lw.second_eigenvalue, bound, abs_tol=1e-12)  # both -1/3
 
@@ -232,22 +271,21 @@ def test_influence_bound_equality_at_uniform():
 def test_influence_bound_all_small_instances():
     for g, k in [(complete_graph(4), 2), (cycle_graph(5), 2), (cycle_graph(6), 3)]:
         for beta in (0.0, 0.5, 1.0):
-            states, probs = fixed_mag_distribution(g, beta, k)
+            X, probs = fixed_mag_distribution(g, beta, k)
             for m in range(k - 1):
                 for u in combinations(range(g.n), m):
-                    lw = local_walk(states, probs, u, k)
-                    keep = [i for i, s in enumerate(states) if frozenset(u) <= s]
-                    sub = [states[i] for i in keep]
+                    lw = local_walk(X, probs, u, k)
+                    keep = X[:, list(u)].all(axis=1)
                     sp = probs[keep] / probs[keep].sum()
-                    infl = influence_matrix(sub, sp, range(g.n))
+                    infl = influence_matrix(X[keep], sp)
                     bound = (infl.top_eigenvalue - 1) / (k - m - 1)
                     assert lw.second_eigenvalue <= bound + 1e-10
 
 
 def test_beta_to_zero_matches_uniform():
     g = complete_graph(4)
-    s0, p0 = fixed_mag_distribution(g, 1e-12, 2)
-    lw = local_walk(s0, p0, (), 2)
+    X0, p0 = fixed_mag_distribution(g, 1e-12, 2)
+    lw = local_walk(X0, p0, (), 2)
     assert abs(lw.second_eigenvalue + 1 / 3) < 1e-9
 
 
