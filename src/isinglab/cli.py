@@ -421,8 +421,6 @@ def cmd_exactcheck(args, ctx: RunContext) -> int:
 
 
 def cmd_metastability(args, ctx: RunContext) -> int:
-    import numpy as np
-
     from .graphs import disjoint_union, random_regular
     from .measures import k_of_eta
     from .metastability import (
@@ -431,6 +429,7 @@ def cmd_metastability(args, ctx: RunContext) -> int:
         run_kawasaki_trace,
         trace_bands,
     )
+    from .rng import make_rng
 
     if args.T is None:
         args.T = int(100 * args.n * math.log(args.n))
@@ -446,15 +445,18 @@ def cmd_metastability(args, ctx: RunContext) -> int:
         summary.update(lam=args.lam, band_plus=list(bp), band_minus=list(bm))
         per_seed = []
         rows = []
-        for seed in range(args.seeds):
-            g = random_regular(args.n, args.delta, seed=seed, simple=args.simple)
+        for r in range(args.seeds):
+            # replica r: graph on stream 2r, trace on stream 2r + 1
+            g = random_regular(args.n, args.delta, seed=make_rng(args.seed, 2 * r),
+                               simple=args.simple)
             tr = run_glauber_trace(
-                g, args.beta, args.lam, args.start, args.T, seed=seed + 10_000,
+                g, args.beta, args.lam, args.start or "all_minus", args.T,
+                seed=make_rng(args.seed, 2 * r + 1),
                 record_every=max(1, args.T // 1000), band_plus=bp, band_minus=bm,
             )
             per_seed.append(
                 {
-                    "seed": seed,
+                    "seed": r,
                     "dwell_plus": tr.dwell_plus,
                     "dwell_minus": tr.dwell_minus,
                     "hit_plus": tr.hit_plus,
@@ -462,13 +464,15 @@ def cmd_metastability(args, ctx: RunContext) -> int:
                 }
             )
             rows.extend(
-                (seed, i * tr.record_every, e) for i, e in enumerate(tr.etas)
+                (r, i * tr.record_every, e) for i, e in enumerate(tr.etas)
             )
         summary["per_seed"] = per_seed
         ctx.write_csv("traces.csv", ["seed", "t", "eta"], rows)
     elif args.mode == "kawasaki-union":
         if args.eta is None:
             raise InvalidInputError("kawasaki-union mode needs --eta")
+        if args.start is not None:
+            raise InvalidInputError("kawasaki-union always starts split; drop --start")
         params = find_union_parameters(args.delta, args.beta, args.eta)
         m = params.m if args.m is None else args.m
         if m % params.m:
@@ -489,25 +493,26 @@ def cmd_metastability(args, ctx: RunContext) -> int:
         )
         rows = []
         per_seed = []
-        for seed in range(args.seeds):
-            # start in the split arrangement: l copies at k_plus, rest at k_minus
-            rng_init = np.random.default_rng(seed)
+        for r in range(args.seeds):
+            # replica r on stream r + 1 (the base graph's is 0): the split start,
+            # l copies at k_plus and the rest at k_minus, then the trace
+            rng = make_rng(args.seed, r + 1)
             spins = [-1] * union.graph.n
             for c in range(m):
                 kc = k_plus if c < ell else k_minus
-                for v in rng_init.choice(args.n, size=kc, replace=False):
+                for v in rng.choice(args.n, size=kc, replace=False):
                     spins[int(v) + c * args.n] = 1
             res = run_kawasaki_trace(
                 union.graph, args.beta, k_total, spins, args.T,
-                seed=seed + 20_000, record_every=max(1, args.T // 1000),
+                seed=rng, record_every=max(1, args.T // 1000),
                 component_of=union.component_of,
             )
             counts = res["component_counts"]
             rows.extend(
-                (seed, i, *c) for i, c in enumerate(counts)
+                (r, i, *c) for i, c in enumerate(counts)
             )
             final = counts[-1]
-            per_seed.append({"seed": seed, "final_counts": list(final)})
+            per_seed.append({"seed": r, "final_counts": list(final)})
         summary["per_seed"] = per_seed
         ctx.write_csv(
             "traces.csv",
@@ -615,8 +620,9 @@ def _metastability_args(p):
     p.add_argument("--T", type=int)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--simple", action="store_true")
-    p.add_argument("--start", default="all_minus",
-                   choices=["all_plus", "all_minus", "band_sample"])
+    p.add_argument("--start", choices=["all_plus", "all_minus"],
+                   help="glauber start, default all_minus; kawasaki-union "
+                   "always starts split")
 
 
 # name -> (help, handler, its arguments), in --help order

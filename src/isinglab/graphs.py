@@ -43,6 +43,15 @@ class Graph:
         """Per vertex, its non-loop neighbours, parallel edges once per copy."""
         return [tuple(w for w in row if w != v) for v, row in enumerate(self.adjacency)]
 
+    @cached_property
+    def edge_ends(self):
+        """The edges in ``edges()`` order as two read-only index arrays (u, w)."""
+        import numpy as np
+
+        ends = np.array(list(self.edges()), dtype=np.intp).reshape(-1, 2).T
+        ends.setflags(write=False)
+        return ends
+
     @property
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2

@@ -433,7 +433,7 @@ def mono_counts(g: Graph, X: np.ndarray) -> np.ndarray:
     """Monochromatic edge counts of the plus sets that are the rows of the
     boolean matrix X (True at a plus), as floats; self-loops always count,
     parallel copies once each."""
-    u, w = np.array(list(g.edges()), dtype=np.intp).reshape(-1, 2).T
+    u, w = g.edge_ends
     return (X[:, u] == X[:, w]).sum(axis=1, dtype=float)
 
 

@@ -306,10 +306,8 @@ def conductance_lower_bound_report(weights: dict, log_scale: bool = False,
 
 @dataclass(frozen=True)
 class TraceSummary:
-    chain: str
     n: int
     T: int
-    seed: int
     record_every: int
     etas: np.ndarray = field(repr=False)
     band_plus: tuple
@@ -417,8 +415,7 @@ def run_glauber_trace(g: Graph, beta: float, lam: float, start: str, T: int,
             etas[idx] = (2 * plus - n) / n
             idx += 1
     return TraceSummary(
-        chain="glauber", n=n, T=T, seed=int(seed) if isinstance(seed, int) else -1,
-        record_every=record_every, etas=etas[:idx],
+        n=n, T=T, record_every=record_every, etas=etas[:idx],
         band_plus=tuple(bp), band_minus=tuple(bm),
         dwell_plus=in_plus / T, dwell_minus=in_minus / T,
         hit_plus=hit_plus, hit_minus=hit_minus,

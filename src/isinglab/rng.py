@@ -1,9 +1,9 @@
 """Seeded, counter-based random number streams.
 
 Every stochastic routine in the package takes either a seed or a
-``numpy.random.Generator``.  Streams are built on Philox so that replicas
-with distinct keys are independent and reproducible regardless of thread
-scheduling.
+``numpy.random.Generator``.  ``make_rng`` is the one builder of streams: it
+derives them all from Philox, so replicas on distinct (seed, stream) pairs
+are independent and reproducible regardless of thread scheduling.
 """
 
 from __future__ import annotations
@@ -13,16 +13,17 @@ import numpy as np
 from .errors import InvalidInputError
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Return a Philox-backed generator keyed by ``seed << 16``.
+def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """Return stream ``stream`` of the Philox sequence keyed by ``seed << 16``.
 
-    Distinct nonnegative seeds give statistically independent streams;
-    identical seeds give identical output on every platform.
+    Stream s is the key's sequence jumped by s * 2^128 draws, so no two
+    (seed, stream) pairs share draws; stream 0 is the unjumped sequence.
+    Identical arguments give identical output on every platform.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed << 16))
+    seed, stream = int(seed), int(stream)
+    if seed < 0 or stream < 0:
+        raise InvalidInputError(f"seed and stream must be >= 0, got {seed}, {stream}")
+    return np.random.Generator(np.random.Philox(key=seed << 16).jumped(stream))
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:

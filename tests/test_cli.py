@@ -87,7 +87,9 @@ def test_byte_identical_outputs(tmp_path):
 
 
 # SHA-256 of the data files these runs wrote before the chains moved to
-# incremental kernels; the kernels must reproduce them byte for byte
+# incremental kernels; the kernels must reproduce them byte for byte.  The two
+# metastability entries were re-recorded when its replicas moved to the
+# make_rng(seed, stream) streams that --seed sets.
 GOLDEN_TRACES = [
     (["simulate", "--chain", "glauber", "--n", "60", "--delta", "3",
       "--beta", "0.8", "--lam", "1.05", "--steps", "3000", "--thin", "3",
@@ -104,11 +106,11 @@ GOLDEN_TRACES = [
     (["metastability", "--mode", "glauber", "--delta", "3", "--beta", "1.2",
       "--lam", "1.01", "--n", "60", "--T", "3000", "--seeds", "2"],
      "traces.csv",
-     "326b04ac9287323d32daad309b3c0fa28cbe170c805bfaec7d3ffe15873bfe02"),
+     "89560a112a0dd353bbdd83698253a4052691f48b3995d20e1b305df2d988684c"),
     (["metastability", "--mode", "kawasaki-union", "--delta", "3",
       "--beta", "1.2", "--eta", "0.3", "--n", "40", "--T", "3000",
       "--seeds", "2"], "traces.csv",
-     "513a06e6e54e8a59c708ed3ca49ee9e422223c64507701dc90fba700cc4cc6b7"),
+     "59a8d9ace01b4bbc7ac04fdacc7bc42fb93806eb1c2f76751c249367f8c9e22e"),
 ]
 
 
@@ -479,6 +481,62 @@ def test_metastability_union_smoke(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["m"] == 2 and summary["ell"] == 1
     assert summary["lam_plus"] == 1.0
+
+
+METASTABILITY_RUNS = {
+    "glauber": ["metastability", "--mode", "glauber", "--delta", "3",
+                "--beta", "1.2", "--lam", "1.01", "--n", "30", "--T", "600",
+                "--seeds", "2"],
+    "kawasaki-union": ["metastability", "--mode", "kawasaki-union", "--delta", "3",
+                       "--beta", "1.2", "--eta", "0.3", "--n", "30", "--T", "600",
+                       "--seeds", "2"],
+}
+
+
+@pytest.mark.parametrize("mode", METASTABILITY_RUNS)
+def test_metastability_seed_sets_every_stream(tmp_path, mode):
+    """--seed moves the graphs, starts and traces; a rerun is byte-identical."""
+    def data(seed, name):
+        out = tmp_path / f"{seed}-{name}"
+        assert run(METASTABILITY_RUNS[mode] + ["--seed", seed, "--out", str(out)]) == 0
+        return [(out / f).read_bytes() for f in ("summary.json", "traces.csv")]
+
+    assert data("0", "a") == data("0", "b")
+    assert data("0", "a")[1] != data("5", "a")[1]
+
+
+def test_metastability_glauber_replica_streams(tmp_path):
+    """Replica r runs on the graph of stream 2r, which for r = 0 is the one
+    ``graph-gen`` writes, and draws its trace from stream 2r + 1."""
+    from isinglab.graphs import random_regular
+    from isinglab.metastability import run_glauber_trace
+    from isinglab.rng import make_rng
+
+    assert run(METASTABILITY_RUNS["glauber"] + ["--seed", "3", "--out", str(tmp_path)]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "traces.csv").read_text().splitlines()[1:]]
+    for r in range(2):
+        g = random_regular(30, 3, seed=3 if r == 0 else make_rng(3, 2 * r))
+        tr = run_glauber_trace(g, 1.2, 1.01, "all_minus", 600,
+                               seed=make_rng(3, 2 * r + 1))
+        assert [eta for seed, _, eta in rows if seed == str(r)] == [
+            f"{e:.12g}" for e in tr.etas]
+
+
+def test_metastability_start_choices(tmp_path, capsys):
+    """Glauber takes all_plus or all_minus; the union run always starts split."""
+    with pytest.raises(SystemExit) as exc:
+        run(METASTABILITY_RUNS["glauber"] + ["--start", "band_sample",
+                                             "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for start in ("all_plus", "all_minus"):
+        assert run(METASTABILITY_RUNS["kawasaki-union"] + [
+            "--start", start, "--out", str(tmp_path)]) == 2
+        _assert_one_line_error(capsys)
+    assert not (tmp_path / "manifest.json").exists()
+    assert run(METASTABILITY_RUNS["glauber"] + ["--start", "all_plus",
+                                                "--out", str(tmp_path)]) == 0
 
 
 def test_config_roundtrip_lossless(tmp_path):

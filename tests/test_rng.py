@@ -14,3 +14,26 @@ def test_stream_keyed_by_shifted_seed():
 def test_negative_seed_rejected():
     with pytest.raises(InvalidInputError):
         make_rng(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_stream_zero_is_the_unjumped_key(seed):
+    expected = np.random.Generator(np.random.Philox(key=seed << 16)).random(8)
+    assert np.array_equal(make_rng(seed).random(8), expected)
+    assert np.array_equal(make_rng(seed, 0).random(8), expected)
+
+
+def test_streams_do_not_alias_seeds():
+    # a key of (seed << 16) + stream would make these two the same stream
+    assert not np.array_equal(make_rng(1, 0).random(8), make_rng(0, 65536).random(8))
+
+
+def test_seed_stream_pairs_draw_distinct_values():
+    draws = np.concatenate([make_rng(seed, stream).random(8)
+                            for seed in range(4) for stream in range(4)])
+    assert len(np.unique(draws)) == draws.size
+
+
+def test_negative_stream_rejected():
+    with pytest.raises(InvalidInputError):
+        make_rng(0, -1)
