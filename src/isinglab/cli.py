@@ -109,9 +109,13 @@ class RunContext:
         return p
 
     def finish(self) -> None:
+        # params is read only now, so a live vars(args) records the defaults
+        # the handler filled in
+        params = {k: v for k, v in self.params.items()
+                  if k not in ("func", "config", "command")}
         manifest = {
             "command": self.command,
-            "parameters": _json_ready(self.params),
+            "parameters": _json_ready(params),
             "isinglab_version": __version__,
             "numpy_version": _numpy_version(),
             "wall_time_s": round(time.time() - self.t0, 3),
@@ -272,17 +276,17 @@ def cmd_simulate(args, ctx: RunContext) -> int:
     if args.chain == "glauber":
         if args.lam is None:
             raise InvalidInputError("glauber needs --lam")
-        start = args.start or "all_minus"
+        args.start = args.start or "all_minus"
         rows = trace_rows_glauber(
-            g, args.beta, args.lam, start, args.steps, args.seed, thin=args.thin
+            g, args.beta, args.lam, args.start, args.steps, args.seed, thin=args.thin
         )
         header = ["t", "plus_count", "mono_edges", "eta"]
     elif args.chain == "kawasaki":
         if args.k is None:
             raise InvalidInputError("kawasaki needs --k")
-        start = args.start or "band_sample"
+        args.start = args.start or "band_sample"
         rows = trace_rows_kawasaki(
-            g, args.beta, args.k, start, args.steps, args.seed, thin=args.thin
+            g, args.beta, args.k, args.start, args.steps, args.seed, thin=args.thin
         )
         header = ["t", "plus_count", "mono_edges", "eta"]
     elif args.chain == "coupled-kawasaki":
@@ -441,6 +445,7 @@ def cmd_metastability(args, ctx: RunContext) -> int:
     if args.mode == "glauber":
         if args.lam is None:
             raise InvalidInputError("glauber mode needs --lam")
+        args.start = args.start or "all_minus"
         bp, bm = trace_bands(args.delta, args.beta, args.lam)
         summary.update(lam=args.lam, band_plus=list(bp), band_minus=list(bm))
         per_seed = []
@@ -450,7 +455,7 @@ def cmd_metastability(args, ctx: RunContext) -> int:
             g = random_regular(args.n, args.delta, seed=make_rng(args.seed, 2 * r),
                                simple=args.simple)
             tr = run_glauber_trace(
-                g, args.beta, args.lam, args.start or "all_minus", args.T,
+                g, args.beta, args.lam, args.start, args.T,
                 seed=make_rng(args.seed, 2 * r + 1),
                 record_every=max(1, args.T // 1000), band_plus=bp, band_minus=bm,
             )
@@ -710,11 +715,7 @@ def main(argv=None) -> int:
         for msg in problems:
             print(f"validation error: {msg}", file=sys.stderr)
         return EXIT_VALIDATION
-    params = {
-        k: v for k, v in vars(args).items()
-        if k not in ("func", "config", "command")
-    }
-    ctx = RunContext(Path(args.out), args.command, params)
+    ctx = RunContext(Path(args.out), args.command, vars(args))
     try:
         code = args.func(args, ctx)
     except (InvalidInputError, NoNonuniquenessError) as exc:

@@ -103,7 +103,6 @@ def f_eta(eta: float, delta: int, beta: float, lam: float) -> float:
 @dataclass(frozen=True)
 class LandscapePoint:
     eta: float
-    B_star: EdgeStatistics
     f_value: float
     classification: str  # local-max | local-min | inflection
 
@@ -162,8 +161,7 @@ def critical_points(
         f2 = _f_second_derivative(eta, delta, beta)
         cls = ("inflection" if abs(f2) < MARGINAL_F2_BAND
                else "local-max" if f2 < 0 else "local-min")
-        out.append(LandscapePoint(eta, maximize_B(eta, delta, beta, lam),
-                                  f_eta(eta, delta, beta, lam), cls))
+        out.append(LandscapePoint(eta, f_eta(eta, delta, beta, lam), cls))
     return out
 
 

@@ -134,7 +134,7 @@ def _logsumexp(values) -> float:
     if not vals:
         return NEG_INF
     hi = max(vals)
-    return hi + math.log(sum(math.exp(v - hi) for v in vals))
+    return float(hi + math.log(sum(math.exp(v - hi) for v in vals)))
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,16 @@ class PartitionTable:
     pinning: Pinning
     log_zhat_by_k: tuple
 
-    def log_z(self, lam: float) -> float:
-        """log Z(beta, lambda) = log sum_k lambda^k Zhat_k."""
+    def log_weights_by_k(self, lam: float) -> np.ndarray:
+        """log Zhat_k + k log lambda for k = 0..n, -inf at infeasible k: the
+        log weights of the plus-count under the grand-canonical measure."""
         if lam <= 0:
             raise InvalidInputError("lambda must be > 0")
-        ll = math.log(lam)
-        return _logsumexp(
-            v + k * ll for k, v in enumerate(self.log_zhat_by_k) if v != NEG_INF
-        )
+        return np.array(self.log_zhat_by_k) + np.arange(self.n + 1) * math.log(lam)
+
+    def log_z(self, lam: float) -> float:
+        """log Z(beta, lambda) = log sum_k lambda^k Zhat_k."""
+        return _logsumexp(self.log_weights_by_k(lam))
 
     def log_zhat(self, k: int) -> float:
         if not (0 <= k <= self.n):
@@ -316,14 +318,7 @@ def gibbs_law(logw: np.ndarray) -> np.ndarray:
 
 def size_distribution(table: PartitionTable, lam: float) -> np.ndarray:
     """Exact pmf of the plus-count X under the grand-canonical measure."""
-    if lam <= 0:
-        raise InvalidInputError("lambda must be > 0")
-    logs = np.array(
-        [
-            v + k * math.log(lam) if v != NEG_INF else NEG_INF
-            for k, v in enumerate(table.log_zhat_by_k)
-        ]
-    )
+    logs = table.log_weights_by_k(lam)
     if np.all(np.isneginf(logs)):
         raise DegenerateError("partition table is identically -inf")
     p = gibbs_law(logs)

@@ -13,10 +13,13 @@ Two bottleneck geometries:
     adjacent escape window.  One Kawasaki step moves one plus, changing two
     per-copy counts by one, so again S2 -> S1 passes through S3.
 
-Weights for these sets come either exactly (per-copy partition tables
-convolved by dynamic programming) or from the annealed finite-n surrogate
-E[Z_{G,k}], which first/second-moment bounds justify as a poly(n)-accurate
-proxy at local maximizers.
+Every band weight is a log weight.  Each spec's ``log_weights`` maps one
+per-k log-weight vector to the log weights of S1, S2 and S3 (for unions, by
+dynamic programming over the copies), and ``log_total`` to the log weight of
+every size.  The vector comes either exactly, from a partition table's
+``log_weights_by_k``, or from the annealed finite-n surrogate E[Z_{G,k}],
+which first/second-moment bounds justify as a poly(n)-accurate proxy at
+local maximizers.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import count, islice
 import numpy as np
 
 from .errors import InvalidInputError, NoNonuniquenessError
-from .graphs import Graph, UnionGraph
+from .graphs import Graph
 from .dynamics import CoupledKawasaki, _heat_bath, _kawasaki_swaps
 from .measures import (
     EMPTY_PINNING,
@@ -38,12 +41,11 @@ from .measures import (
     _logsumexp,
     exact_partition_table,
     monochromatic_edges,
-    size_distribution,
 )
 from .meanfield import annealed_log_EZ_per_k
 from .rng import as_rng
-from .thresholds import (beta_u, bisect_root, eta_minus, eta_of_fixed_point,
-                         eta_plus, lambda_u, tree_fixed_points)
+from .thresholds import (beta_u, bisect_root, eta_of_fixed_point, eta_plus,
+                         lambda_u, tree_fixed_points)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +57,6 @@ from .thresholds import (beta_u, bisect_root, eta_minus, eta_of_fixed_point,
 class GlauberBandSpec:
     """S1 = {k1}; S2 = [k2 +- inner]; S3 = the annulus (inner, outer]."""
 
-    kind = "glauber_eta_bands"
     n: int
     k1: int
     k2: int
@@ -73,6 +74,10 @@ class GlauberBandSpec:
                 f"|k1 - k2| = {abs(self.k1 - self.k2)} <= outer = {self.outer}"
             )
 
+    @property
+    def table_n(self) -> int:  # the per-k values cover sizes 0..table_n
+        return self.n
+
     def sets(self):
         s1 = {self.k1}
         s2 = set(range(max(0, self.k2 - self.inner),
@@ -85,6 +90,16 @@ class GlauberBandSpec:
         )
         return s1, s2, s3
 
+    def log_weights(self, values_by_k) -> dict:
+        """Log weights of S1, S2, S3: each set's log-sum of the per-k values."""
+        values = _per_k(self, values_by_k)
+        return {name: _logsumexp(values[sorted(band)])
+                for name, band in zip(("S1", "S2", "S3"), self.sets())}
+
+    def log_total(self, values_by_k) -> float:
+        """Log weight of every size."""
+        return _logsumexp(_per_k(self, values_by_k))
+
 
 @dataclass(frozen=True)
 class UnionBandSpec:
@@ -94,10 +109,11 @@ class UnionBandSpec:
     k_plus - eps - 1]) and just above the k_minus band.  With
     ``balanced_s1`` (the default), S1 puts every copy at exactly
     k_total / m; otherwise S1 mirrors S2 with the roles of the copy groups
-    swapped (the |eta| <= eta_c construction).
+    swapped (the |eta| <= eta_c construction).  The per-k values are those
+    of one copy, and a set's weight sums their products over the per-copy
+    size tuples with total k_total.
     """
 
-    kind = "kawasaki_union"
     base_n: int
     m: int
     ell: int
@@ -127,6 +143,10 @@ class UnionBandSpec:
             )
 
     @property
+    def table_n(self) -> int:
+        return self.base_n
+
+    @property
     def k_total(self) -> int:
         return self.ell * self.k_plus + (self.m - self.ell) * self.k_minus
 
@@ -150,10 +170,42 @@ class UnionBandSpec:
     def minus_escape(self):
         return (self.k_minus + self.eps + 1, self.k_minus + 2 * self.eps)
 
+    def log_weights(self, values_by_k) -> dict:
+        """Log weights of S1, S2, S3 from one pass over the copies."""
+        values = _per_k(self, values_by_k)
+        band_p = _window(values, *self.plus_band())
+        band_m = _window(values, *self.minus_band())
+        esc_p = _window(values, *self.plus_escape())
+        esc_m = _window(values, *self.minus_escape())
+        ell, rest = self.ell, self.m - self.ell
+        w2, w3 = _copy_pass([(band_p, esc_p)] * ell + [(band_m, esc_m)] * rest,
+                            self.k_total)
+        if self.balanced_s1:
+            w1 = self.m * values[self.k_balanced]
+        else:
+            w1 = w2  # the copies are exchangeable: the mirrored S1 is S2 relabelled
+        return {"S1": float(w1), "S2": w2, "S3": w3}
+
+    def log_total(self, values_by_k) -> float:
+        """Log weight of every per-copy size tuple with total k_total."""
+        values = _per_k(self, values_by_k)
+        no_escape = np.full(len(values), NEG_INF)
+        return _copy_pass([(values, no_escape)] * self.m, self.k_total)[0]
+
 
 # ---------------------------------------------------------------------------
-# Band weights: exact and annealed
+# Band weights: exact and annealed, as log weights
 # ---------------------------------------------------------------------------
+
+
+def _per_k(spec, values_by_k) -> np.ndarray:
+    """The per-k log values as an array, one for each k in [0, spec.table_n]."""
+    values = np.asarray(values_by_k, dtype=float)
+    if values.shape != (spec.table_n + 1,):
+        raise InvalidInputError(
+            f"need one value per size 0..{spec.table_n}, got {values.shape}"
+        )
+    return values
 
 
 def _window(values, lo, hi):
@@ -189,76 +241,27 @@ def _copy_pass(copies, total):
     return float(stay[total]), float(gone[total])
 
 
-def _union_set_logweights(spec: UnionBandSpec, values_by_k):
-    """Unnormalized log weights of S1, S2, S3 from per-k component values."""
-    values = np.asarray(values_by_k, dtype=float)
-    band_p = _window(values, *spec.plus_band())
-    band_m = _window(values, *spec.minus_band())
-    esc_p = _window(values, *spec.plus_escape())
-    esc_m = _window(values, *spec.minus_escape())
-    ell, rest = spec.ell, spec.m - spec.ell
-    w2, w3 = _copy_pass([(band_p, esc_p)] * ell + [(band_m, esc_m)] * rest,
-                        spec.k_total)
-    if spec.balanced_s1:
-        w1 = spec.m * values[spec.k_balanced]
-    else:
-        w1 = w2  # the copies are exchangeable: the mirrored S1 is S2 relabelled
-    return {"S1": float(w1), "S2": w2, "S3": w3}
+def annealed_band_weights(delta: int, beta: float, lam: float, spec) -> dict:
+    """Annealed surrogate log weights of S1/S2/S3 from E[Z_{G,k}], unnormalized."""
+    n = spec.table_n
+    return spec.log_weights(
+        [annealed_log_EZ_per_k(n, k, delta, beta, lam) for k in range(n + 1)])
 
 
-def annealed_band_weights(
-    n: int, delta: int, beta: float, lam: float, spec
-) -> dict:
-    """Annealed surrogate log weights of S1/S2/S3 using E[Z_{G,k}]."""
-    if isinstance(spec, GlauberBandSpec):
-        if spec.n != n:
-            raise InvalidInputError("spec.n differs from n")
-        values = [annealed_log_EZ_per_k(n, k, delta, beta, lam) for k in range(n + 1)]
-        s1, s2, s3 = spec.sets()
-        out = {}
-        for name, band in (("S1", s1), ("S2", s2), ("S3", s3)):
-            if not band:
-                raise InvalidInputError(f"band {name} is empty")
-            out[name] = _logsumexp(values[j] for j in sorted(band))
-        return out
-    if isinstance(spec, UnionBandSpec):
-        values = [
-            annealed_log_EZ_per_k(spec.base_n, k, delta, beta, lam)
-            for k in range(spec.base_n + 1)
-        ]
-        return _union_set_logweights(spec, values)
-    raise InvalidInputError(f"unknown spec type {type(spec).__name__}")
+def exact_band_weights(g: Graph, beta: float, spec, lam: float = 1.0) -> dict:
+    """Exact log probabilities of S1/S2/S3 from the partition table of ``g``.
+
+    Glauber bands are sizes of ``g`` under mu_{beta,lambda}; union bands are
+    copies of ``g`` under mu-hat at the union's total size, where lambda
+    cancels because every set shares that one total.
+    """
+    values = exact_partition_table(g, beta).log_weights_by_k(lam)
+    log_total = spec.log_total(values)
+    return {name: w - log_total for name, w in spec.log_weights(values).items()}
 
 
-def exact_band_weights(g_or_union, beta: float, spec, lam: float = None) -> dict:
-    """Exact probabilities of S1/S2/S3 under mu (glauber) or mu-hat (union)."""
-    if isinstance(spec, GlauberBandSpec):
-        if lam is None:
-            raise InvalidInputError("glauber bands need lambda")
-        table = exact_partition_table(g_or_union, beta)
-        pmf = size_distribution(table, lam)
-        s1, s2, s3 = spec.sets()
-        out = {
-            name: float(sum(pmf[j] for j in band))
-            for name, band in (("S1", s1), ("S2", s2), ("S3", s3))
-        }
-        assert sum(out.values()) <= 1.0 + 1e-9
-        return out
-    if isinstance(spec, UnionBandSpec):
-        base = (
-            g_or_union.base if isinstance(g_or_union, UnionGraph) else g_or_union
-        )
-        if base.n != spec.base_n:
-            raise InvalidInputError("base graph size differs from spec")
-        values = np.asarray(exact_partition_table(base, beta).log_zhat_by_k)
-        weights = _union_set_logweights(spec, values)
-        no_escape = np.full(len(values), NEG_INF)
-        log_z_total, _ = _copy_pass([(values, no_escape)] * spec.m, spec.k_total)
-        return {
-            name: math.exp(w - log_z_total) if w != NEG_INF else 0.0
-            for name, w in weights.items()
-        }
-    raise InvalidInputError(f"unknown spec type {type(spec).__name__}")
+# pi(S3)/pi(S2) below this flags a bottleneck
+BOTTLENECK_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -269,32 +272,23 @@ class ConductanceReport:
     disconnected: bool  # S3 empty while S1, S2 both carry mass
 
 
-def conductance_lower_bound_report(weights: dict, log_scale: bool = False,
-                                   flag_threshold: float = 1e-3) -> ConductanceReport:
-    """Ratio pi(S3)/pi(S2) and a bottleneck-evidence flag.
+def conductance_lower_bound_report(log_weights: dict) -> ConductanceReport:
+    """Ratio pi(S3)/pi(S2) from S1/S2/S3 log weights, and a bottleneck flag.
 
     The mixing-time content is indirect (via the conductance argument); the
     report only states the measured ratio and flags, never a mixing constant.
     """
-    w2, w3 = weights["S2"], weights["S3"]
-    if log_scale:
-        if w2 == NEG_INF:
-            raise InvalidInputError("S2 has zero weight")
-        if w3 == NEG_INF:
-            return ConductanceReport(0.0, NEG_INF, True, True)
-        log_ratio = w3 - w2
-        ratio = math.exp(log_ratio)
-    else:
-        if w2 <= 0:
-            raise InvalidInputError("S2 has zero weight")
-        ratio = w3 / w2
-        if ratio == 0.0:
-            return ConductanceReport(0.0, NEG_INF, True, True)
-        log_ratio = math.log(ratio)
+    w2, w3 = log_weights["S2"], log_weights["S3"]
+    if w2 == NEG_INF:
+        raise InvalidInputError("S2 has zero weight")
+    if w3 == NEG_INF:
+        return ConductanceReport(0.0, NEG_INF, True, True)
+    log_ratio = w3 - w2
+    ratio = math.exp(log_ratio)
     return ConductanceReport(
         ratio_s3_s2=ratio,
         log_ratio=log_ratio,
-        bottleneck_flag=ratio < flag_threshold,
+        bottleneck_flag=ratio < BOTTLENECK_RATIO,
         disconnected=False,
     )
 
@@ -326,6 +320,19 @@ class TraceSummary:
         return self.hit_minus < 0
 
 
+def _critical_etas(delta: int, beta: float, lam: float) -> list:
+    """Landscape critical points, in increasing order, from one tree solve:
+    the magnetizations of the tree fixed points."""
+    return [eta_of_fixed_point(fp.R, beta)
+            for fp in tree_fixed_points(delta, beta, lam)]
+
+
+def _half_min_gap(etas) -> float:
+    if len(etas) >= 2:
+        return min(b - a for a, b in zip(etas, etas[1:])) / 2
+    return min(0.1, (1 - abs(etas[0])) / 2)
+
+
 def default_band_epsilon(delta: int, beta: float, lam: float) -> float:
     """Half the minimum gap between adjacent landscape critical points.
 
@@ -334,19 +341,16 @@ def default_band_epsilon(delta: int, beta: float, lam: float) -> float:
     back to half the distance to the nearer magnetization boundary, capped
     at 0.1.
     """
-    etas = [eta_of_fixed_point(fp.R, beta)
-            for fp in tree_fixed_points(delta, beta, lam)]
-    if len(etas) >= 2:
-        return min(b - a for a, b in zip(etas, etas[1:])) / 2
-    eta0 = etas[0]
-    return min(0.1, (1 - abs(eta0)) / 2)
+    return _half_min_gap(_critical_etas(delta, beta, lam))
 
 
 def trace_bands(delta: int, beta: float, lam: float, eps: float = None):
+    """Bands of half-width eps (default_band_epsilon by default) around
+    eta+ and eta-, the outer critical points, all from one tree solve."""
+    etas = _critical_etas(delta, beta, lam)
     if eps is None:
-        eps = default_band_epsilon(delta, beta, lam)
-    ep = eta_plus(delta, beta, lam)
-    em = eta_minus(delta, beta, lam)
+        eps = _half_min_gap(etas)
+    ep, em = etas[-1], etas[0]
     return (ep - eps, ep + eps), (em - eps, em + eps)
 
 
@@ -560,10 +564,10 @@ def partition_ratio_bounds(g: Graph, beta: float, lam: float, k: int, t: int,
         table = exact_partition_table(g, beta)
     delta = g.delta_max
     n = g.n
+    log_w = table.log_weights_by_k(lam).tolist()
     margins_up, margins_down = [], []
     for kk in range(k, k + t):
-        log_zk = table.log_zhat(kk) + kk * math.log(lam)
-        log_zk1 = table.log_zhat(kk + 1) + (kk + 1) * math.log(lam)
+        log_zk, log_zk1 = log_w[kk], log_w[kk + 1]
         if log_zk == NEG_INF or log_zk1 == NEG_INF:
             raise InvalidInputError(f"empty size class at k={kk}")
         log_bound_up = (
@@ -632,8 +636,8 @@ def find_union_parameters(delta: int, beta: float, eta_target: float,
 
     def etas(lam):
         """(eta+, eta-) from one solve of the tree equation at lam."""
-        fps = tree_fixed_points(delta, beta, lam)
-        return eta_of_fixed_point(fps[-1].R, beta), eta_of_fixed_point(fps[0].R, beta)
+        crit = _critical_etas(delta, beta, lam)
+        return crit[-1], crit[0]
 
     def combo(e, m, ell):
         return ell * e[0] + (m - ell) * e[1] - m * eta_target

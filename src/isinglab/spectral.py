@@ -291,7 +291,6 @@ def local_to_global_gap_bound(zetas, ell: int) -> LocalToGlobalBound:
 class GapFactorizationReport:
     gap_full: float
     gap_pinned_inf: float
-    pinned_gaps: dict
     gap_kl: float
     product: float
     satisfied: bool
@@ -302,16 +301,11 @@ def gap_factorization_check(g: Graph, beta: float, k: int, ell: int,
     """Exact check of gap(P_{beta,k}) >= inf_U gap(P^U_{beta,k}) gap(P_{ell,beta,k})."""
     tm_full = build_transition_matrix(ChainKernel("downup", beta=beta, k=k), g)
     gap_full = spectral_gap(tm_full)
-    pinned_gaps = {}
-    if ell == 0:
-        pinned_gaps[frozenset()] = gap_full
-    else:
-        for u in combinations(range(g.n), ell):
-            tm_u = build_transition_matrix(
-                ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g
-            )
-            pinned_gaps[frozenset(u)] = spectral_gap(tm_u)
-    gap_inf = min(pinned_gaps.values())
+    gap_inf = gap_full if ell == 0 else min(
+        spectral_gap(build_transition_matrix(
+            ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g))
+        for u in combinations(range(g.n), ell)
+    )
     tm_kl = build_transition_matrix(
         ChainKernel("kl_downup", beta=beta, k=k, ell=ell), g
     )
@@ -320,7 +314,6 @@ def gap_factorization_check(g: Graph, beta: float, k: int, ell: int,
     return GapFactorizationReport(
         gap_full=gap_full,
         gap_pinned_inf=gap_inf,
-        pinned_gaps=pinned_gaps,
         gap_kl=gap_kl,
         product=product,
         satisfied=gap_full >= product - tol,
@@ -435,7 +428,6 @@ def edgeworth_pmf(kappas, ells, d: int) -> EdgeworthApprox:
 class LcltErrorReport:
     sup_error: float
     scaled_sup_error: float  # sup error * s
-    per_point: tuple
 
 
 def lclt_error(table: PartitionTable, lam: float, d: int,
@@ -447,12 +439,8 @@ def lclt_error(table: PartitionTable, lam: float, d: int,
     ks = [k for k in range(table.n + 1) if abs(k - mean) <= window]
     ells = [k - mean for k in ks]
     approx = edgeworth_pmf(kappas, ells, d)
-    errs = tuple(abs(pmf[k] - v) for k, v in zip(ks, approx.values))
-    sup = max(errs)
-    return LcltErrorReport(
-        sup_error=sup, scaled_sup_error=sup * approx.s,
-        per_point=tuple(zip(ks, errs)),
-    )
+    sup = max(abs(pmf[k] - v) for k, v in zip(ks, approx.values))
+    return LcltErrorReport(sup_error=sup, scaled_sup_error=sup * approx.s)
 
 
 @dataclass(frozen=True)
@@ -489,16 +477,16 @@ class CharacteristicBound:
 
 
 def characteristic_bound_probe(g: Graph, beta: float, lam: float,
-                               pinning: Pinning = EMPTY_PINNING,
-                               n_grid: int = 200) -> CharacteristicBound:
-    """Largest c with |E e^{itX}| <= e^{-c t^2 n} on a grid of t in [-pi, pi]."""
+                               pinning: Pinning = EMPTY_PINNING) -> CharacteristicBound:
+    """Largest c with |E e^{itX}| <= e^{-c t^2 n} on the 200-point grid of
+    t in (0, pi]."""
     table = exact_partition_table(g, beta, pinning)
     pmf = size_distribution(table, lam)
     ks = np.arange(table.n + 1)
     c_best = math.inf
     degenerate = False
-    for i in range(1, n_grid + 1):
-        t = math.pi * i / n_grid
+    for i in range(1, 201):
+        t = math.pi * i / 200
         phi = abs(np.sum(pmf * np.exp(1j * t * ks)))
         if phi >= 1.0 - 1e-15:
             degenerate = True

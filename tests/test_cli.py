@@ -89,7 +89,9 @@ def test_byte_identical_outputs(tmp_path):
 # SHA-256 of the data files these runs wrote before the chains moved to
 # incremental kernels; the kernels must reproduce them byte for byte.  The two
 # metastability entries were re-recorded when its replicas moved to the
-# make_rng(seed, stream) streams that --seed sets.
+# make_rng(seed, stream) streams that --seed sets.  The spectra-edgeworth and
+# exactcheck entries pin the size law, recorded before log_z and
+# size_distribution came to read one per-k log-weight vector.
 GOLDEN_TRACES = [
     (["simulate", "--chain", "glauber", "--n", "60", "--delta", "3",
       "--beta", "0.8", "--lam", "1.05", "--steps", "3000", "--thin", "3",
@@ -111,12 +113,19 @@ GOLDEN_TRACES = [
       "--beta", "1.2", "--eta", "0.3", "--n", "40", "--T", "3000",
       "--seeds", "2"], "traces.csv",
      "59a8d9ace01b4bbc7ac04fdacc7bc42fb93806eb1c2f76751c249367f8c9e22e"),
+    (["spectra", "--n", "18", "--delta", "3", "--beta", "0.8", "--lam", "1.05",
+      "--report", "edgeworth", "--seed", "1"], "spectra.json",
+     "37e312ed5ee25db4ee170872e95c3f21c2cac3fed32780b1ea740c64b09fd7a7"),
+    (["exactcheck", "--n", "9", "--delta", "4", "--k", "4", "--beta", "0.5",
+      "--lam", "1.2", "--seed", "1"], "exactcheck.json",
+     "a15458bd5e9853ef146e1dcf2c840f9e182adf21bc251b966aa0621b923be88c"),
 ]
 
 
 @pytest.mark.parametrize("argv,name,digest", GOLDEN_TRACES, ids=[
     "simulate-glauber", "simulate-kawasaki", "simulate-coupled",
-    "metastability-glauber", "metastability-union",
+    "metastability-glauber", "metastability-union", "spectra-edgeworth",
+    "exactcheck",
 ])
 def test_golden_trace_hashes(tmp_path, argv, name, digest):
     assert run(argv + ["--out", str(tmp_path)]) == 0
@@ -591,3 +600,25 @@ def test_manifest_records_parameters(tmp_path):
     assert manifest["parameters"]["beta"] == 0.8
     assert "isinglab_version" in manifest and "numpy_version" in manifest
     assert "thresholds.json" in manifest["outputs"]
+
+
+def test_manifest_records_resolved_defaults(tmp_path):
+    """T and start that a handler fills in reach the manifest; the data files
+    do not change with it."""
+    argv = ["metastability", "--mode", "glauber", "--delta", "3", "--beta", "1.2",
+            "--lam", "1.01", "--n", "20", "--seeds", "1"]
+    assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+    params = json.loads((tmp_path / "a" / "manifest.json").read_text())["parameters"]
+    assert params["T"] == int(100 * 20 * math.log(20)) == 5991
+    assert params["start"] == "all_minus"
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert summary["T"] == 5991 and "start" not in summary
+    assert run(argv + ["--T", "5991", "--start", "all_minus",
+                       "--out", str(tmp_path / "b")]) == 0
+    for name in ("summary.json", "traces.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert run(["simulate", "--chain", "kawasaki", "--n", "10", "--delta", "3",
+                "--beta", "0.5", "--k", "4", "--steps", "20",
+                "--out", str(tmp_path / "c")]) == 0
+    params = json.loads((tmp_path / "c" / "manifest.json").read_text())["parameters"]
+    assert params["start"] == "band_sample"

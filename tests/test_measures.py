@@ -195,6 +195,19 @@ def test_spin_flip_symmetry_of_cubic_24_table():
         assert math.isclose(z[k], z[g.n - k], rel_tol=1e-12), k
 
 
+@pytest.mark.parametrize("pinning", [{}, {0: 1, 3: -1}])
+def test_log_weights_by_k(pinning):
+    """log Zhat_k + k log lambda by k, -inf where the pinning leaves no state."""
+    t = exact_partition_table(cycle_graph(6), 0.7, Pinning(pinning))
+    lam = 1.3
+    w = t.log_weights_by_k(lam)
+    assert w.shape == (7,)
+    for k, (got, v) in enumerate(zip(w, t.log_zhat_by_k)):
+        assert got == (NEG_INF if v == NEG_INF else v + k * math.log(lam))
+    with pytest.raises(InvalidInputError):
+        t.log_weights_by_k(0.0)
+
+
 def test_size_distribution_k2_beta0():
     t = exact_partition_table(complete_graph(2), beta=0.0)
     assert np.allclose(size_distribution(t, 1.0), [0.25, 0.5, 0.25])

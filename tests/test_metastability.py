@@ -83,9 +83,9 @@ def test_annealed_symmetric_bands_equal_weight():
     k_hi = int(round(n * (1 + eta_c) / 2))
     k_lo = n - k_hi
     spec = GlauberBandSpec(n=n, k1=k_hi, k2=k_lo, inner=2, outer=4)
-    w = annealed_band_weights(n, delta, beta, 1.0, spec)
+    w = annealed_band_weights(delta, beta, 1.0, spec)
     spec_mirror = GlauberBandSpec(n=n, k1=k_lo, k2=k_hi, inner=2, outer=4)
-    w_m = annealed_band_weights(n, delta, beta, 1.0, spec_mirror)
+    w_m = annealed_band_weights(delta, beta, 1.0, spec_mirror)
     assert math.isclose(w["S2"], w_m["S2"], rel_tol=1e-10)
     assert math.isclose(w["S1"], w_m["S1"], rel_tol=1e-10)
 
@@ -100,7 +100,7 @@ def test_annealed_s2_below_s1_with_clear_field_gap():
     k2 = int(round(n * (1 + em) / 2))
     spec = GlauberBandSpec(n=n, k1=k1, k2=k2,
                            inner=round(0.05 * n), outer=round(0.10 * n))
-    w = annealed_band_weights(n, delta, beta, lam, spec)
+    w = annealed_band_weights(delta, beta, lam, spec)
     assert w["S2"] < w["S1"]
     assert w["S3"] < w["S2"]
     assert f_eta(em, delta, beta, lam) < f_eta(ep, delta, beta, lam)
@@ -116,7 +116,7 @@ def test_annealed_s2_below_s1_beyond_lambda_u():
     k1 = int(round(n * (1 + ep) / 2))
     k2 = int(round(n * (1 + eta2) / 2))
     spec = GlauberBandSpec(n=n, k1=k1, k2=k2, inner=5, outer=10)
-    w = annealed_band_weights(n, delta, beta, lam, spec)
+    w = annealed_band_weights(delta, beta, lam, spec)
     assert w["S2"] < w["S1"]
     assert f_eta(eta2, delta, beta, lam) < f_eta(ep, delta, beta, lam)
 
@@ -130,14 +130,14 @@ def test_annealed_s3_below_both_uses_landscape():
     k1 = int(round(n * (1 + eta_plus(delta, beta, lam)) / 2))
     spec = GlauberBandSpec(n=n, k1=k1, k2=k2,
                            inner=round(0.05 * n), outer=round(0.10 * n))
-    w = annealed_band_weights(n, delta, beta, lam, spec)
+    w = annealed_band_weights(delta, beta, lam, spec)
     assert w["S3"] < w["S1"] and w["S3"] < w["S2"]
 
 
 def test_exact_union_masses_sum_below_one():
     base = cycle_graph(6)
     spec = UnionBandSpec(base_n=6, m=2, ell=1, k_plus=6, k_minus=0, eps=1)
-    w = exact_band_weights(base, 1.0, spec)
+    w = {name: math.exp(v) for name, v in exact_band_weights(base, 1.0, spec).items()}
     assert 0 <= w["S3"] and w["S1"] > 0 and w["S2"] > 0
     assert w["S1"] + w["S2"] + w["S3"] <= 1 + 1e-12
 
@@ -163,7 +163,7 @@ def test_exact_vs_annealed_sign_agreement_union_bands():
     beta = 1.0
     spec = UnionBandSpec(base_n=6, m=2, ell=1, k_plus=6, k_minus=0, eps=1)
     exact = exact_band_weights(base, beta, spec)
-    ann = annealed_band_weights(6, 2, beta, 1.0, spec)
+    ann = annealed_band_weights(2, beta, 1.0, spec)
     # S3 guards S2 in both: exact and annealed agree the annulus is lighter
     assert (exact["S3"] < exact["S2"]) == (ann["S3"] < ann["S2"])
 
@@ -248,13 +248,15 @@ def test_union_weights_match_brute_force(base_name, m, ell, k_plus, k_minus,
     exact = exact_band_weights(base, beta, spec)
     for name in ("S1", "S2", "S3"):
         want = math.exp(brute[name] - brute["all"])
-        assert math.isclose(exact[name], want, rel_tol=1e-12), name
+        assert math.isclose(math.exp(exact[name]), want, rel_tol=1e-12), name
+    assert math.isclose(spec.log_total(table.log_zhat_by_k), brute["all"],
+                        rel_tol=1e-12)
 
     delta = base.delta_max
     values = [annealed_log_EZ_per_k(base.n, k, delta, beta, lam)
               for k in range(base.n + 1)]
     brute = _brute_union_logweights(spec, values)
-    ann = annealed_band_weights(base.n, delta, beta, lam, spec)
+    ann = annealed_band_weights(delta, beta, lam, spec)
     for name in ("S1", "S2", "S3"):
         assert math.isclose(ann[name], brute[name], rel_tol=1e-12), name
 
@@ -266,26 +268,46 @@ def test_exact_glauber_band_masses_match_pmf():
     pmf = size_distribution(table, lam)
     spec = GlauberBandSpec(n=4, k1=4, k2=1, inner=1, outer=2)
     w = exact_band_weights(g, beta, spec, lam=lam)
-    assert math.isclose(w["S1"], pmf[4], rel_tol=1e-12)
-    assert math.isclose(w["S2"], pmf[0] + pmf[1] + pmf[2], rel_tol=1e-12)
-    assert math.isclose(w["S3"], pmf[3], rel_tol=1e-12)
+    assert math.isclose(math.exp(w["S1"]), pmf[4], rel_tol=1e-12)
+    assert math.isclose(math.exp(w["S2"]), pmf[0] + pmf[1] + pmf[2], rel_tol=1e-12)
+    assert math.isclose(math.exp(w["S3"]), pmf[3], rel_tol=1e-12)
+
+
+def test_exact_glauber_band_weights_are_table_sums():
+    """Each set's log weight is the log-sum of the table's log weights over
+    its sizes, less log Z; the spec refuses a vector of the wrong length."""
+    g = random_regular(10, 3, seed=2)
+    beta, lam = 0.8, 0.9
+    table = exact_partition_table(g, beta)
+    spec = GlauberBandSpec(n=10, k1=9, k2=3, inner=1, outer=3)
+    w = exact_band_weights(g, beta, spec, lam=lam)
+    log_w = table.log_weights_by_k(lam)
+    for name, band in zip(("S1", "S2", "S3"), spec.sets()):
+        want = math.log(sum(math.exp(log_w[j]) for j in band)) - table.log_z(lam)
+        assert math.isclose(w[name], want, rel_tol=1e-12), name
+    assert spec.log_total(log_w) == table.log_z(lam)
+    with pytest.raises(InvalidInputError, match="one value per size"):
+        spec.log_weights(log_w[:-1])
+    with pytest.raises(InvalidInputError, match="one value per size"):
+        exact_band_weights(cycle_graph(6), 1.0, UnionBandSpec(
+            base_n=8, m=2, ell=1, k_plus=7, k_minus=1, eps=1))
 
 
 def test_conductance_report_disconnected():
-    rep = conductance_lower_bound_report({"S2": 0.3, "S3": 0.0})
+    rep = conductance_lower_bound_report({"S2": math.log(0.3), "S3": NEG_INF})
     assert rep.disconnected
     assert rep.ratio_s3_s2 == 0.0
     assert rep.log_ratio == NEG_INF
 
 
 def test_conductance_report_ratio():
-    rep = conductance_lower_bound_report({"S2": 0.5, "S3": 0.0001})
+    rep = conductance_lower_bound_report({"S2": math.log(0.5), "S3": math.log(0.0001)})
     assert math.isclose(rep.ratio_s3_s2, 2e-4)
     assert rep.bottleneck_flag
-    rep2 = conductance_lower_bound_report({"S2": -3.0, "S3": -30.0}, log_scale=True)
+    rep2 = conductance_lower_bound_report({"S2": -3.0, "S3": -30.0})
     assert rep2.bottleneck_flag
     with pytest.raises(InvalidInputError):
-        conductance_lower_bound_report({"S2": 0.0, "S3": 0.1})
+        conductance_lower_bound_report({"S2": NEG_INF, "S3": math.log(0.1)})
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +364,20 @@ def test_dwell_fractions_sum_below_one_with_coinciding_bands():
                            record_every=1000, band_plus=bp, band_minus=bm)
     assert tr.dwell_plus + tr.dwell_minus <= 1.0
     assert tr.hit_plus >= 0 and tr.hit_minus >= 0
+
+
+@pytest.mark.parametrize("delta, beta, lam", [
+    (3, 1.2, 1.01), (4, LN2 + 0.1, 1.01), (3, 1.2, 1.0), (3, 1.2, 1.6),
+])
+def test_trace_bands_match_separate_solves(delta, beta, lam):
+    """One tree solve gives the same floats as eta+, eta- and the default
+    half-width solved one at a time."""
+    eps = default_band_epsilon(delta, beta, lam)
+    ep, em = eta_plus(delta, beta, lam), eta_minus(delta, beta, lam)
+    assert trace_bands(delta, beta, lam) == ((ep - eps, ep + eps),
+                                             (em - eps, em + eps))
+    assert trace_bands(delta, beta, lam, eps=0.05) == ((ep - 0.05, ep + 0.05),
+                                                       (em - 0.05, em + 0.05))
 
 
 def test_default_band_epsilon_regimes():
