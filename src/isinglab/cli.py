@@ -271,14 +271,16 @@ def cmd_simulate(args, ctx: RunContext) -> int:
         trace_rows_glauber,
         trace_rows_kawasaki,
     )
+    from .rng import make_rng
 
     g = _load_graph(args)
+    rng = make_rng(args.seed, 1)  # trace stream; a --n graph takes stream 0
     if args.chain == "glauber":
         if args.lam is None:
             raise InvalidInputError("glauber needs --lam")
         args.start = args.start or "all_minus"
         rows = trace_rows_glauber(
-            g, args.beta, args.lam, args.start, args.steps, args.seed, thin=args.thin
+            g, args.beta, args.lam, args.start, args.steps, rng, thin=args.thin
         )
         header = ["t", "plus_count", "mono_edges", "eta"]
     elif args.chain == "kawasaki":
@@ -286,14 +288,14 @@ def cmd_simulate(args, ctx: RunContext) -> int:
             raise InvalidInputError("kawasaki needs --k")
         args.start = args.start or "band_sample"
         rows = trace_rows_kawasaki(
-            g, args.beta, args.k, args.start, args.steps, args.seed, thin=args.thin
+            g, args.beta, args.k, args.start, args.steps, rng, thin=args.thin
         )
         header = ["t", "plus_count", "mono_edges", "eta"]
     elif args.chain == "coupled-kawasaki":
         if args.k is None:
             raise InvalidInputError("coupled-kawasaki needs --k")
         rows = trace_rows_coupled(
-            g, args.beta, args.k, args.phi, args.steps, args.seed, thin=args.thin
+            g, args.beta, args.k, args.phi, args.steps, rng, thin=args.thin
         )
         header = ["t", "n_disagree", "n_bad", "rho"]
     else:

@@ -12,9 +12,10 @@ Chains:
 
 Each chain has one update.  ``_heat_bath`` and ``_kawasaki_swaps`` run T
 Glauber updates or Kawasaki swaps in O(Delta) per step; the long traces in
-``metastability`` and the single-step functions (T = 1) both run them.  Both
-down-up walks resample from one conditional law: ``gibbs_law`` over the
-``fixed_k_states`` that contain the kept plus set.
+``metastability`` and the single-step functions (T = 1) both run them.  The
++1 down-up step resamples from the conditional law (``_resample``:
+``gibbs_law`` over the ``fixed_k_states`` that contain the kept plus set);
+the (k, l) walk has an exact kernel only.
 
 On enumerable instances every kernel can also be realized as an explicit
 row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
@@ -46,7 +47,6 @@ from .measures import (
 )
 from .rng import as_rng
 
-EXACT_SUPPORT_CAP = 200_000  # states enumerated for one exact (k, l) resample
 DENSE_KERNEL_BYTES = 512 << 20  # dense view P: at most 8 192 states
 # A build peaks near 35 bytes per nonzero, measured as peak RSS growth on a
 # random cubic graph: C(20, 10) = 184 756 Kawasaki states (18.7 M nonzeros)
@@ -231,26 +231,6 @@ def downup_step(g: Graph, beta: float, k: int, plus_pinning: Pinning,
         raise InvalidInputError("need at least one unpinned plus")
     v = free_plus[int(rng.integers(len(free_plus)))]
     return _resample(g, beta, set(plus) - {v}, 1, rng)
-
-
-def kl_downup_step(g: Graph, beta: float, k: int, ell: int,
-                   sigma: SpinConfiguration, rng):
-    """One (k, l)-down-up transition: keep a uniform l-subset of pluses and
-    resample the rest from the conditional fixed-magnetization measure.
-
-    The resample enumerates its C(n - l, k - l) completions, at most
-    EXACT_SUPPORT_CAP of them.
-    """
-    rng = as_rng(rng)
-    if not (0 <= ell <= k - 1):
-        raise InvalidInputError("need 0 <= ell <= k-1")
-    if sigma.plus_count != k:
-        raise InvalidInputError("configuration plus-count differs from k")
-    if math.comb(g.n - ell, k - ell) > EXACT_SUPPORT_CAP:
-        raise TooLargeError("conditional support too large for exact resampling")
-    plus = [v for v in range(g.n) if sigma.spins[v] == 1]
-    keep = {plus[i] for i in rng.choice(len(plus), size=ell, replace=False)}
-    return _resample(g, beta, keep, k - ell, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import Counter
 from functools import cached_property
 
 from .errors import InvalidInputError, RetriesExhaustedError
 from .rng import as_rng
+
+SIMPLE_RETRY_CAP = 1000  # configuration-model draws for one simple graph
 
 
 @dataclass(frozen=True)
@@ -93,16 +95,10 @@ def validate_graph(g: Graph) -> None:
 
 @dataclass(frozen=True)
 class UnionGraph:
-    """m disjoint copies of a base graph, with vertex -> copy bookkeeping."""
+    """Disjoint copies of a base graph, with vertex -> copy bookkeeping."""
 
-    base: Graph
-    m: int
-    graph: Graph = field(compare=False)
-    component_of: list = field(compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
+    graph: Graph
+    component_of: list
 
 
 def _has_loop_or_parallel(adjacency) -> bool:
@@ -114,13 +110,12 @@ def _has_loop_or_parallel(adjacency) -> bool:
     return False
 
 
-def random_regular(n: int, delta: int, seed, simple: bool = False,
-                   max_retries: int = 1000) -> Graph:
+def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
     """Sample a delta-regular multigraph from the configuration model.
 
     Takes delta half-edge copies of every vertex and pairs them by a uniform
     perfect matching.  With ``simple=True``, rejection-samples until the
-    result has no self-loop or parallel edge (cap ``max_retries``).
+    result has no self-loop or parallel edge (at most SIMPLE_RETRY_CAP draws).
     """
     if n < 2:
         raise InvalidInputError("need n >= 2")
@@ -129,7 +124,7 @@ def random_regular(n: int, delta: int, seed, simple: bool = False,
     if (n * delta) % 2 != 0:
         raise InvalidInputError(f"n*delta = {n * delta} must be even")
     rng = as_rng(seed)
-    for _ in range(max_retries if simple else 1):
+    for _ in range(SIMPLE_RETRY_CAP if simple else 1):
         stubs = [v for v in range(n) for _ in range(delta)]
         perm = rng.permutation(n * delta)
         adjacency = [[] for _ in range(n)]
@@ -140,7 +135,7 @@ def random_regular(n: int, delta: int, seed, simple: bool = False,
         if not simple or not _has_loop_or_parallel(adjacency):
             return Graph(n=n, adjacency=adjacency, delta_max=delta)
     raise RetriesExhaustedError(
-        f"no simple graph found in {max_retries} configuration-model draws"
+        f"no simple graph found in {SIMPLE_RETRY_CAP} configuration-model draws"
     )
 
 
@@ -156,7 +151,7 @@ def disjoint_union(base: Graph, m: int) -> UnionGraph:
         adjacency.extend([w + off for w in nbrs] for nbrs in base.adjacency)
         component_of.extend([i] * n)
     graph = Graph(n=m * n, adjacency=adjacency, delta_max=base.delta_max)
-    return UnionGraph(base=base, m=m, graph=graph, component_of=component_of)
+    return UnionGraph(graph=graph, component_of=component_of)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -201,24 +196,3 @@ def read_edge_list(path) -> Graph:
                 adjacency[u].append(u)
     return Graph(n=n, adjacency=adjacency, delta_max=delta_max)
 
-
-# Small named graphs used throughout the test rig.
-
-def complete_graph(n: int) -> Graph:
-    adjacency = [[w for w in range(n) if w != u] for u in range(n)]
-    return Graph(n=n, adjacency=adjacency, delta_max=max(n - 1, 0))
-
-
-def path_graph(n: int) -> Graph:
-    adjacency = [[] for _ in range(n)]
-    for u in range(n - 1):
-        adjacency[u].append(u + 1)
-        adjacency[u + 1].append(u)
-    return Graph(n=n, adjacency=adjacency, delta_max=2 if n > 2 else 1)
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InvalidInputError("cycle needs n >= 3")
-    adjacency = [[(u - 1) % n, (u + 1) % n] for u in range(n)]
-    return Graph(n=n, adjacency=adjacency, delta_max=2)

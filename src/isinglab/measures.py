@@ -100,13 +100,6 @@ class SpinConfiguration:
             mono_edges=monochromatic_edges(g, spins),
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.spins)
-
-    def magnetization(self) -> float:
-        return (2 * self.plus_count - self.n) / self.n
-
 
 def k_of_eta(n: int, eta: float) -> int:
     """Size convention k = floor(n (eta + 1) / 2), as used throughout."""
@@ -360,68 +353,6 @@ def cumulants_of_size(table: PartitionTable, lam: float, j_max: int) -> Cumulant
         kap[j] = acc
     kap[1] = mean
     return CumulantResult(kappas=tuple(kap[1:]), degenerate=False)
-
-
-def cumulants_by_t_derivative(
-    g: Graph, beta: float, lam: float, pinning: Pinning = EMPTY_PINNING,
-    j_max: int = 3, step: float = 1e-3,
-) -> tuple:
-    """Cross-check route: central finite differences of t -> log Z(lambda e^t)."""
-    if j_max > 3:
-        raise InvalidInputError("finite-difference route supports j_max <= 3")
-    table = exact_partition_table(g, beta, pinning)
-
-    def K(t):
-        return table.log_z(lam * math.exp(t))
-
-    h = step
-    k1 = (K(h) - K(-h)) / (2 * h)
-    k2 = (K(h) - 2 * K(0.0) + K(-h)) / h**2
-    k3 = (K(2 * h) - 2 * K(h) + 2 * K(-h) - K(-2 * h)) / (2 * h**3)
-    return (k1, k2, k3)[:j_max]
-
-
-def _check_consistent(sigma: SpinConfiguration, pinning: Pinning) -> None:
-    for v, s in pinning.assignments.items():
-        if sigma.spins[v] != s:
-            raise InvalidInputError(f"configuration contradicts pinning at {v}")
-
-
-def gibbs_prob(
-    g: Graph,
-    params: IsingParams,
-    pinning: Pinning,
-    sigma: SpinConfiguration,
-    table: PartitionTable = None,
-) -> float:
-    """Exact mu^{tau_U}_{beta,lambda}(sigma) via the partition table."""
-    _check_consistent(sigma, pinning)
-    if table is None:
-        table = exact_partition_table(g, params.beta, pinning)
-    log_w = sigma.plus_count * math.log(params.lam) + params.beta * sigma.mono_edges
-    return math.exp(log_w - table.log_z(params.lam))
-
-
-def fixed_mag_prob(
-    g: Graph,
-    beta: float,
-    k: int,
-    pinning: Pinning,
-    sigma: SpinConfiguration,
-    table: PartitionTable = None,
-) -> float:
-    """Exact mu-hat^{tau_U}_{beta,k}(sigma) via the partition table."""
-    _check_consistent(sigma, pinning)
-    if sigma.plus_count != k:
-        raise InvalidInputError(
-            f"configuration has plus-count {sigma.plus_count}, expected k={k}"
-        )
-    if table is None:
-        table = exact_partition_table(g, beta, pinning)
-    log_zhat = table.log_zhat(k)
-    if log_zhat == NEG_INF:
-        raise InvalidInputError(f"Omega_k empty for k={k} under this pinning")
-    return math.exp(beta * sigma.mono_edges - log_zhat)
 
 
 def mono_counts(g: Graph, X: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from .dynamics import CoupledKawasaki, _heat_bath, _kawasaki_swaps
 from .measures import (
     EMPTY_PINNING,
     NEG_INF,
-    PartitionTable,
     _logsumexp,
     exact_partition_table,
     monochromatic_edges,
@@ -311,14 +310,6 @@ class TraceSummary:
     hit_plus: int  # first step entering the plus band; -1 if censored
     hit_minus: int
 
-    @property
-    def censored_plus(self) -> bool:
-        return self.hit_plus < 0
-
-    @property
-    def censored_minus(self) -> bool:
-        return self.hit_minus < 0
-
 
 def _critical_etas(delta: int, beta: float, lam: float) -> list:
     """Landscape critical points, in increasing order, from one tree solve:
@@ -456,32 +447,6 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
     return {"component_counts": traj, "spins": spins}
 
 
-def mc_band_occupancy_ratio(g: Graph, beta: float, lam: float,
-                            spec: GlauberBandSpec, T: int, seed) -> dict:
-    """Censored long-run estimate of pi(S3)/pi(S2) from an S2 start.
-
-    Runs Glauber from a uniform size-k2 configuration and counts per-step
-    occupancy of the S2 band and the S3 annulus; the run is right-censored
-    at T, so with an exponential bottleneck the ratio estimates the
-    conditional measure inside the metastable well.
-    """
-    rng = as_rng(seed)
-    spins = _start_spins(g, "band_sample", rng, k=spec.k2)
-    _, s2, s3 = spec.sets()
-    in_s2 = in_s3 = 0
-    for plus, _ in islice(_heat_bath(g, beta, lam, spins, rng, T), 1, None):
-        if plus in s2:
-            in_s2 += 1
-        elif plus in s3:
-            in_s3 += 1
-    return {
-        "occupancy_s2": in_s2 / T,
-        "occupancy_s3": in_s3 / T,
-        "ratio": (in_s3 / in_s2) if in_s2 else math.inf,
-        "censored_at": T,
-    }
-
-
 def trace_rows_glauber(g: Graph, beta: float, lam: float, start: str, T: int,
                        seed, thin: int = 1) -> list:
     """Glauber trajectory rows (t, plus_count, mono_edges, eta)."""
@@ -528,65 +493,6 @@ def trace_rows_coupled(g: Graph, beta: float, k: int, phi: float, T: int,
     return rows
 
 
-def overlap(sigma, sigma_prime) -> float:
-    """nu(sigma, sigma') = (sigma . sigma') / n."""
-    a = np.asarray(sigma, dtype=float)
-    b = np.asarray(sigma_prime, dtype=float)
-    if a.shape != b.shape:
-        raise InvalidInputError("configurations must have equal length")
-    return float(a @ b / len(a))
-
-
-# ---------------------------------------------------------------------------
-# Partition-ratio bounds
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PartitionRatioReport:
-    satisfied: bool
-    min_margin_up: float  # min over steps of log(Z_{k+1}/Z_k) - log bound
-    min_margin_down: float
-    tight: bool  # both margins ~ 0 (the beta = 0 case)
-
-
-def partition_ratio_bounds(g: Graph, beta: float, lam: float, k: int, t: int,
-                           table: PartitionTable = None) -> PartitionRatioReport:
-    """One-step bounds Z_{k+1}/Z_k >= ((n-k)/(k+1)) lam e^{-2 delta beta}
-    and the spin-flip mirror Z_k/Z_{k+1} >= ((k+1)/(n-k)) lam^{-1} e^{-2 delta beta},
-    checked on exact tables for each step k .. k+t-1.
-    """
-    if not (0 <= k <= k + t <= g.n):
-        raise InvalidInputError("need 0 <= k <= k+t <= n")
-    if t < 1:
-        raise InvalidInputError("need t >= 1")
-    if table is None:
-        table = exact_partition_table(g, beta)
-    delta = g.delta_max
-    n = g.n
-    log_w = table.log_weights_by_k(lam).tolist()
-    margins_up, margins_down = [], []
-    for kk in range(k, k + t):
-        log_zk, log_zk1 = log_w[kk], log_w[kk + 1]
-        if log_zk == NEG_INF or log_zk1 == NEG_INF:
-            raise InvalidInputError(f"empty size class at k={kk}")
-        log_bound_up = (
-            math.log(n - kk) - math.log(kk + 1) + math.log(lam) - 2 * delta * beta
-        )
-        log_bound_down = (
-            math.log(kk + 1) - math.log(n - kk) - math.log(lam) - 2 * delta * beta
-        )
-        margins_up.append((log_zk1 - log_zk) - log_bound_up)
-        margins_down.append((log_zk - log_zk1) - log_bound_down)
-    mu, md = min(margins_up), min(margins_down)
-    return PartitionRatioReport(
-        satisfied=(mu >= -1e-12 and md >= -1e-12),
-        min_margin_up=mu,
-        min_margin_down=md,
-        tight=(abs(mu) <= 1e-12 and abs(md) <= 1e-12),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Union construction parameters
 # ---------------------------------------------------------------------------
@@ -608,8 +514,11 @@ class UnionParameters:
         )
 
 
-def find_union_parameters(delta: int, beta: float, eta_target: float,
-                          m_max: int = 40) -> UnionParameters:
+UNION_M_MAX = 40  # largest number of copies find_union_parameters tries
+
+
+def find_union_parameters(delta: int, beta: float,
+                          eta_target: float) -> UnionParameters:
     """Smallest (m, l) and the field lam_plus realizing the target magnetization.
 
     Solves l eta+(lam) + (m - l) eta-(lam) = m eta over lam in (1, lambda_u)
@@ -626,7 +535,7 @@ def find_union_parameters(delta: int, beta: float, eta_target: float,
 
     if abs(eta_target) <= eta_c:
         theta = Fraction(eta_target + eta_c) / Fraction(2 * eta_c)
-        approx = theta.limit_denominator(m_max)
+        approx = theta.limit_denominator(UNION_M_MAX)
         if 0 < approx < 1 and abs(float(approx) - float(theta)) < 1e-12:
             m, ell = approx.denominator, approx.numerator
             return UnionParameters(
@@ -644,7 +553,7 @@ def find_union_parameters(delta: int, beta: float, eta_target: float,
 
     lam_lo, lam_hi = 1.0 + 1e-9, lu - 1e-9
     e_lo, e_hi = etas(lam_lo), etas(lam_hi)
-    for m in range(2, m_max + 1):
+    for m in range(2, UNION_M_MAX + 1):
         for ell in range(1, m):
             f_lo, f_hi = combo(e_lo, m, ell), combo(e_hi, m, ell)
             if f_lo == 0.0:
@@ -662,5 +571,5 @@ def find_union_parameters(delta: int, beta: float, eta_target: float,
             if params.residual() <= 1e-10:
                 return params
     raise InvalidInputError(
-        f"no (m, l) with m <= {m_max} realizes eta = {eta_target}"
+        f"no (m, l) with m <= {UNION_M_MAX} realizes eta = {eta_target}"
     )

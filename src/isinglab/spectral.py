@@ -33,6 +33,9 @@ from .measures import (
 from .dynamics import ChainKernel, TransitionMatrix, build_transition_matrix
 from .rng import make_rng
 
+FACTORIZATION_TOL = 1e-12  # slack allowed in gap_factorization_check
+LCLT_WINDOW = 2  # lclt_error's plus-counts lie within this of the mean
+
 
 # ---------------------------------------------------------------------------
 # Spectral gap and mixing time
@@ -64,24 +67,12 @@ def _second_eigenvalue(tm: TransitionMatrix) -> float:
     return float(top.min())
 
 
-def spectral_gap(tm: TransitionMatrix, variational_samples: int = 0) -> float:
+def spectral_gap(tm: TransitionMatrix) -> float:
     """Poincare constant 1 - lambda_2 of a reversible kernel.
 
-    Reversibility was checked when ``tm`` was built.  With
-    ``variational_samples`` > 0, also checks gap <= E(f, f)/Var(f) on random
-    test functions, which holds for every f by the variational
-    characterization; f is drawn from ``make_rng(0, 1)``, a stream apart from
-    the solver's start vector.
+    Reversibility was checked when ``tm`` was built.
     """
-    gap = 1.0 - _second_eigenvalue(tm)
-    if variational_samples:
-        rng = make_rng(0, 1)
-        for _ in range(variational_samples):
-            f = rng.normal(size=len(tm.pi))
-            q = dirichlet_quotient(tm, f)
-            if q is not None and gap > q + 1e-8:
-                raise AssertionError(f"gap {gap} exceeds a Dirichlet quotient {q}")
-    return float(gap)
+    return float(1.0 - _second_eigenvalue(tm))
 
 
 def dirichlet_quotient(tm: TransitionMatrix, f: np.ndarray):
@@ -102,25 +93,6 @@ def mixing_time_upper(tm: TransitionMatrix, gap: float = None) -> float:
     if gap <= 0:
         raise DegenerateError("zero spectral gap; no mixing bound")
     return (1.0 / gap) * math.log(4.0 / tm.pi.min())
-
-
-def exact_mixing_time(tm: TransitionMatrix, lazy: bool = True,
-                      max_steps: int = 1_000_000) -> int:
-    """First t with worst-start total variation <= 1/4, by matrix powers.
-
-    Raw Kawasaki on two states is periodic and never mixes; the default runs
-    the lazy kernel (I + P)/2.
-    """
-    if len(tm.states) > 4000:
-        raise InvalidInputError("exact mixing time limited to <= 4000 states")
-    P = 0.5 * (np.eye(len(tm.states)) + tm.P) if lazy else tm.P
-    M = np.eye(len(tm.states))
-    for t in range(1, max_steps + 1):
-        M = M @ P
-        tv = 0.5 * np.max(np.abs(M - tm.pi[None, :]).sum(axis=1))
-        if tv <= 0.25:
-            return t
-    raise DegenerateError(f"chain did not mix within {max_steps} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +268,8 @@ class GapFactorizationReport:
     satisfied: bool
 
 
-def gap_factorization_check(g: Graph, beta: float, k: int, ell: int,
-                            tol: float = 1e-12) -> GapFactorizationReport:
+def gap_factorization_check(g: Graph, beta: float, k: int,
+                            ell: int) -> GapFactorizationReport:
     """Exact check of gap(P_{beta,k}) >= inf_U gap(P^U_{beta,k}) gap(P_{ell,beta,k})."""
     tm_full = build_transition_matrix(ChainKernel("downup", beta=beta, k=k), g)
     gap_full = spectral_gap(tm_full)
@@ -316,7 +288,7 @@ def gap_factorization_check(g: Graph, beta: float, k: int, ell: int,
         gap_pinned_inf=gap_inf,
         gap_kl=gap_kl,
         product=product,
-        satisfied=gap_full >= product - tol,
+        satisfied=gap_full >= product - FACTORIZATION_TOL,
     )
 
 
@@ -430,13 +402,12 @@ class LcltErrorReport:
     scaled_sup_error: float  # sup error * s
 
 
-def lclt_error(table: PartitionTable, lam: float, d: int,
-               window: int = 2) -> LcltErrorReport:
-    """Sup |exact - Edgeworth_d| over plus-counts within ``window`` of the mean."""
+def lclt_error(table: PartitionTable, lam: float, d: int) -> LcltErrorReport:
+    """Sup |exact - Edgeworth_d| over plus-counts within LCLT_WINDOW of the mean."""
     pmf = size_distribution(table, lam)
     kappas = cumulants_of_size(table, lam, max(2, 2 * d + 1)).kappas
     mean = kappas[0]
-    ks = [k for k in range(table.n + 1) if abs(k - mean) <= window]
+    ks = [k for k in range(table.n + 1) if abs(k - mean) <= LCLT_WINDOW]
     ells = [k - mean for k in ks]
     approx = edgeworth_pmf(kappas, ells, d)
     sup = max(abs(pmf[k] - v) for k, v in zip(ks, approx.values))

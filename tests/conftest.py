@@ -1,37 +1,64 @@
-"""Shared fixtures: the small exact test-set graphs used across the suite, and
-the slow references the fast paths are checked against: the Gray-code
-enumeration behind the partition-table DP, the per-link loop behind the
-down-up kernel product, the closed-form completion law behind the down-up
-resample, the per-state grand-canonical loop, the frozenset influence matrix
-and local walks behind the plus-matrix ones, and local mono counts."""
+"""Shared fixtures: the small named graphs and the exact test-set graphs
+used across the suite, and the slow references the fast paths are checked
+against: the Gray-code enumeration behind the partition-table DP, the
+per-link loop behind the down-up kernel product, the closed-form completion
+law behind the down-up resample, the per-state grand-canonical loop, the
+frozenset influence matrix and local walks behind the plus-matrix ones, and
+local mono counts.  Also the oracles that only tests read: per-state Gibbs
+and fixed-magnetization probabilities, finite-difference cumulants, the
+dense matrix-power mixing time, the (k, l) down-up step, the censored band
+occupancy, overlaps and the partition-ratio bounds."""
 
 import math
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 
-from isinglab.dynamics import _csr
-from isinglab.graphs import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-    random_regular,
-)
+from isinglab.dynamics import TransitionMatrix, _csr, _heat_bath, _resample
+from isinglab.errors import DegenerateError, InvalidInputError, TooLargeError
+from isinglab.graphs import Graph, disjoint_union, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     NEG_INF,
+    IsingParams,
     PartitionTable,
+    Pinning,
+    SpinConfiguration,
     _logsumexp,
+    exact_partition_table,
     gibbs_law,
     monochromatic_edges,
 )
+from isinglab.metastability import GlauberBandSpec, _start_spins
+from isinglab.rng import as_rng
 
 # loop at 0; doubled edges 1-2 and 3-4
 LOOPED = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
                                [3, 3, 5], [4, 0]], delta_max=4)
+
+
+# Small named graphs used throughout the test rig.
+
+def complete_graph(n: int) -> Graph:
+    adjacency = [[w for w in range(n) if w != u] for u in range(n)]
+    return Graph(n=n, adjacency=adjacency, delta_max=max(n - 1, 0))
+
+
+def path_graph(n: int) -> Graph:
+    adjacency = [[] for _ in range(n)]
+    for u in range(n - 1):
+        adjacency[u].append(u + 1)
+        adjacency[u + 1].append(u)
+    return Graph(n=n, adjacency=adjacency, delta_max=2 if n > 2 else 1)
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise InvalidInputError("cycle needs n >= 3")
+    adjacency = [[(u - 1) % n, (u + 1) % n] for u in range(n)]
+    return Graph(n=n, adjacency=adjacency, delta_max=2)
 
 
 @pytest.fixture(scope="session")
@@ -242,3 +269,195 @@ def swap_delta_mono(g, spins, u, w):
     after = local_mono(g, spins, {u, w})
     spins[u], spins[w] = spins[w], spins[u]
     return after - before
+
+
+# Per-state probabilities and finite-difference cumulants
+
+def cumulants_by_t_derivative(
+    g: Graph, beta: float, lam: float, pinning: Pinning = EMPTY_PINNING,
+    j_max: int = 3, step: float = 1e-3,
+) -> tuple:
+    """Cross-check route: central finite differences of t -> log Z(lambda e^t)."""
+    if j_max > 3:
+        raise InvalidInputError("finite-difference route supports j_max <= 3")
+    table = exact_partition_table(g, beta, pinning)
+
+    def K(t):
+        return table.log_z(lam * math.exp(t))
+
+    h = step
+    k1 = (K(h) - K(-h)) / (2 * h)
+    k2 = (K(h) - 2 * K(0.0) + K(-h)) / h**2
+    k3 = (K(2 * h) - 2 * K(h) + 2 * K(-h) - K(-2 * h)) / (2 * h**3)
+    return (k1, k2, k3)[:j_max]
+
+
+def _check_consistent(sigma: SpinConfiguration, pinning: Pinning) -> None:
+    for v, s in pinning.assignments.items():
+        if sigma.spins[v] != s:
+            raise InvalidInputError(f"configuration contradicts pinning at {v}")
+
+
+def gibbs_prob(
+    g: Graph,
+    params: IsingParams,
+    pinning: Pinning,
+    sigma: SpinConfiguration,
+    table: PartitionTable = None,
+) -> float:
+    """Exact mu^{tau_U}_{beta,lambda}(sigma) via the partition table."""
+    _check_consistent(sigma, pinning)
+    if table is None:
+        table = exact_partition_table(g, params.beta, pinning)
+    log_w = sigma.plus_count * math.log(params.lam) + params.beta * sigma.mono_edges
+    return math.exp(log_w - table.log_z(params.lam))
+
+
+def fixed_mag_prob(
+    g: Graph,
+    beta: float,
+    k: int,
+    pinning: Pinning,
+    sigma: SpinConfiguration,
+    table: PartitionTable = None,
+) -> float:
+    """Exact mu-hat^{tau_U}_{beta,k}(sigma) via the partition table."""
+    _check_consistent(sigma, pinning)
+    if sigma.plus_count != k:
+        raise InvalidInputError(
+            f"configuration has plus-count {sigma.plus_count}, expected k={k}"
+        )
+    if table is None:
+        table = exact_partition_table(g, beta, pinning)
+    log_zhat = table.log_zhat(k)
+    if log_zhat == NEG_INF:
+        raise InvalidInputError(f"Omega_k empty for k={k} under this pinning")
+    return math.exp(beta * sigma.mono_edges - log_zhat)
+
+
+# The (k, l) down-up step
+
+EXACT_SUPPORT_CAP = 200_000  # states enumerated for one exact (k, l) resample
+
+
+def kl_downup_step(g: Graph, beta: float, k: int, ell: int,
+                   sigma: SpinConfiguration, rng):
+    """One (k, l)-down-up transition: keep a uniform l-subset of pluses and
+    resample the rest from the conditional fixed-magnetization measure.
+
+    The resample enumerates its C(n - l, k - l) completions, at most
+    EXACT_SUPPORT_CAP of them.
+    """
+    rng = as_rng(rng)
+    if not (0 <= ell <= k - 1):
+        raise InvalidInputError("need 0 <= ell <= k-1")
+    if sigma.plus_count != k:
+        raise InvalidInputError("configuration plus-count differs from k")
+    if math.comb(g.n - ell, k - ell) > EXACT_SUPPORT_CAP:
+        raise TooLargeError("conditional support too large for exact resampling")
+    plus = [v for v in range(g.n) if sigma.spins[v] == 1]
+    keep = {plus[i] for i in rng.choice(len(plus), size=ell, replace=False)}
+    return _resample(g, beta, keep, k - ell, rng)
+
+
+# Mixing time by dense matrix powers
+
+def exact_mixing_time(tm: TransitionMatrix, lazy: bool = True,
+                      max_steps: int = 1_000_000) -> int:
+    """First t with worst-start total variation <= 1/4, by matrix powers.
+
+    Raw Kawasaki on two states is periodic and never mixes; the default runs
+    the lazy kernel (I + P)/2.
+    """
+    if len(tm.states) > 4000:
+        raise InvalidInputError("exact mixing time limited to <= 4000 states")
+    P = 0.5 * (np.eye(len(tm.states)) + tm.P) if lazy else tm.P
+    M = np.eye(len(tm.states))
+    for t in range(1, max_steps + 1):
+        M = M @ P
+        tv = 0.5 * np.max(np.abs(M - tm.pi[None, :]).sum(axis=1))
+        if tv <= 0.25:
+            return t
+    raise DegenerateError(f"chain did not mix within {max_steps} steps")
+
+
+# Band occupancy, overlaps and partition-ratio bounds
+
+def mc_band_occupancy_ratio(g: Graph, beta: float, lam: float,
+                            spec: GlauberBandSpec, T: int, seed) -> dict:
+    """Censored long-run estimate of pi(S3)/pi(S2) from an S2 start.
+
+    Runs Glauber from a uniform size-k2 configuration and counts per-step
+    occupancy of the S2 band and the S3 annulus; the run is right-censored
+    at T, so with an exponential bottleneck the ratio estimates the
+    conditional measure inside the metastable well.
+    """
+    rng = as_rng(seed)
+    spins = _start_spins(g, "band_sample", rng, k=spec.k2)
+    _, s2, s3 = spec.sets()
+    in_s2 = in_s3 = 0
+    for plus, _ in islice(_heat_bath(g, beta, lam, spins, rng, T), 1, None):
+        if plus in s2:
+            in_s2 += 1
+        elif plus in s3:
+            in_s3 += 1
+    return {
+        "occupancy_s2": in_s2 / T,
+        "occupancy_s3": in_s3 / T,
+        "ratio": (in_s3 / in_s2) if in_s2 else math.inf,
+        "censored_at": T,
+    }
+
+
+def overlap(sigma, sigma_prime) -> float:
+    """nu(sigma, sigma') = (sigma . sigma') / n."""
+    a = np.asarray(sigma, dtype=float)
+    b = np.asarray(sigma_prime, dtype=float)
+    if a.shape != b.shape:
+        raise InvalidInputError("configurations must have equal length")
+    return float(a @ b / len(a))
+
+
+@dataclass(frozen=True)
+class PartitionRatioReport:
+    satisfied: bool
+    min_margin_up: float  # min over steps of log(Z_{k+1}/Z_k) - log bound
+    min_margin_down: float
+    tight: bool  # both margins ~ 0 (the beta = 0 case)
+
+
+def partition_ratio_bounds(g: Graph, beta: float, lam: float, k: int, t: int,
+                           table: PartitionTable = None) -> PartitionRatioReport:
+    """One-step bounds Z_{k+1}/Z_k >= ((n-k)/(k+1)) lam e^{-2 delta beta}
+    and the spin-flip mirror Z_k/Z_{k+1} >= ((k+1)/(n-k)) lam^{-1} e^{-2 delta beta},
+    checked on exact tables for each step k .. k+t-1.
+    """
+    if not (0 <= k <= k + t <= g.n):
+        raise InvalidInputError("need 0 <= k <= k+t <= n")
+    if t < 1:
+        raise InvalidInputError("need t >= 1")
+    if table is None:
+        table = exact_partition_table(g, beta)
+    delta = g.delta_max
+    n = g.n
+    log_w = table.log_weights_by_k(lam).tolist()
+    margins_up, margins_down = [], []
+    for kk in range(k, k + t):
+        log_zk, log_zk1 = log_w[kk], log_w[kk + 1]
+        if log_zk == NEG_INF or log_zk1 == NEG_INF:
+            raise InvalidInputError(f"empty size class at k={kk}")
+        log_bound_up = (
+            math.log(n - kk) - math.log(kk + 1) + math.log(lam) - 2 * delta * beta
+        )
+        log_bound_down = (
+            math.log(kk + 1) - math.log(n - kk) - math.log(lam) - 2 * delta * beta
+        )
+        margins_up.append((log_zk1 - log_zk) - log_bound_up)
+        margins_down.append((log_zk - log_zk1) - log_bound_down)
+    mu, md = min(margins_up), min(margins_down)
+    return PartitionRatioReport(
+        satisfied=(mu >= -1e-12 and md >= -1e-12),
+        min_margin_up=mu,
+        min_margin_down=md,
+        tight=(abs(mu) <= 1e-12 and abs(md) <= 1e-12),
+    )

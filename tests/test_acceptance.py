@@ -22,18 +22,11 @@ from isinglab.measures import (
     EMPTY_PINNING,
     IsingParams,
     SpinConfiguration,
-    cumulants_of_size,
     exact_partition_table,
-    fixed_mag_prob,
-    gibbs_prob,
     size_distribution,
 )
 from isinglab.meanfield import critical_points
-from isinglab.metastability import (
-    partition_ratio_bounds,
-    run_glauber_trace,
-    trace_bands,
-)
+from isinglab.metastability import run_glauber_trace, trace_bands
 from isinglab.rng import make_rng
 from isinglab.spectral import (
     edgeworth_pmf,
@@ -48,7 +41,14 @@ from isinglab.spectral import (
 )
 from isinglab.thresholds import beta_u, eta_of_fixed_point, lambda_u, tree_fixed_points
 
-from conftest import exact_test_set
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    exact_test_set,
+    fixed_mag_prob,
+    gibbs_prob,
+    partition_ratio_bounds,
+)
 
 LN2 = math.log(2)
 
@@ -283,13 +283,11 @@ def criterion_6():
     exact_center = math.comb(100, 50) / 2**100  # independent binomial oracle
     gauss = edgeworth_pmf([50.0, 25.0], [0.0], d=0).values[0]
     binom_ok = abs(exact_center - gauss) <= 2.5e-4
-    from isinglab.graphs import cycle_graph
-
     errs0, errs2 = [], []
     for n in (12, 16, 20):
         table = exact_partition_table(cycle_graph(n), 0.5)
-        errs0.append(lclt_error(table, 1.2, d=0, window=2).scaled_sup_error)
-        errs2.append(lclt_error(table, 1.2, d=2, window=2).scaled_sup_error)
+        errs0.append(lclt_error(table, 1.2, d=0).scaled_sup_error)
+        errs2.append(lclt_error(table, 1.2, d=2).scaled_sup_error)
     below = all(e2 < e0 for e2, e0 in zip(errs2, errs0))
     decreasing = all(a > b for a, b in zip(errs2, errs2[1:]))
     elapsed = time.time() - t0
@@ -379,8 +377,6 @@ def criterion_7():
     k1_ok = c1 > 0
 
     # marginal correctness: per-state chi-square at 1% on exact K4
-    from isinglab.graphs import complete_graph
-
     g4 = complete_graph(4)
     driver = CoupledKawasaki(g4, beta=0.7, k=2, plus_pinning=EMPTY_PINNING,
                              phi=phi)

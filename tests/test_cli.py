@@ -5,7 +5,9 @@ import math
 import pytest
 
 from isinglab.cli import main
-from isinglab.graphs import complete_graph, write_edge_list
+from isinglab.graphs import write_edge_list
+
+from conftest import complete_graph, cycle_graph
 
 
 def run(argv):
@@ -91,20 +93,23 @@ def test_byte_identical_outputs(tmp_path):
 # metastability entries were re-recorded when its replicas moved to the
 # make_rng(seed, stream) streams that --seed sets.  The spectra-edgeworth and
 # exactcheck entries pin the size law, recorded before log_z and
-# size_distribution came to read one per-k log-weight vector.
+# size_distribution came to read one per-k log-weight vector.  The three
+# simulate entries were re-recorded when the trace moved from stream 0 of
+# --seed, which the --n graph also draws from, to stream 1
+# (test_simulate_trace_stream_apart_from_graph).
 GOLDEN_TRACES = [
     (["simulate", "--chain", "glauber", "--n", "60", "--delta", "3",
       "--beta", "0.8", "--lam", "1.05", "--steps", "3000", "--thin", "3",
       "--seed", "11"], "trace.csv",
-     "12c527b2adf27f385ce66fe01d8d33e6467fed0fc01c817f7069193d581fb315"),
+     "9432aff17c203660b8bf9cc26341ffd81a044140013c064facea73a9645e386e"),
     (["simulate", "--chain", "kawasaki", "--n", "60", "--delta", "3",
       "--beta", "0.8", "--k", "25", "--steps", "3000", "--thin", "3",
       "--seed", "11"], "trace.csv",
-     "f96f7a712514bb54a4eefb99e77d4c057190111631e4cbc65bcf90bf4a1498b2"),
+     "80c3fc3d24b4d044d265fe434131b3fa7216b73bba275a9d8d58146048bd864c"),
     (["simulate", "--chain", "coupled-kawasaki", "--n", "60", "--delta", "3",
       "--beta", "0.8", "--k", "25", "--steps", "300", "--seed", "11"],
      "trace.csv",
-     "6b29d4089d38d16bb63242e95d7450af0a3182749d782ed7f289cc23179a7064"),
+     "5b17334adb6bb32efc12aa7b4b6e94a4368a15b97a2fbc5087a3bad4fd2444fb"),
     (["metastability", "--mode", "glauber", "--delta", "3", "--beta", "1.2",
       "--lam", "1.01", "--n", "60", "--T", "3000", "--seeds", "2"],
      "traces.csv",
@@ -130,6 +135,34 @@ GOLDEN_TRACES = [
 def test_golden_trace_hashes(tmp_path, argv, name, digest):
     assert run(argv + ["--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("chain,args", [
+    ("glauber", ["--lam", "1.05"]),
+    ("kawasaki", ["--k", "8"]),
+    ("coupled-kawasaki", ["--k", "8"]),
+])
+def test_simulate_trace_stream_apart_from_graph(tmp_path, chain, args):
+    """``simulate --n ... --seed S`` runs on random_regular(seed=S), stream 0
+    of S, and draws its trace from stream 1 of S."""
+    from isinglab.cli import fmt
+    from isinglab.graphs import random_regular
+    from isinglab.metastability import (trace_rows_coupled, trace_rows_glauber,
+                                        trace_rows_kawasaki)
+    from isinglab.rng import make_rng
+
+    g, rng = random_regular(20, 3, seed=5), make_rng(5, 1)
+    if chain == "glauber":
+        rows = trace_rows_glauber(g, 0.8, 1.05, "all_minus", 300, rng, thin=3)
+    elif chain == "kawasaki":
+        rows = trace_rows_kawasaki(g, 0.8, 8, "band_sample", 300, rng, thin=3)
+    else:
+        rows = trace_rows_coupled(g, 0.8, 8, 0.5, 300, rng, thin=3)
+    assert run(["simulate", "--chain", chain, "--n", "20", "--delta", "3",
+                "--beta", "0.8", *args, "--steps", "300", "--thin", "3",
+                "--seed", "5", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert lines == [",".join(fmt(x) for x in row) for row in rows]
 
 
 def test_spectra_gap_report(tmp_path, k4_file=None):
@@ -571,8 +604,6 @@ def test_config_roundtrip_lossless(tmp_path):
 
 def test_spectra_records_zero_freeness_inputs(tmp_path):
     gfile = tmp_path / "c5.edges"
-    from isinglab.graphs import cycle_graph
-
     write_edge_list(cycle_graph(5), gfile)
     code = run(["spectra", "--graph", str(gfile), "--beta", "0.4",
                 "--lam", "1.1", "--report", "edgeworth",

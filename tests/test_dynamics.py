@@ -13,27 +13,27 @@ from isinglab.dynamics import (
     downup_step,
     glauber_step,
     kawasaki_step,
-    kl_downup_step,
 )
 from isinglab.errors import InvalidInputError, TooLargeError
-from isinglab.graphs import Graph, complete_graph, cycle_graph, random_regular
+from isinglab.graphs import Graph, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     IsingParams,
     Pinning,
     SpinConfiguration,
-    exact_partition_table,
     fixed_k_states,
     monochromatic_edges,
-    size_distribution,
 )
 from isinglab.rng import make_rng
 
 from conftest import (
     LOOPED,
+    complete_graph,
     completion_law,
+    cycle_graph,
     downup_kernel_loop,
     exact_test_set,
+    kl_downup_step,
     plus_sets,
     swap_delta_mono,
 )

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isinglab.errors import InvalidInputError, TooLargeError
-from isinglab.graphs import Graph, complete_graph, cycle_graph, random_regular
+from isinglab.graphs import Graph, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     NEG_INF,
@@ -17,17 +17,24 @@ from isinglab.measures import (
     PartitionTable,
     Pinning,
     SpinConfiguration,
-    cumulants_by_t_derivative,
     cumulants_of_size,
     exact_partition_table,
     fixed_k_states,
-    fixed_mag_prob,
-    gibbs_prob,
     mono_counts,
     monochromatic_edges,
     size_distribution,
 )
-from conftest import LOOPED, exact_test_set, gray_code_table, plus_sets
+from conftest import (
+    LOOPED,
+    complete_graph,
+    cumulants_by_t_derivative,
+    cycle_graph,
+    exact_test_set,
+    fixed_mag_prob,
+    gibbs_prob,
+    gray_code_table,
+    plus_sets,
+)
 
 
 def cfg(g, spins):

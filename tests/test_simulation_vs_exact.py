@@ -11,7 +11,7 @@ from isinglab.dynamics import (
     glauber_step,
     kawasaki_step,
 )
-from isinglab.graphs import Graph, complete_graph, cycle_graph
+from isinglab.graphs import Graph
 from isinglab.measures import (
     EMPTY_PINNING,
     IsingParams,
@@ -21,6 +21,8 @@ from isinglab.measures import (
 )
 from isinglab.metastability import trace_rows_glauber, trace_rows_kawasaki
 from isinglab.rng import make_rng
+
+from conftest import complete_graph, cycle_graph
 
 
 def chi_square_ok(counts, probs, n, alpha=0.01):

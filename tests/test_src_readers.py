@@ -1,0 +1,79 @@
+"""Every public module-level function or class in ``src/isinglab`` has a
+reader in the package or in the benchmark scripts, or waits in ``PENDING``
+for the ROADMAP item that wires it into a command.
+
+The files are parsed, not imported, so nothing under ``bench/`` runs or
+gets written.  A read is a loaded name, an attribute, an imported name, or a
+string constant equal to the name (``bench/layers.py`` lists the functions
+it traces as strings); reads inside the name's own definition do not count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "isinglab").glob("*.py"))
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+
+# name -> the ROADMAP open item that gives it a command reader
+PENDING = {
+    "GlauberBandSpec": "items 2 and 3: band weights and the gap certificate",
+    "UnionBandSpec": "items 2 and 3: band weights and the gap certificate",
+    "annealed_band_weights": "items 2 and 3: band weights and the gap certificate",
+    "exact_band_weights": "items 2 and 3: band weights and the gap certificate",
+    "conductance_lower_bound_report": "items 2 and 3: the conductance report",
+    "default_band_epsilon": "items 2 and 3: band half-width from the landscape",
+    "dirichlet_quotient": "item 3: the exact conductance certificate",
+    "stability_probe": "item 6: local-CLT hypotheses of the sampler",
+    "characteristic_bound_probe": "item 6: local-CLT hypotheses of the sampler",
+}
+
+
+def _public_definitions() -> set:
+    names = set()
+    for path in SRC:
+        for node in ast.parse(path.read_text()).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                names.add(node.name)
+    return names
+
+
+def _reads(node) -> set:
+    """Names read anywhere under ``node``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def _read_names() -> set:
+    """Names read in ``src/`` and ``bench/*.py``, each top-level definition's
+    reads of its own name left out."""
+    read = set()
+    for path in SRC + BENCH:
+        for node in ast.parse(path.read_text()).body:
+            reads = _reads(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                reads.discard(node.name)
+            read |= reads
+    return read
+
+
+def test_every_public_name_has_a_reader_or_a_pending_item():
+    unread = _public_definitions() - _read_names()
+    assert sorted(unread - PENDING.keys()) == []
+
+
+def test_pending_names_are_defined_and_still_unread():
+    """A name that gains a reader, or goes, leaves PENDING."""
+    defined, read = _public_definitions(), _read_names()
+    assert sorted(PENDING.keys() - defined) == []
+    assert sorted(PENDING.keys() & read) == []
