@@ -12,7 +12,9 @@ Chains:
 
 Each chain has one update.  ``_heat_bath`` and ``_kawasaki_swaps`` run T
 Glauber updates or Kawasaki swaps in O(Delta) per step; the long traces in
-``metastability`` and the single-step functions (T = 1) both run them.  The
+``metastability`` and the single-step functions (T = 1) both run them.
+They draw the values one whole-array call per block would give, but a chunk
+at a time (``_chunks``), so a run holds O(n + chunk) memory for any T.  The
 +1 down-up step resamples from the conditional law (``_resample``:
 ``gibbs_law`` over the ``fixed_k_states`` that contain the kept plus set);
 the (k, l) walk has an exact kernel only.
@@ -26,6 +28,7 @@ functional rho = phi |D| + |B|.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -103,23 +106,45 @@ def heat_bath_table(beta: float, lam: float, d: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-_CHUNK = 1 << 10
+# Draws are made this many at a time: small enough that a run's memory does
+# not grow with T, large enough that the per-chunk numpy calls stay near 2 %
+# of the heat-bath loop.
+_CHUNK = 1 << 12
 
 
-def _chunks(*arrays):
-    """Zip predrawn arrays as plain Python values, _CHUNK positions at a time."""
+def _chunks(rng, T: int, *blocks):
+    """T tuples of plain Python values, one from each block of draws.
+
+    Each block is a function ``draw(gen, m)`` that draws m values from
+    generator ``gen``.  The values are those of one whole call per block,
+    made from ``rng`` in turn, yet only _CHUNK of each block are held at a
+    time: every block but the last streams from a copy of ``rng`` taken
+    where that block starts (found by drawing it chunk by chunk and
+    discarding it), and ``rng`` streams the last, so it ends where whole
+    calls would leave it.  For T <= _CHUNK the blocks are drawn whole.
+    """
+    if T <= _CHUNK:
+        return zip(*(draw(rng, T).tolist() for draw in blocks))
+    sizes = [min(_CHUNK, T - lo) for lo in range(0, T, _CHUNK)]
+    gens = []
+    for draw in blocks[:-1]:
+        gens.append(copy.deepcopy(rng))
+        for m in sizes:
+            draw(rng, m)
+    gens.append(rng)
     return chain.from_iterable(
-        zip(*(a[lo:lo + _CHUNK].tolist() for a in arrays))
-        for lo in range(0, len(arrays[0]), _CHUNK))
+        zip(*(draw(gen, m).tolist() for draw, gen in zip(blocks, gens)))
+        for m in sizes)
 
 
 def _heat_bath(g: Graph, beta: float, lam: float, spins: list, rng, T: int):
     """Glauber heat-bath kernel: T updates of ``spins`` (+-1, in place).
 
-    Draws the T vertices, then the T uniforms.  Yields (plus count,
-    monochromatic edges) before the first update and after each one.  Every
-    vertex keeps its plus-neighbour count (parallel edges once per copy,
-    self-loops never) and plus probability; a flip updates its neighbours'.
+    Its stream is the T vertices, then the T uniforms (``_chunks``).  Yields
+    (plus count, monochromatic edges) before the first update and after each
+    one.  Every vertex keeps its plus-neighbour count (parallel edges once
+    per copy, self-loops never) and plus probability; a flip updates its
+    neighbours'.
     """
     nbrs = g.neighbors
     tables = {d: heat_bath_table(beta, lam, d) for d in {len(nb) for nb in nbrs}}
@@ -128,10 +153,10 @@ def _heat_bath(g: Graph, beta: float, lam: float, spins: list, rng, T: int):
     p_of = [table[j] for table, j in zip(table_of, j_of)]
     plus = spins.count(1)
     mono = monochromatic_edges(g, spins)
-    vs = rng.integers(0, g.n, size=T)
-    us = rng.random(size=T)
+    draws = _chunks(rng, T, lambda gen, m: gen.integers(0, g.n, size=m),
+                    lambda gen, m: gen.random(size=m))
     yield plus, mono
-    for v, u in _chunks(vs, us):
+    for v, u in draws:
         s_new = 1 if u < p_of[v] else -1
         if s_new != spins[v]:
             spins[v] = s_new
@@ -149,34 +174,43 @@ def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int,
     """Kawasaki kernel: T Metropolis swaps of a uniform (+, -) pair of
     ``spins`` (in place), the ``pinned`` vertices left out of both lists.
 
-    Draws the T plus indices, the T minus indices, then the T uniforms.
-    Yields (u, w, d) when the plus at u moved to the minus at w, changing
-    the monochromatic edges by d, and None for a rejected swap.  Every vertex
-    keeps e = minus - plus neighbours, so d = e[u] - e[w] - 2 (u-w edges).
+    Its stream is the T plus indices, the T minus indices, then the T
+    uniforms (``_chunks``).  Yields (u, w, d) when the plus at u moved to the
+    minus at w, changing the monochromatic edges by d, and None for a
+    rejected swap.  Every vertex keeps e = minus - plus neighbours, so
+    d = e[u] - e[w] - 2 (u-w edges).  A uniform r becomes the threshold
+    th = #{d' < 0 : e^{beta d'} <= r} - 2 Delta, and the swap is taken iff
+    d >= th, the same comparison as d >= 0 or r < e^{beta d}.
     """
     nbrs = g.neighbors
     e = [-sum(spins[w] for w in nb) for nb in nbrs]
     plus = [v for v, s in enumerate(spins) if s == 1 and v not in pinned]
     minus = [v for v, s in enumerate(spins) if s == -1 and v not in pinned]
-    # e^{beta d} for d = -2 delta .. -1, indexed by d itself
-    accept = [math.exp(beta * d) for d in range(-2 * g.delta_max, 0)]
-    iu = rng.integers(0, len(plus), size=T)
-    iw = rng.integers(0, len(minus), size=T)
-    us = rng.random(size=T)
-    for a, b, r in _chunks(iu, iw, us):
+    # Metropolis acceptance min(1, e^{beta d}) for d = -2 delta .. -1,
+    # nondecreasing in d
+    two_delta = 2 * g.delta_max
+    accept = [min(1.0, math.exp(beta * d)) for d in range(-two_delta, 0)]
+    draws = _chunks(
+        rng, T, lambda gen, m: gen.integers(0, len(plus), size=m),
+        lambda gen, m: gen.integers(0, len(minus), size=m),
+        lambda gen, m: np.searchsorted(accept, gen.random(size=m),
+                                       side="right") - two_delta)
+    for a, b, th in draws:
         u, w = plus[a], minus[b]
-        nu = nbrs[u]
-        d = e[u] - e[w] - 2 * nu.count(w)
-        if d >= 0 or r < accept[d]:
-            spins[u], spins[w] = -1, 1
-            plus[a], minus[b] = w, u
-            for x in nu:
-                e[x] += 2
-            for x in nbrs[w]:
-                e[x] -= 2
-            yield u, w, d
-        else:
-            yield None
+        d = e[u] - e[w]
+        if d >= th:  # the u-w edges can only lower d
+            nu = nbrs[u]
+            d -= 2 * nu.count(w)
+            if d >= th:
+                spins[u], spins[w] = -1, 1
+                plus[a], minus[b] = w, u
+                for x in nu:
+                    e[x] += 2
+                for x in nbrs[w]:
+                    e[x] -= 2
+                yield u, w, d
+                continue
+        yield None
 
 
 def _resample(g: Graph, beta: float, keep: set, r: int, rng) -> SpinConfiguration:

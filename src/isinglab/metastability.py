@@ -25,9 +25,10 @@ local maximizers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -448,49 +449,56 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
 
 
 def trace_rows_glauber(g: Graph, beta: float, lam: float, start: str, T: int,
-                       seed, thin: int = 1) -> list:
-    """Glauber trajectory rows (t, plus_count, mono_edges, eta)."""
+                       seed, thin: int = 1) -> Iterator[tuple]:
+    """Glauber trajectory rows (t, plus_count, mono_edges, eta), as the chain
+    makes them.  The kernel's set-up, with its checks, runs before this
+    returns."""
     rng = as_rng(seed)
     n = g.n
     moves = _heat_bath(g, beta, lam, _start_spins(g, start, rng), rng, T)
-    return [
-        (t, plus, mono, (2 * plus - n) / n)
-        for t, (plus, mono) in zip(count(0, thin), islice(moves, 0, None, thin))
-    ]
+    moves = chain([next(moves)], moves)
+    return ((t, plus, mono, (2 * plus - n) / n)
+            for t, (plus, mono) in zip(count(0, thin), islice(moves, 0, None, thin)))
 
 
 def trace_rows_kawasaki(g: Graph, beta: float, k: int, start: str, T: int,
-                        seed, thin: int = 1) -> list:
-    """Kawasaki trajectory rows (t, plus_count, mono_edges, eta)."""
+                        seed, thin: int = 1) -> Iterator[tuple]:
+    """Kawasaki trajectory rows (t, plus_count, mono_edges, eta), as the
+    chain makes them.  The start is drawn and checked before this returns."""
     rng = as_rng(seed)
     n = g.n
     spins = _kawasaki_spins(g, start, rng, k)
-    mono = monochromatic_edges(g, spins)
     eta = (2 * k - n) / n
-    rows = [(0, k, mono, eta)]
     swaps = _kawasaki_swaps(g, beta, spins, rng, T)
-    for t in range(thin, T + 1, thin):
-        for swap in islice(swaps, thin):
-            if swap:
-                mono += swap[2]
-        rows.append((t, k, mono, eta))
-    return rows
+
+    def rows(mono):
+        yield 0, k, mono, eta
+        for t in range(thin, T + 1, thin):
+            for swap in islice(swaps, thin):
+                if swap:
+                    mono += swap[2]
+            yield t, k, mono, eta
+
+    return rows(monochromatic_edges(g, spins))
 
 
 def trace_rows_coupled(g: Graph, beta: float, k: int, phi: float, T: int,
-                       seed, thin: int = 1) -> list:
-    """Coupled-Kawasaki rows (t, n_disagree, n_bad, rho)."""
+                       seed, thin: int = 1) -> Iterator[tuple]:
+    """Coupled-Kawasaki rows (t, n_disagree, n_bad, rho), as the chain makes
+    them.  The coupled start is built before this returns."""
     rng = as_rng(seed)
     driver = CoupledKawasaki(g, beta=beta, k=k, plus_pinning=EMPTY_PINNING, phi=phi)
     xs = tuple(int(v) for v in rng.choice(g.n, size=k, replace=False))
     ys = tuple(int(v) for v in rng.choice(g.n, size=k, replace=False))
-    state = driver.make_state(xs, ys)
-    rows = [(0, len(state.D), len(state.B), state.rho)]
-    for t in range(T):
-        state = driver.step(state, rng)
-        if (t + 1) % thin == 0:
-            rows.append((t + 1, len(state.D), len(state.B), state.rho))
-    return rows
+
+    def rows(state):
+        yield 0, len(state.D), len(state.B), state.rho
+        for t in range(1, T + 1):
+            state = driver.step(state, rng)
+            if t % thin == 0:
+                yield t, len(state.D), len(state.B), state.rho
+
+    return rows(driver.make_state(xs, ys))
 
 
 # ---------------------------------------------------------------------------

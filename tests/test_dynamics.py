@@ -6,12 +6,17 @@ import pytest
 
 from isinglab import dynamics
 from isinglab.dynamics import (
+    _CHUNK,
     ChainKernel,
     CoupledKawasaki,
     TransitionMatrix,
+    _chunks,
+    _heat_bath,
+    _kawasaki_swaps,
     build_transition_matrix,
     downup_step,
     glauber_step,
+    heat_bath_table,
     kawasaki_step,
 )
 from isinglab.errors import InvalidInputError, TooLargeError
@@ -137,6 +142,80 @@ def test_kawasaki_matrix_k2():
     g = complete_graph(2)
     tm = build_transition_matrix(ChainKernel("kawasaki", beta=0.5, k=1), g)
     assert np.allclose(tm.P, [[0, 1], [1, 0]])
+
+
+CHUNKED_T = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+
+
+@pytest.mark.parametrize("T", CHUNKED_T)
+def test_chunked_draws_equal_whole_array_draws(T):
+    """Every block of ``_chunks`` holds the values of one whole-array call,
+    the blocks in turn, and the generator ends where those calls leave it."""
+    heat_bath = (lambda gen, m: gen.integers(0, 2001, size=m),
+                 lambda gen, m: gen.random(size=m))
+    kawasaki = (lambda gen, m: gen.integers(0, 999, size=m),
+                lambda gen, m: gen.integers(0, 1001, size=m),
+                lambda gen, m: gen.random(size=m))
+    for blocks in (heat_bath, kawasaki):
+        rng, twin = make_rng(7, 3), make_rng(7, 3)
+        for gen in (rng, twin):  # an odd 32-bit draw leaves half a word buffered
+            gen.integers(0, 5)
+        whole = [draw(twin, T).tolist() for draw in blocks]
+        assert list(_chunks(rng, T, *blocks)) == list(zip(*whole))
+        assert np.array_equal(rng.random(4), twin.random(4))
+
+
+def _heat_bath_whole(g, beta, lam, spins, rng, T):
+    """Heat bath from whole-array draws, each conditional counted afresh."""
+    vs, us = rng.integers(0, g.n, size=T), rng.random(size=T)
+    for v, u in zip(vs.tolist(), us.tolist()):
+        nb = g.neighbors[v]
+        j = sum(1 for w in nb if spins[w] == 1)
+        spins[v] = 1 if u < heat_bath_table(beta, lam, len(nb))[j] else -1
+        yield spins.count(1), monochromatic_edges(g, spins)
+
+
+def _kawasaki_whole(g, beta, spins, rng, T, pinned):
+    """Metropolis swaps from whole-array draws, each d counted afresh."""
+    plus = [v for v, s in enumerate(spins) if s == 1 and v not in pinned]
+    minus = [v for v, s in enumerate(spins) if s == -1 and v not in pinned]
+    iu, iw = rng.integers(0, len(plus), size=T), rng.integers(0, len(minus), size=T)
+    for a, b, r in zip(iu.tolist(), iw.tolist(), rng.random(size=T).tolist()):
+        u, w = plus[a], minus[b]
+        moved = list(spins)
+        moved[u], moved[w] = -1, 1
+        d = monochromatic_edges(g, moved) - monochromatic_edges(g, spins)
+        if d >= 0 or r < math.exp(beta * d):
+            spins[:] = moved
+            plus[a], minus[b] = w, u
+            yield u, w, d
+        else:
+            yield None
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
+def test_kernels_replay_whole_array_runs(beta):
+    """Past one chunk, both kernels make the moves and leave the generator
+    where a run on whole-array draws does; the Kawasaki threshold takes a
+    swap iff d >= 0 or r < e^{beta d}.  On a multigraph with self-loops and
+    parallel edges, with and without a plus pin."""
+    T = 3 * _CHUNK + 7
+    start = [1, -1, 1, -1, -1, 1]
+    runs = [(lambda s, r: _heat_bath(LOOPED, beta, 1.3, s, r, T),
+             lambda s, r: _heat_bath_whole(LOOPED, beta, 1.3, s, r, T))]
+    for pinned in (frozenset(), frozenset({0})):
+        runs.append((
+            lambda s, r, p=pinned: _kawasaki_swaps(LOOPED, beta, s, r, T, p),
+            lambda s, r, p=pinned: _kawasaki_whole(LOOPED, beta, s, r, T, p)))
+    for kernel, whole in runs:
+        spins, twin_spins = list(start), list(start)
+        rng, twin = make_rng(5, 2), make_rng(5, 2)
+        moves = list(kernel(spins, rng))
+        assert moves[-T:] == list(whole(twin_spins, twin))
+        assert spins == twin_spins
+        assert np.array_equal(rng.random(4), twin.random(4))
+    if beta == 0.7:  # the last Kawasaki run both took and refused swaps
+        assert None in moves and any(moves)
 
 
 def test_downup_k2_uniformizes():

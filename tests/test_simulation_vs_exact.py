@@ -130,7 +130,7 @@ def test_glauber_trace_loop_occupancy_matches_pi():
     for s, p in zip(tm.states, tm.pi):
         k = bin(s).count("1")
         pi_by_k[k] = pi_by_k.get(k, 0.0) + p
-    rows = trace_rows_glauber(g, beta, lam, "all_minus", T=400_000, seed=31)
+    rows = list(trace_rows_glauber(g, beta, lam, "all_minus", T=400_000, seed=31))
     counts = {}
     burn = len(rows) // 5
     for _, plus, _, _ in rows[burn:]:
@@ -151,7 +151,7 @@ def test_glauber_trace_loop_mono_matches_pi():
         spins = [1 if (s >> v) & 1 else -1 for v in range(4)]
         m = sum(1 for u, w in g.edges() if spins[u] == spins[w])
         mean_mono_exact += p * m
-    rows = trace_rows_glauber(g, beta, lam, "all_plus", T=400_000, seed=32)
+    rows = list(trace_rows_glauber(g, beta, lam, "all_plus", T=400_000, seed=32))
     burn = len(rows) // 5
     mean_mono = np.mean([r[2] for r in rows[burn:]])
     assert abs(mean_mono - mean_mono_exact) < 0.03
@@ -165,7 +165,7 @@ def test_kawasaki_trace_loop_occupancy_matches_mu_hat():
     w = np.exp(beta * (mono - mono.max()))
     pi = w / w.sum()
     mean_mono_exact = float(pi @ mono)
-    rows = trace_rows_kawasaki(g, beta, k, "band_sample", T=400_000, seed=33)
+    rows = list(trace_rows_kawasaki(g, beta, k, "band_sample", T=400_000, seed=33))
     burn = len(rows) // 5
     mean_mono = np.mean([r[2] for r in rows[burn:]])
     assert abs(mean_mono - mean_mono_exact) < 0.03
@@ -179,8 +179,8 @@ def test_trace_loops_handle_multigraph_defects():
         adjacency=[[0, 0, 1], [0, 2, 2], [1, 1, 3], [2]],
         delta_max=3,
     )
-    rows = trace_rows_glauber(g, 0.7, 1.2, "all_minus", T=5000, seed=34)
-    rows2 = trace_rows_glauber(g, 0.7, 1.2, "all_minus", T=5000, seed=34)
+    rows = list(trace_rows_glauber(g, 0.7, 1.2, "all_minus", T=5000, seed=34))
+    rows2 = list(trace_rows_glauber(g, 0.7, 1.2, "all_minus", T=5000, seed=34))
     assert rows == rows2
     # energy bounds: mono between 0 and total edges, loop always mono
     n_edges = g.num_edges
