@@ -231,7 +231,7 @@ def cmd_phase_diagram(args, ctx: RunContext) -> int:
 
 
 def cmd_landscape(args, ctx: RunContext) -> int:
-    from .meanfield import ETA_CLIP, critical_points, f_eta
+    from .meanfield import ETA_CLIP, _curve, critical_points
 
     pts = critical_points(args.delta, args.beta, args.lam, grid_resolution=args.grid)
     n_grid = max(2, int(2 / args.grid))
@@ -239,10 +239,8 @@ def cmd_landscape(args, ctx: RunContext) -> int:
     step = (hi - lo) / n_grid
     # the points of numpy.linspace(lo, hi, n_grid + 1), bit for bit
     etas = [i * step + lo for i in range(n_grid)] + [hi]
-    rows = [
-        (e, f_eta(e, args.delta, args.beta, args.lam), "interior-critical-none")
-        for e in etas
-    ]
+    f = _curve(args.delta, args.beta, args.lam)
+    rows = [(e, f(e), "interior-critical-none") for e in etas]
     rows.extend((p.eta, p.f_value, p.classification) for p in pts)
     rows.sort(key=lambda r: r[0])
     ctx.write_csv("landscape.csv", ["eta", "f", "classification"], rows)
@@ -651,19 +649,29 @@ COMMANDS = {
 
 
 def build_parser(command: str = None) -> argparse.ArgumentParser:
-    """Every command is registered, but only ``command``'s subparser gets its
-    arguments: adding all of them takes longer than a tree command runs."""
+    """The parser of ``command`` alone, or of all eight commands when
+    ``command`` is None.
+
+    Building all eight subparsers costs as much as a short tree command, so
+    ``main`` passes the command when it is the first argument.  That parser
+    prints what the full one would: its usage line keeps every command name,
+    and any other argument list (``--help``, a misspelt command) gets the
+    full parser.
+    """
     ap = argparse.ArgumentParser(
         prog="isinglab",
         description="Fixed-magnetization Ising dynamics: exact kernels, "
         "tree thresholds, landscapes, and metastability experiments.",
     )
     ap.add_argument("--config", help="flat key=value file; flags override it")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}",
+    )
     for name, (help_text, func, add_arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        if name == command:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func)
             add_arguments(p)
             _common(p)
     return ap
@@ -707,7 +715,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-        command = next((a for a in argv if a in COMMANDS), None)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
         args = build_parser(command).parse_args(argv)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

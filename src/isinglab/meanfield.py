@@ -12,9 +12,11 @@ where B is the symmetric 2x2 edge-statistics matrix with row sums
 (1+eta)/2 and (1-eta)/2 and H is the binary entropy.  The inner maximum is
 one-dimensional in the bichromatic fraction b0 and strictly concave; its
 stationarity condition is a quadratic in b0, so B*(eta) is in closed form.
-Critical points of f come from a sign-change scan of a central difference of
-f and are classified by the analytic f'', got by differentiating that
-quadratic along eta.
+``_curve`` builds f for one (delta, beta, lambda) with its constants computed
+once; ``f_eta``, the landscape grid and the critical-point scan all evaluate
+that one curve.  Critical points of f come from a sign-change scan of a
+central difference of f and are classified by the analytic f'', got by
+differentiating that quadratic along eta.
 
 Also provides the finite-n annealed value log E[Z_{G,k}] computed exactly in
 log space from binomials and double factorials.
@@ -48,28 +50,12 @@ class EdgeStatistics:
     b_minus: float
     boundary: bool = False
 
-    def residuals(self) -> tuple:
-        return (
-            self.b_plus + self.b_zero - (1 + self.eta) / 2,
-            self.b_minus + self.b_zero - (1 - self.eta) / 2,
-        )
 
-
-def _g_of_b0(eta: float, b0: float, delta: int, beta: float, lam: float) -> float:
-    bp = (1 + eta) / 2 - b0
-    bm = (1 - eta) / 2 - b0
-    ent = 0.0
-    for b in (bp, bm):
-        if b > 0:
-            ent += b * log(b)
-    if b0 > 0:
-        ent += 2 * b0 * log(b0)
-    return (
-        -(delta - 1) * binary_entropy((1 + eta) / 2)
-        - delta / 2 * ent
-        + beta * delta / 2 * (bp + bm)
-        + (1 + eta) / 2 * log(lam)
-    )
+def _b0_root(a: float, c: float, four_e: float) -> tuple:
+    """(b0, q, s) of ``maximize_B`` at row sums a, c, given four_e = 4(e^{2 beta}-1)."""
+    q = four_e * a * c
+    s = 1 + sqrt(1 + q)
+    return 2 * a * c / s, q, s
 
 
 def maximize_B(eta: float, delta: int, beta: float, lam: float) -> EdgeStatistics:
@@ -85,19 +71,56 @@ def maximize_B(eta: float, delta: int, beta: float, lam: float) -> EdgeStatistic
     if not (-1.0 <= eta <= 1.0):
         raise InvalidInputError("eta must lie in [-1, 1]")
     a, c = (1 + eta) / 2, (1 - eta) / 2
-    q = 4 * expm1(2 * beta) * a * c
-    s = 1 + sqrt(1 + q)
+    b0, q, s = _b0_root(a, c, 4 * expm1(2 * beta))
     d = q / s  # sqrt(1 + q) - 1 without cancellation
     return EdgeStatistics(
-        eta=eta, b_plus=a * (2 * a + d) / s, b_zero=2 * a * c / s,
+        eta=eta, b_plus=a * (2 * a + d) / s, b_zero=b0,
         b_minus=c * (2 * c + d) / s, boundary=abs(eta) >= 1 - ETA_CLIP,
     )
 
 
+def _curve(delta: int, beta: float, lam: float):
+    """f(eta) = g(eta, B*(eta)) at fixed (delta, beta, lambda), for eta in [-1, 1].
+
+    The constants of g and of the quadratic are computed once, here; each
+    call finds b0 as ``maximize_B`` does and evaluates g at it with the same
+    float operations in the same order, so the curve equals g(eta, b0 of
+    ``maximize_B``) bit for bit.  An e^{2 beta} beyond float range raises
+    OverflowError here rather than at the first call.
+    """
+    four_e = 4 * expm1(2 * beta)
+    entropy_w = -(delta - 1)
+    half_delta = delta / 2
+    mono_w = beta * delta / 2
+    log_lam = log(lam)
+
+    def f(eta: float) -> float:
+        a, c = (1 + eta) / 2, (1 - eta) / 2
+        b0 = _b0_root(a, c, four_e)[0]
+        bp = a - b0
+        bm = c - b0
+        ent = 0.0
+        if bp > 0:
+            ent += bp * log(bp)
+        if bm > 0:
+            ent += bm * log(bm)
+        if b0 > 0:
+            ent += 2 * b0 * log(b0)
+        return (
+            entropy_w * binary_entropy(a)
+            - half_delta * ent
+            + mono_w * (bp + bm)
+            + a * log_lam
+        )
+
+    return f
+
+
 def f_eta(eta: float, delta: int, beta: float, lam: float) -> float:
     """Annealed free-energy curve f(eta) = g(eta, B*(eta))."""
-    stats = maximize_B(eta, delta, beta, lam)
-    return _g_of_b0(eta, stats.b_zero, delta, beta, lam)
+    if not (-1.0 <= eta <= 1.0):
+        raise InvalidInputError("eta must lie in [-1, 1]")
+    return _curve(delta, beta, lam)(eta)
 
 
 @dataclass(frozen=True)
@@ -126,7 +149,8 @@ def critical_points(
 ) -> list:
     """Interior critical points of f, located by a sign-change scan of the
     central difference of f with step grid_resolution/8, each sign change
-    bisected to adjacent floats.
+    bisected to adjacent floats.  The scan, the bisection and the reported
+    f values all read one ``_curve``.
 
     Classification is by the sign of f'' with a marginal band mapped to
     'inflection'.
@@ -141,10 +165,10 @@ def critical_points(
         raise InvalidInputError(f"grid resolution {grid_resolution} leaves "
                                 "no scan step in (-1, 1)")
 
+    f = _curve(delta, beta, lam)
+
     def fprime(eta):
-        return (
-            f_eta(eta + h, delta, beta, lam) - f_eta(eta - h, delta, beta, lam)
-        ) / (2 * h)
+        return (f(eta + h) - f(eta - h)) / (2 * h)
 
     etas = [lo + i * (hi - lo) / n_steps for i in range(n_steps + 1)]
     vals = [fprime(e) for e in etas]
@@ -161,7 +185,7 @@ def critical_points(
         f2 = _f_second_derivative(eta, delta, beta)
         cls = ("inflection" if abs(f2) < MARGINAL_F2_BAND
                else "local-max" if f2 < 0 else "local-min")
-        out.append(LandscapePoint(eta, f_eta(eta, delta, beta, lam), cls))
+        out.append(LandscapePoint(eta, f(eta), cls))
     return out
 
 

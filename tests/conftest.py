@@ -7,11 +7,13 @@ frozenset influence matrix and local walks behind the plus-matrix ones, and
 local mono counts.  Also the oracles that only tests read: per-state Gibbs
 and fixed-magnetization probabilities, finite-difference cumulants, the
 dense matrix-power mixing time, the (k, l) down-up step, the censored band
-occupancy, overlaps and the partition-ratio bounds."""
+occupancy, overlaps, the partition-ratio bounds and the landscape's g(eta, b0)
+at any b0."""
 
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
+from math import log
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from isinglab.measures import (
     gibbs_law,
     monochromatic_edges,
 )
+from isinglab.meanfield import binary_entropy
 from isinglab.metastability import GlauberBandSpec, _start_spins
 from isinglab.rng import as_rng
 
@@ -460,4 +463,21 @@ def partition_ratio_bounds(g: Graph, beta: float, lam: float, k: int, t: int,
         min_margin_up=mu,
         min_margin_down=md,
         tight=(abs(mu) <= 1e-12 and abs(md) <= 1e-12),
+    )
+
+
+def _g_of_b0(eta: float, b0: float, delta: int, beta: float, lam: float) -> float:
+    bp = (1 + eta) / 2 - b0
+    bm = (1 - eta) / 2 - b0
+    ent = 0.0
+    for b in (bp, bm):
+        if b > 0:
+            ent += b * log(b)
+    if b0 > 0:
+        ent += 2 * b0 * log(b0)
+    return (
+        -(delta - 1) * binary_entropy((1 + eta) / 2)
+        - delta / 2 * ent
+        + beta * delta / 2 * (bp + bm)
+        + (1 + eta) / 2 * log(lam)
     )

@@ -96,7 +96,10 @@ def test_byte_identical_outputs(tmp_path):
 # size_distribution came to read one per-k log-weight vector.  The three
 # simulate entries were re-recorded when the trace moved from stream 0 of
 # --seed, which the --n graph also draws from, to stream 1
-# (test_simulate_trace_stream_apart_from_graph).
+# (test_simulate_trace_stream_apart_from_graph).  The landscape,
+# phase-diagram and thresholds entries were recorded before f(eta) became one
+# curve per (delta, beta, lambda) with its constants computed once.
+LANDSCAPE_ARGV = ["landscape", "--delta", "3", "--beta", "1.2", "--lam", "1.01"]
 GOLDEN_TRACES = [
     (["simulate", "--chain", "glauber", "--n", "60", "--delta", "3",
       "--beta", "0.8", "--lam", "1.05", "--steps", "3000", "--thin", "3",
@@ -124,13 +127,24 @@ GOLDEN_TRACES = [
     (["exactcheck", "--n", "9", "--delta", "4", "--k", "4", "--beta", "0.5",
       "--lam", "1.2", "--seed", "1"], "exactcheck.json",
      "a15458bd5e9853ef146e1dcf2c840f9e182adf21bc251b966aa0621b923be88c"),
+    (LANDSCAPE_ARGV, "landscape.csv",
+     "e10c84090bcb2bd844711086f965d9d79e7217b98b1993fc242aeec556ff83fb"),
+    (LANDSCAPE_ARGV, "landscape_critical.json",
+     "cb0f3e563b3ef12f11080a90324922d004c643cc83b83736ad0f5f9c64c02884"),
+    (["phase-diagram", "--delta", "3", "--beta-min", "0.2", "--beta-max", "1.5",
+      "--steps", "5"], "phase_diagram.csv",
+     "73b3532b53283b98f4eb3d7f5c54fb3e1d573219c89fccefce0ac56f6c376537"),
+    (["thresholds", "--delta", "3", "--beta", "1.2", "--lam", "1.01"],
+     "thresholds.json",
+     "e9f48b527ab6fbc53a2bdcd1edd00b28cee1350df38fc964b21fa3cf7f217811"),
 ]
 
 
 @pytest.mark.parametrize("argv,name,digest", GOLDEN_TRACES, ids=[
     "simulate-glauber", "simulate-kawasaki", "simulate-coupled",
     "metastability-glauber", "metastability-union", "spectra-edgeworth",
-    "exactcheck",
+    "exactcheck", "landscape-csv", "landscape-critical", "phase-diagram",
+    "thresholds",
 ])
 def test_golden_trace_hashes(tmp_path, argv, name, digest):
     assert run(argv + ["--out", str(tmp_path)]) == 0
@@ -430,6 +444,47 @@ def test_unknown_command_exits_2(capsys):
         run(["bogus", "--delta", "3"])
     assert exc.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["landscape", "--help"],
+    ["--help", "landscape"],
+    ["bogus", "landscape"],
+    ["--bogus", "landscape"],
+    ["landscape", "--delta", "3"],
+    ["landscape", "--delta", "3", "--beta", "1.2", "--lam", "1.01", "--bogus"],
+])
+def test_main_prints_what_the_parser_of_every_command_prints(capsys, argv):
+    """main builds the parser of one command; help and errors read as if all
+    eight were registered."""
+    from isinglab.cli import build_parser
+
+    outputs = []
+    for parse in (run, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        outputs.append((exc.value.code, capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+def test_tree_commands_rerun_in_one_process(tmp_path):
+    """The tree cases of the benchmark, each run twice in one process, write
+    the same bytes."""
+    cases = [
+        (["phase-diagram", "--delta", "3", "--beta-min", "0.2", "--beta-max",
+          "1.5", "--steps", "3"], ["phase_diagram.csv"]),
+        (["landscape", "--delta", "3", "--beta", "1.2", "--lambda", "1.01",
+          "--grid", "5e-3"], ["landscape.csv", "landscape_critical.json"]),
+        (["thresholds", "--delta", "3", "--beta", "1.2", "--lambda", "1.01"],
+         ["thresholds.json"]),
+    ]
+    for rep in ("a", "b"):
+        for i, (argv, _) in enumerate(cases):
+            assert run(argv + ["--out", str(tmp_path / rep / str(i))]) == 0
+    for i, (_, names) in enumerate(cases):
+        for name in names:
+            first = (tmp_path / "a" / str(i) / name).read_bytes()
+            assert first == (tmp_path / "b" / str(i) / name).read_bytes()
 
 
 def test_config_file_before_a_command_with_its_own_arguments(tmp_path):

@@ -7,6 +7,8 @@ from isinglab.errors import InvalidInputError
 from isinglab.graphs import random_regular
 from isinglab.measures import exact_partition_table
 from isinglab.meanfield import (
+    ETA_CLIP,
+    _curve,
     _f_second_derivative,
     annealed_log_EZ_per_k,
     critical_points,
@@ -14,6 +16,8 @@ from isinglab.meanfield import (
     maximize_B,
 )
 from isinglab.thresholds import eta_of_fixed_point, tree_fixed_points
+
+from conftest import _g_of_b0
 
 LN2 = math.log(2)
 REGIMES = [
@@ -64,7 +68,8 @@ def test_maximizer_closed_form_quadratic_everywhere():
 def test_maximizer_constraint_residuals():
     for eta in np.linspace(-0.95, 0.95, 21):
         stats = maximize_B(float(eta), 4, 0.8, 1.1)
-        r1, r2 = stats.residuals()
+        r1 = stats.b_plus + stats.b_zero - (1 + stats.eta) / 2
+        r2 = stats.b_minus + stats.b_zero - (1 - stats.eta) / 2
         assert abs(r1) < 1e-12 and abs(r2) < 1e-12
 
 
@@ -81,13 +86,31 @@ def test_maximizer_boundary_limit():
 
 
 def test_f_matches_dense_grid_max():
-    from isinglab.meanfield import _g_of_b0
-
     eta, delta, beta, lam = 0.3, 4, 0.9, 1.2
     hi = min((1 + eta) / 2, (1 - eta) / 2)
     grid = np.linspace(hi * 1e-9, hi * (1 - 1e-9), 200001)
     dense = max(_g_of_b0(eta, b, delta, beta, lam) for b in grid)
     assert abs(f_eta(eta, delta, beta, lam) - dense) < 1e-9
+
+
+def test_curve_equals_g_at_the_maximizer_bit_for_bit():
+    """_curve(delta, beta, lam)(eta) is g(eta, b0) at maximize_B's b0, with
+    ==: the landscape files stay byte-identical."""
+    rng = np.random.default_rng(20)
+    edges = [0.0, 1.0, -1.0, 1 - ETA_CLIP, -(1 - ETA_CLIP)]
+    for i in range(400):
+        delta = int(rng.choice([3, 4, 5, 10]))
+        beta = 0.0 if i % 10 == 0 else float(rng.uniform(0, 5))
+        lam = math.exp(rng.uniform(-2, 2))
+        curve = _curve(delta, beta, lam)
+        for eta in edges + [float(e) for e in rng.uniform(-1, 1, 10)]:
+            b0 = maximize_B(eta, delta, beta, lam).b_zero
+            want = _g_of_b0(eta, b0, delta, beta, lam)
+            assert curve(eta) == want, (delta, beta, lam, eta)
+            assert f_eta(eta, delta, beta, lam) == want
+    for eta in (-1 - 1e-12, 1 + 1e-12, 2.0, math.nan):
+        with pytest.raises(InvalidInputError):
+            f_eta(eta, 3, 1.2, 1.01)
 
 
 def test_f_symmetric_at_unit_field():
