@@ -20,10 +20,12 @@ at a time (``_chunks``), so a run holds O(n + chunk) memory for any T.  The
 the (k, l) walk has an exact kernel only.
 
 On enumerable instances every kernel can also be realized as an explicit
-row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
-coupled Kawasaki chain tracks the disagreement set D, the "bad"
-disagreements B (those adjacent to an agreeing plus), and the contraction
-functional rho = phi |D| + |B|.
+row-stochastic sparse (CSR) matrix with its exact stationary vector; the
++1 down-up walks pinned at every l-subset come as the blocks of a few
+block-diagonal ones (``pinned_downup_matrices``).  The coupled Kawasaki
+chain tracks the disagreement set D, the "bad" disagreements B (those
+adjacent to an agreeing plus), and the contraction functional
+rho = phi |D| + |B|.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -422,11 +424,7 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     ell = kernel.ell if kernel.kind == "kl_downup" else k_free - 1
     m = g.n - len(pinned)
     size = math.comb(m, k_free)
-    # a row lies in C(k_free, l) links of C(m - l, k_free - l) states each;
-    # the down-up product first lists its C(k_free, l) kept subsets
-    subsets = math.comb(k_free, ell)
-    link = math.comb(m - ell, k_free - ell)
-    _check_nonzeros(size * max(subsets, min(size, subsets * link)))
+    _check_nonzeros(_nonzero_bound(m, k_free, ell))
     X, mono = fixed_k_states(g, k, plus_pinned=pinned)
     states = tuple(map(frozenset, np.nonzero(X)[1].reshape(size, k).tolist()))
     # over the free vertices: the plus matrix, each state's plus positions,
@@ -440,6 +438,59 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
         K = _downup_kernel(plus, bit, mono, beta, ell)
     pi = gibbs_law(beta * mono)
     return TransitionMatrix(states=states, K=K, pi=pi, kind=kernel.kind)
+
+
+def _nonzero_bound(m: int, k_free: int, ell: int) -> int:
+    """Entries a fixed-magnetization kernel on C(m, k_free) states may hold:
+    a row lies in C(k_free, l) links of C(m - l, k_free - l) states each, and
+    the down-up product first lists its C(k_free, l) kept subsets."""
+    size = math.comb(m, k_free)
+    subsets = math.comb(k_free, ell)
+    link = math.comb(m - ell, k_free - ell)
+    return size * max(subsets, min(size, subsets * link))
+
+
+def pinned_downup_matrices(g: Graph, beta: float, k: int, ell: int):
+    """The +1 down-up walks pinned plus at each U in C(V, l), as few
+    block-diagonal kernels.
+
+    Yields (pin sets, kernel) per batch of pin sets, in ``combinations``
+    order.  Block b of a kernel holds the states of
+    ``fixed_k_states(g, k, plus_pinned=U_b)`` in their listed order, its
+    entries and pi those of ``build_transition_matrix`` for
+    ``ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(U_b))``, so
+    pi sums to the number of blocks and each block is checked as its own
+    kernel would be.  One block's nonzero bound is checked before listing,
+    and each batch holds as many blocks as fit KERNEL_NONZERO_CAP.
+    """
+    if not 0 <= ell < k <= g.n:
+        raise InvalidInputError(f"need 0 <= ell < k <= n, got ell = {ell}, k = {k}")
+    k_free = k - ell
+    size = math.comb(g.n - ell, k_free)
+    bound = _nonzero_bound(g.n - ell, k_free, k_free - 1)
+    _check_nonzeros(bound)
+    pin_sets = combinations(range(g.n), ell)
+    while batch := list(islice(pin_sets, KERNEL_NONZERO_CAP // bound)):
+        yield batch, _pinned_downup_matrix(g, beta, k, batch, size)
+
+
+def _pinned_downup_matrix(g: Graph, beta: float, k: int, pin_sets: list,
+                          size: int) -> TransitionMatrix:
+    """One block per pin set, each of ``size`` states.  A link's key is the
+    bitmask of its kept free pluses plus (block << n), so blocks share no
+    link and ``_downup_kernel`` makes every block in one product."""
+    listed = [fixed_k_states(g, k, plus_pinned=u) for u in pin_sets]
+    for (x, _), u in zip(listed, pin_sets):
+        x[:, list(u)] = False  # the free pluses only
+    plus = np.nonzero(np.concatenate([x for x, _ in listed]))[1].reshape(
+        len(pin_sets) * size, -1)
+    mono = np.concatenate([m for _, m in listed])
+    dtype = np.int64 if g.n + len(pin_sets).bit_length() < 63 else object
+    bit = np.array([1 << v for v in range(g.n)], dtype=dtype)
+    base = np.repeat(np.arange(len(pin_sets)).astype(dtype) << g.n, size)
+    K = _downup_kernel(plus, bit, mono, beta, plus.shape[1] - 1, base[:, None])
+    pi = np.concatenate([gibbs_law(beta * m) for _, m in listed])
+    return TransitionMatrix(states=tuple(range(len(plus))), K=K, pi=pi, kind="downup")
 
 
 def _kawasaki_kernel(X, plus, bit, mono, beta):
@@ -465,7 +516,7 @@ def _kawasaki_kernel(X, plus, bit, mono, beta):
     return _csr(vals, cols, size)
 
 
-def _downup_kernel(plus, bit, mono, beta, ell):
+def _downup_kernel(plus, bit, mono, beta, ell, base=0):
     """Row S averages, over the C(k_free, l) kept l-subsets K of its free
     pluses (at ``plus``, by row), the heat-bath law of the link of K (the
     states T containing K).
@@ -473,14 +524,15 @@ def _downup_kernel(plus, bit, mono, beta, ell):
     As one sparse product K = A L: A[S, K] = 1 / C(k_free, l) for K in S,
     and L has A^T's pattern with each link's row holding its law, taken
     after subtracting the link's largest log-weight so that large beta stays
-    finite.  A link is named by the bitmask of K.  The product sums the
-    repeats as it forms each row, so they never all exist at once."""
+    finite.  A link is named by the bitmask of K plus the row's ``base``, so
+    rows of different bases share no link.  The product sums the repeats as
+    it forms each row, so they never all exist at once."""
     from scipy.sparse import csr_array
 
     size, k_free = plus.shape
     kept = np.array(list(combinations(range(k_free), ell)),
                     dtype=np.intp).reshape(math.comb(k_free, ell), ell)
-    masks = np.zeros((size, len(kept)), dtype=bit.dtype)
+    masks = np.full((size, len(kept)), base, dtype=bit.dtype)
     for j in range(ell):
         masks += bit[plus[:, kept[:, j]]]
     links, link_of = np.unique(masks.ravel(), return_inverse=True)

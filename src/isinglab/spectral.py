@@ -6,6 +6,13 @@ has gap 2).  Influence matrices use the one-sided conditioning
 M[u, v] = pi(v | u) - pi(v) on subset-valued distributions, which ties
 directly to local walks: the second eigenvalue of the local walk at U is at
 most (C - 1)/(k - |U| - 1) when M has top eigenvalue at most C.
+
+Second eigenvalues come from one dense ``eigvalsh`` for a kernel of at
+most DENSE_EIGEN_STATES states, where the per-call cost of a Lanczos solve
+dominates, and from one Lanczos solve of the sparse kernel above that.  The
+gap factorization check solves the C(n, l) pinned walks as the blocks of
+block-diagonal kernels: one batched ``eigvalsh`` over the stacked blocks,
+or one Lanczos solve per block when blocks are larger.
 """
 
 from __future__ import annotations
@@ -30,10 +37,21 @@ from .measures import (
     gibbs_law,
     size_distribution,
 )
-from .dynamics import ChainKernel, TransitionMatrix, build_transition_matrix
+from .dynamics import (
+    ChainKernel,
+    TransitionMatrix,
+    build_transition_matrix,
+    pinned_downup_matrices,
+)
 from .rng import make_rng
 
 FACTORIZATION_TOL = 1e-12  # slack allowed in gap_factorization_check
+# Up to this many states one dense eigvalsh beats a Lanczos solve.  On
+# Kawasaki kernels (one BLAS thread, 2-core VM, best of 15) Lanczos against
+# dense took 2.08 / 0.28 ms at 56 states, 4.08 / 4.07 ms at 210 and
+# 4.39 / 5.78 ms at 252.
+DENSE_EIGEN_STATES = 200
+DENSE_STACK_BYTES = 1 << 25  # dense blocks held at once by one eigvalsh
 LCLT_WINDOW = 2  # lclt_error's plus-counts lie within this of the mean
 
 
@@ -42,23 +60,24 @@ LCLT_WINDOW = 2  # lclt_error's plus-counts lie within this of the mean
 # ---------------------------------------------------------------------------
 
 
-def _second_eigenvalue(tm: TransitionMatrix) -> float:
-    """lambda_2 of the pi-symmetrized kernel D^{1/2} K D^{-1/2}, D = diag(pi).
+def _dense_second_eigenvalues(Q: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """lambda_2 of D^{1/2} Q D^{-1/2} symmetrized, D^{1/2} = diag(sq), by
+    ``eigvalsh``, for one matrix or each of a stack (sq then one row per
+    matrix).  Entries that a zero of sq makes infinite or NaN count as 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        A = (sq[..., :, None] / sq[..., None, :]) * Q
+    A[~np.isfinite(A)] = 0.0
+    return np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))[..., -2]
 
-    One Lanczos solve (ARPACK ``eigsh``, the two largest eigenvalues) that
-    applies K itself, from a fixed start vector so that reruns agree; two
-    states use lambda_2 = trace K - 1.
-    """
-    size = len(tm.states)
-    if size == 1:
-        raise DegenerateError("a one-state chain has no second eigenvalue")
-    if size == 2:
-        return float(tm.K.trace()) - 1.0
+
+def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
+    """One Lanczos solve (ARPACK ``eigsh``, the two largest eigenvalues)
+    that applies K itself, from a fixed start vector so that reruns agree."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    sq = np.sqrt(tm.pi)
+    size = len(sq)
     A = LinearOperator((size, size), dtype=float,
-                       matvec=lambda x: sq * (tm.K @ (x.ravel() / sq)))
+                       matvec=lambda x: sq * (K @ (x.ravel() / sq)))
     try:
         top = eigsh(A, k=2, which="LA", v0=make_rng(0).random(size),
                     return_eigenvectors=False)
@@ -67,12 +86,43 @@ def _second_eigenvalue(tm: TransitionMatrix) -> float:
     return float(top.min())
 
 
+def _second_eigenvalues(tm: TransitionMatrix, block: int) -> np.ndarray:
+    """lambda_2 of each diagonal block of ``block`` states of the
+    pi-symmetrized kernel D^{1/2} K D^{-1/2}, D = diag(pi); K holds no entry
+    outside these blocks.
+
+    Blocks of at most DENSE_EIGEN_STATES states are filled dense from K's
+    rows (never from ``tm.P``) and solved by one batched ``eigvalsh``, at
+    most DENSE_STACK_BYTES of them at a time; larger blocks get one Lanczos
+    solve each, on their slice of K.
+    """
+    if block == 1:
+        raise DegenerateError("a one-state chain has no second eigenvalue")
+    K, size, sq = tm.K, len(tm.states), np.sqrt(tm.pi)
+    if block > DENSE_EIGEN_STATES:
+        return np.array([
+            _lanczos_second_eigenvalue(
+                K if block == size else K[lo:lo + block, lo:lo + block],
+                sq[lo:lo + block])
+            for lo in range(0, size, block)])
+    step = block * max(1, DENSE_STACK_BYTES // (8 * block * block))
+    out = []
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        rows = np.repeat(np.arange(lo, hi), np.diff(K.indptr[lo:hi + 1]))
+        entries = slice(K.indptr[lo], K.indptr[hi])
+        Q = np.zeros(((hi - lo) // block, block, block))
+        Q[(rows - lo) // block, rows % block, K.indices[entries] % block] = K.data[entries]
+        out.append(_dense_second_eigenvalues(Q, sq[lo:hi].reshape(-1, block)))
+    return np.concatenate(out)
+
+
 def spectral_gap(tm: TransitionMatrix) -> float:
     """Poincare constant 1 - lambda_2 of a reversible kernel.
 
     Reversibility was checked when ``tm`` was built.
     """
-    return float(1.0 - _second_eigenvalue(tm))
+    return float(1.0 - _second_eigenvalues(tm, len(tm.states))[0])
 
 
 def dirichlet_quotient(tm: TransitionMatrix, f: np.ndarray):
@@ -215,17 +265,11 @@ def local_walk(X, probs, pinned, k) -> LocalWalk:
     Q[live] = joint[live] / marg[live, None] / (k - len(pinned) - 1)
     # reversible wrt pi-hat(u) = pi^U(u)/(k - |U|)
     pi_hat = marg / (k - len(pinned))
-    sq = np.sqrt(pi_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        A = (sq[:, None] / sq[None, :]) * Q
-    A[~np.isfinite(A)] = 0.0
-    A = 0.5 * (A + A.T)
-    eigs = np.linalg.eigvalsh(A)
     return LocalWalk(
         pinned=pinned,
         vertices=tuple(support.tolist()),
         Q=Q,
-        second_eigenvalue=float(eigs[-2]),
+        second_eigenvalue=float(_dense_second_eigenvalues(Q, np.sqrt(pi_hat))),
     )
 
 
@@ -266,22 +310,24 @@ class GapFactorizationReport:
     gap_kl: float
     product: float
     satisfied: bool
+    full_kernel: TransitionMatrix = field(repr=False, compare=False)  # the unpinned +1 walk
 
 
 def gap_factorization_check(g: Graph, beta: float, k: int,
                             ell: int) -> GapFactorizationReport:
-    """Exact check of gap(P_{beta,k}) >= inf_U gap(P^U_{beta,k}) gap(P_{ell,beta,k})."""
+    """Exact check of gap(P_{beta,k}) >= inf_U gap(P^U_{beta,k}) gap(P_{ell,beta,k}).
+
+    The C(n, l) pinned walks P^U come as block-diagonal kernels
+    (``pinned_downup_matrices``), and inf_U gap = 1 - the largest lambda_2
+    of their blocks.
+    """
+    kl_kernel = ChainKernel("kl_downup", beta=beta, k=k, ell=ell)  # checks ell first
     tm_full = build_transition_matrix(ChainKernel("downup", beta=beta, k=k), g)
     gap_full = spectral_gap(tm_full)
-    gap_inf = gap_full if ell == 0 else min(
-        spectral_gap(build_transition_matrix(
-            ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g))
-        for u in combinations(range(g.n), ell)
-    )
-    tm_kl = build_transition_matrix(
-        ChainKernel("kl_downup", beta=beta, k=k, ell=ell), g
-    )
-    gap_kl = spectral_gap(tm_kl)
+    gap_inf = gap_full if ell == 0 else float(1.0 - max(
+        _second_eigenvalues(tm, len(tm.states) // len(pin_sets)).max()
+        for pin_sets, tm in pinned_downup_matrices(g, beta, k, ell)))
+    gap_kl = spectral_gap(build_transition_matrix(kl_kernel, g))
     product = gap_inf * gap_kl
     return GapFactorizationReport(
         gap_full=gap_full,
@@ -289,6 +335,7 @@ def gap_factorization_check(g: Graph, beta: float, k: int,
         gap_kl=gap_kl,
         product=product,
         satisfied=gap_full >= product - FACTORIZATION_TOL,
+        full_kernel=tm_full,
     )
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures: the small named graphs and the exact test-set graphs
 used across the suite, and the slow references the fast paths are checked
 against: the Gray-code enumeration behind the partition-table DP, the
-per-link loop behind the down-up kernel product, the closed-form completion
+per-link loop behind the down-up kernel product, the per-pin-set loop
+behind the block-diagonal pinned walks, the closed-form completion
 law behind the down-up resample, the per-state grand-canonical loop, the
 frozenset influence matrix and local walks behind the plus-matrix ones, and
 local mono counts.  Also the oracles that only tests read: per-state Gibbs
@@ -18,7 +19,14 @@ from math import log
 import numpy as np
 import pytest
 
-from isinglab.dynamics import TransitionMatrix, _csr, _heat_bath, _resample
+from isinglab.dynamics import (
+    ChainKernel,
+    TransitionMatrix,
+    _csr,
+    _heat_bath,
+    _resample,
+    build_transition_matrix,
+)
 from isinglab.errors import DegenerateError, InvalidInputError, TooLargeError
 from isinglab.graphs import Graph, disjoint_union, random_regular
 from isinglab.measures import (
@@ -36,6 +44,7 @@ from isinglab.measures import (
 from isinglab.meanfield import binary_entropy
 from isinglab.metastability import GlauberBandSpec, _start_spins
 from isinglab.rng import as_rng
+from isinglab.spectral import spectral_gap
 
 # loop at 0; doubled edges 1-2 and 3-4
 LOOPED = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
@@ -165,6 +174,14 @@ def downup_kernel_loop(states, mono, free, beta, pinned, ell):
     return _csr(np.concatenate([law for _, law in row]).reshape(-1, width),
                 np.concatenate([idxs for idxs, _ in row]).reshape(-1, width),
                 len(states))
+
+
+def pinned_gap_inf_loop(g, beta, k, ell):
+    """Reference inf_U gap of the +1 down-up walks pinned plus at each U in
+    C(V, l): one kernel build and one gap per pin set."""
+    return min(spectral_gap(build_transition_matrix(
+        ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g))
+        for u in combinations(range(g.n), ell))
 
 
 def completion_law(g, beta, keep, r):

@@ -214,6 +214,31 @@ def test_exactcheck_k4(tmp_path):
     assert payload["factorization_satisfied"] is True
 
 
+@pytest.mark.parametrize("k,kinds", [
+    (4, ["downup", "glauber", "kawasaki", "kl_downup"]),
+    (1, ["downup", "glauber", "kawasaki"]),
+])
+def test_exactcheck_builds_each_kernel_once(tmp_path, monkeypatch, k, kinds):
+    """The factorization check's unpinned down-up kernel also gives the
+    stationarity error, and its pinned walks are not built one by one."""
+    from isinglab import dynamics, spectral
+
+    built = []
+    real = dynamics.build_transition_matrix
+
+    def counting(kernel, g):
+        built.append(kernel.kind)
+        return real(kernel, g)
+
+    monkeypatch.setattr(dynamics, "build_transition_matrix", counting)
+    monkeypatch.setattr(spectral, "build_transition_matrix", counting)
+    assert run(["exactcheck", "--n", "9", "--delta", "4", "--k", str(k),
+                "--out", str(tmp_path)]) == 0
+    assert sorted(built) == kinds
+    payload = json.loads((tmp_path / "exactcheck.json").read_text())
+    assert payload["downup_stationary_ok"] is True
+
+
 def test_validation_rejects_bad_params(tmp_path, capsys):
     # k > n
     assert run(["exactcheck", "--n", "4", "--delta", "3", "--k", "9",

@@ -18,6 +18,7 @@ from isinglab.dynamics import (
     glauber_step,
     heat_bath_table,
     kawasaki_step,
+    pinned_downup_matrices,
 )
 from isinglab.errors import InvalidInputError, TooLargeError
 from isinglab.graphs import Graph, random_regular
@@ -371,6 +372,63 @@ def test_downup_product_past_62_free_vertices():
         tm = build_transition_matrix(kernel, g)
         assert tm.states == tuple(states)
         assert abs(tm.K - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_pinned_blocks_equal_per_pin_set_kernels(ell):
+    """Each diagonal block of the pinned +1 down-up kernels is, entry for
+    entry, the kernel ``build_transition_matrix`` makes for its pin set, with
+    the same pi, and no entry leaves its block; on the exact test set up to
+    10 vertices and a multigraph with self-loops, and at a beta where
+    exp(beta * mono) overflows."""
+    graphs = {name: g for name, g in exact_test_set().items() if g.n <= 10}
+    graphs["looped"] = LOOPED
+    for name, g in graphs.items():
+        for k in sorted({ell + 1, g.n // 2, g.n - 1} & set(range(ell + 1, g.n + 1))):
+            size = math.comb(g.n - ell, k - ell)
+            for beta in (0.0, 0.7, 40.0):
+                (pin_sets, tm), = pinned_downup_matrices(g, beta, k, ell)
+                assert pin_sets == list(combinations(range(g.n), ell))
+                assert len(tm.states) == size * len(pin_sets)
+                coo = tm.K.tocoo()
+                assert np.array_equal(coo.row // size, coo.col // size)
+                for b, u in enumerate(pin_sets):
+                    want = build_transition_matrix(
+                        ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g)
+                    block = slice(b * size, (b + 1) * size)
+                    assert (tm.K[block, block] != want.K).nnz == 0, (name, k, u, beta)
+                    assert np.array_equal(tm.pi[block], want.pi), (name, k, u, beta)
+
+
+def test_pinned_blocks_batched_under_the_nonzero_cap(monkeypatch):
+    """C6 at k = 3, l = 1: a block may hold 80 nonzeros and the six 480.
+    Under a cap of 200 they come as three kernels of two blocks each, equal
+    to the one kernel under the real cap; under a cap of 79 one block does
+    not fit, and is refused before enumerating."""
+    g = cycle_graph(6)
+    (pin_sets, whole), = pinned_downup_matrices(g, 0.7, 3, 1)
+    monkeypatch.setattr(dynamics, "KERNEL_NONZERO_CAP", 200)
+    batches = list(pinned_downup_matrices(g, 0.7, 3, 1))
+    assert [p for p, _ in batches] == [pin_sets[0:2], pin_sets[2:4], pin_sets[4:6]]
+    from scipy.sparse import block_diag
+    assert (block_diag([tm.K for _, tm in batches]) != whole.K).nnz == 0
+    assert np.array_equal(np.concatenate([tm.pi for _, tm in batches]), whole.pi)
+    monkeypatch.setattr(dynamics, "KERNEL_NONZERO_CAP", 79)
+    monkeypatch.setattr(dynamics, "fixed_k_states", _no_enumeration)
+    with pytest.raises(TooLargeError, match="up to 80 nonzeros"):
+        next(pinned_downup_matrices(g, 0.7, 3, 1))
+
+
+def test_pinned_blocks_past_62_bits():
+    """On C70 with l = 1 the link keys (bitmask + block << 70) need Python
+    integers; each block still equals its pin set's kernel."""
+    g = cycle_graph(70)
+    (pin_sets, tm), = pinned_downup_matrices(g, 0.7, 2, 1)
+    for b in (0, 35, 69):
+        want = build_transition_matrix(
+            ChainKernel("downup", beta=0.7, k=2, pinning=Pinning.plus(pin_sets[b])), g)
+        block = slice(b * 69, (b + 1) * 69)
+        assert (tm.K[block, block] != want.K).nnz == 0
 
 
 def test_kawasaki_matrix_matches_definition():

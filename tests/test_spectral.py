@@ -41,6 +41,7 @@ from conftest import (
     grand_canonical_loop,
     influence_loop,
     local_walk_loop,
+    pinned_gap_inf_loop,
     plus_sets,
 )
 
@@ -113,6 +114,54 @@ def test_lanczos_gap_matches_dense_eigvalsh(kernel, g):
     tm = build_transition_matrix(kernel, g)
     gap, want = spectral_gap(tm), _dense_gap(tm)
     assert abs(gap - want) <= 1e-12 * want, (len(tm.states), gap, want)
+
+
+@pytest.mark.parametrize("kernel,g,states", [
+    (ChainKernel("kawasaki", beta=0.6, k=4), random_regular(9, 4, seed=1), 126),
+    (ChainKernel("kawasaki", beta=0.6, k=1), random_regular(200, 3, seed=1), 200),
+    (ChainKernel("kawasaki", beta=0.6, k=4), random_regular(10, 3, seed=2), 210),
+    (ChainKernel("downup", beta=0.6, k=5), random_regular(10, 3, seed=2), 252),
+])
+def test_dense_and_lanczos_split(monkeypatch, kernel, g, states):
+    """Up to 200 states the gap comes from one dense eigvalsh, above it from
+    one Lanczos solve; both equal the dense view's."""
+    from isinglab import spectral
+
+    solves = []
+
+    def lanczos(K, sq):
+        solves.append(len(sq))
+        return real(K, sq)
+
+    real = spectral._lanczos_second_eigenvalue
+    monkeypatch.setattr(spectral, "_lanczos_second_eigenvalue", lanczos)
+    tm = build_transition_matrix(kernel, g)
+    assert len(tm.states) == states
+    gap = spectral_gap(tm)
+    assert "P" not in vars(tm)  # the dense solve fills no cached dense view
+    want = _dense_gap(tm)
+    assert abs(gap - want) <= 1e-12 * want, (states, gap, want)
+    assert solves == ([] if states <= 200 else [states])
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (4, 9)], ids=["2x20-dense", "2x126-lanczos"])
+def test_reducible_kernel_has_gap_zero(k, n):
+    """Two copies of a chain side by side: lambda_2 = 1, on either path."""
+    from scipy.sparse import block_diag
+
+    tm = build_transition_matrix(ChainKernel("kawasaki", beta=0.6, k=k),
+                                 random_regular(n, 4, seed=0))
+    size = len(tm.states)
+    both = TransitionMatrix(states=tuple(range(2 * size)), K=block_diag([tm.K, tm.K]),
+                            pi=np.concatenate([tm.pi, tm.pi]) / 2)
+    assert abs(spectral_gap(both)) <= 1e-12
+
+
+def test_two_state_gap_is_two_minus_trace():
+    """The dense solve gives a two-state chain lambda_2 = trace K - 1."""
+    K = np.array([[0.7, 0.3], [0.6, 0.4]])
+    tm = TransitionMatrix(states=(0, 1), K=K, pi=np.array([2 / 3, 1 / 3]))
+    assert abs(spectral_gap(tm) - (2.0 - np.trace(K))) <= 1e-15
 
 
 def test_gap_of_one_state_chain_is_degenerate():
@@ -341,6 +390,34 @@ def test_gap_factorization_cycles():
                 for beta in (0.0, 0.5, 1.0):
                     rep = gap_factorization_check(g, beta=beta, k=k, ell=ell)
                     assert rep.satisfied, (n, k, ell, beta)
+
+
+def test_gap_pinned_inf_matches_per_pin_set_loop():
+    """inf_U gap from the block-diagonal kernels equals the per-pin-set loop
+    on the exact test set, with blocks solved dense (up to 200 states) and,
+    for 2xC6 at k = 6 (462 and 210 states a block), by Lanczos."""
+    for name, g in exact_test_set().items():
+        for k in sorted({2, g.n // 2} & set(range(2, g.n))):
+            for ell in sorted({1, 2} & set(range(1, k))):
+                for beta in (0.0, 0.5, 1.0):
+                    got = gap_factorization_check(g, beta, k, ell).gap_pinned_inf
+                    want = pinned_gap_inf_loop(g, beta, k, ell)
+                    assert abs(got - want) <= 1e-12 * want, (name, k, ell, beta)
+
+
+def test_gap_factorization_in_batches(monkeypatch):
+    """Under a cap that fits five of C6's six pinned blocks at k = 3, l = 1
+    (80 nonzeros each), and the full and (k, l) kernels (240 and 400), the
+    check runs in two batches, their 10-state blocks solved two at a time,
+    and gives the loop's inf_U gap."""
+    from isinglab import dynamics, spectral
+
+    monkeypatch.setattr(dynamics, "KERNEL_NONZERO_CAP", 400)
+    monkeypatch.setattr(spectral, "DENSE_STACK_BYTES", 2 * 8 * 10 * 10)
+    g = cycle_graph(6)
+    assert len(list(dynamics.pinned_downup_matrices(g, 0.5, 3, 1))) == 2
+    rep = gap_factorization_check(g, 0.5, 3, 1)
+    assert abs(rep.gap_pinned_inf - pinned_gap_inf_loop(g, 0.5, 3, 1)) <= 1e-12
 
 
 def test_gap_factorization_ell0_degenerate():
