@@ -136,6 +136,10 @@ class RunContext:
 def validate_args(args) -> list:
     """Check module preconditions before dispatch; returns problem strings."""
     problems = []
+    for name, val in vars(args).items():
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (val if isinstance(val, list) else [val])):
+            problems.append(f"--{name.replace('_', '-')} must be finite")
     beta = getattr(args, "beta", None)
     if beta is not None and beta < 0:
         problems.append("beta must be >= 0 (ferromagnetic only)")

@@ -20,9 +20,14 @@ at a time (``_chunks``), so a run holds O(n + chunk) memory for any T.  The
 the (k, l) walk has an exact kernel only.
 
 On enumerable instances every kernel can also be realized as an explicit
-row-stochastic sparse (CSR) matrix with its exact stationary vector; the
-+1 down-up walks pinned at every l-subset come as the blocks of a few
-block-diagonal ones (``pinned_downup_matrices``).  The coupled Kawasaki
+row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
+Kawasaki and down-up kernels, pinned or not, come from one builder of moves
+on the links of kept plus sets (``_link_matrix``): one state x link
+incidence, whose product with the links' heat-bath laws is the down-up
+kernel and whose pattern with its transpose is the Kawasaki one.  The +1
+down-up walks pinned at every l-subset are the blocks of a few
+block-diagonal kernels of that builder (``pinned_downup_matrices``).  The
+coupled Kawasaki
 chain tracks the disagreement set D, the "bad" disagreements B (those
 adjacent to an agreeing plus), and the contraction functional
 rho = phi |D| + |B|.
@@ -53,10 +58,10 @@ from .measures import (
 from .rng import as_rng
 
 DENSE_KERNEL_BYTES = 512 << 20  # dense view P: at most 8 192 states
-# A build peaks near 35 bytes per nonzero, measured as peak RSS growth on a
-# random cubic graph: C(20, 10) = 184 756 Kawasaki states (18.7 M nonzeros)
-# 610 MiB, the +1 down-up walk there 630 MiB, Glauber at n = 20 (22 M)
-# 699 MiB.  So about 1.2 GB at the cap.
+# A build peaks near 36 bytes per nonzero, measured as peak RSS growth on
+# random_regular(20, 3, seed=1): C(20, 10) = 184 756 Kawasaki states (18.7 M
+# nonzeros) 643 MiB, the +1 down-up walk there 643 MiB, Glauber (22 M)
+# 669 MiB.  So about 1.2 GB at the cap.
 KERNEL_NONZERO_CAP = 1 << 25
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-10
@@ -399,19 +404,10 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
 
 
 def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
-    """Kawasaki, +1 down-up and (k, l) down-up as moves on links.
-
-    From a state S every l-subset K of its free pluses is kept in turn; the
-    link of pinned + K is the set of states containing it.  The down-up
-    walks resample from the link by its heat-bath law and average over the
-    C(k_free, l) choices of K, so their kernel is the product of the state x
-    link matrix of kept subsets and the link x state matrix of heat-bath
-    laws; the +1 walk is l = k_free - 1.  At that l the link is S and the
-    states with one free plus of S moved, so Kawasaki proposes each of those
-    moves with probability 1 / (k_free (n - k)) and accepts by Metropolis.
-    """
+    """Kawasaki, +1 down-up and (k, l) down-up on one pin set: validation
+    and the nonzero check, then ``_link_matrix``."""
     pinned = frozenset(kernel.pinning.assignments)
-    beta, k = kernel.beta, kernel.k
+    k = kernel.k
     k_free = k - len(pinned)
     if k_free < 1:
         raise InvalidInputError("pinning must leave at least one free plus")
@@ -422,22 +418,8 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     if kernel.kind == "kl_downup" and pinned:
         raise InvalidInputError("(k,l)-down-up is defined for the unpinned chain")
     ell = kernel.ell if kernel.kind == "kl_downup" else k_free - 1
-    m = g.n - len(pinned)
-    size = math.comb(m, k_free)
-    _check_nonzeros(_nonzero_bound(m, k_free, ell))
-    X, mono = fixed_k_states(g, k, plus_pinned=pinned)
-    states = tuple(map(frozenset, np.nonzero(X)[1].reshape(size, k).tolist()))
-    # over the free vertices: the plus matrix, each state's plus positions,
-    # and each vertex's bit in a state's bitmask (Python integers past 62)
-    X = X[:, [v for v in range(g.n) if v not in pinned]]
-    plus = np.nonzero(X)[1].reshape(size, k_free)
-    bit = np.array([1 << j for j in range(m)], dtype=np.int64 if m < 63 else object)
-    if kernel.kind == "kawasaki":
-        K = _kawasaki_kernel(X, plus, bit, mono, beta)
-    else:
-        K = _downup_kernel(plus, bit, mono, beta, ell)
-    pi = gibbs_law(beta * mono)
-    return TransitionMatrix(states=states, K=K, pi=pi, kind=kernel.kind)
+    _check_nonzeros(_nonzero_bound(g.n - len(pinned), k_free, ell))
+    return _link_matrix(g, kernel.beta, k, [pinned], ell, kernel.kind)
 
 
 def _nonzero_bound(m: int, k_free: int, ell: int) -> int:
@@ -465,86 +447,92 @@ def pinned_downup_matrices(g: Graph, beta: float, k: int, ell: int):
     """
     if not 0 <= ell < k <= g.n:
         raise InvalidInputError(f"need 0 <= ell < k <= n, got ell = {ell}, k = {k}")
-    k_free = k - ell
-    size = math.comb(g.n - ell, k_free)
-    bound = _nonzero_bound(g.n - ell, k_free, k_free - 1)
+    bound = _nonzero_bound(g.n - ell, k - ell, k - ell - 1)
     _check_nonzeros(bound)
     pin_sets = combinations(range(g.n), ell)
     while batch := list(islice(pin_sets, KERNEL_NONZERO_CAP // bound)):
-        yield batch, _pinned_downup_matrix(g, beta, k, batch, size)
+        yield batch, _link_matrix(g, beta, k, batch, k - ell - 1, "downup")
 
 
-def _pinned_downup_matrix(g: Graph, beta: float, k: int, pin_sets: list,
-                          size: int) -> TransitionMatrix:
-    """One block per pin set, each of ``size`` states.  A link's key is the
-    bitmask of its kept free pluses plus (block << n), so blocks share no
-    link and ``_downup_kernel`` makes every block in one product."""
+def _link_matrix(g: Graph, beta: float, k: int, pin_sets: list, ell: int,
+                 kind: str) -> TransitionMatrix:
+    """Every fixed-magnetization kernel: one block per pin set U, each the
+    states of ``fixed_k_states(g, k, plus_pinned=U)`` in their listed order,
+    and ``_link_kernel``'s moves on the links of their kept plus sets
+    (Kawasaki for ``kind`` "kawasaki", else the down-up walk)."""
     listed = [fixed_k_states(g, k, plus_pinned=u) for u in pin_sets]
+    states = []
     for (x, _), u in zip(listed, pin_sets):
+        states += map(frozenset, np.nonzero(x)[1].reshape(len(x), k).tolist())
         x[:, list(u)] = False  # the free pluses only
-    plus = np.nonzero(np.concatenate([x for x, _ in listed]))[1].reshape(
-        len(pin_sets) * size, -1)
+    plus = np.nonzero(np.concatenate([x for x, _ in listed]))[1].reshape(len(states), -1)
     mono = np.concatenate([m for _, m in listed])
-    dtype = np.int64 if g.n + len(pin_sets).bit_length() < 63 else object
-    bit = np.array([1 << v for v in range(g.n)], dtype=dtype)
-    base = np.repeat(np.arange(len(pin_sets)).astype(dtype) << g.n, size)
-    K = _downup_kernel(plus, bit, mono, beta, plus.shape[1] - 1, base[:, None])
+    swaps = plus.shape[1] * (g.n - k) if kind == "kawasaki" else None
+    K = _link_kernel(plus, mono, beta, ell, g.n, len(pin_sets), swaps)
     pi = np.concatenate([gibbs_law(beta * m) for _, m in listed])
-    return TransitionMatrix(states=tuple(range(len(plus))), K=K, pi=pi, kind="downup")
+    return TransitionMatrix(states=tuple(states), K=K, pi=pi, kind=kind)
 
 
-def _kawasaki_kernel(X, plus, bit, mono, beta):
-    """Row i: its own state, then the k_free (n - k) swaps of a free plus
-    (at ``plus``, by row) with a minus of the free plus matrix X, found by
-    bitmask over the free vertices."""
-    size, k_free = plus.shape
-    masks = X @ bit
-    order = np.argsort(masks, kind="stable").astype(np.int32)
-    ranked = masks[order]
-    width = X.shape[1] - k_free
-    minus = np.nonzero(~X)[1].reshape(size, width)
-    cols = np.empty((size, 1 + k_free * width), dtype=np.int32)
-    vals = np.empty(cols.shape)
-    cols[:, 0] = np.arange(size)
-    filled = masks[:, None] ^ bit[minus]
-    for a in range(k_free):
-        block = slice(1 + a * width, 1 + (a + 1) * width)
-        cols[:, block] = order[np.searchsorted(ranked, filled ^ bit[plus[:, a], None])]
-        vals[:, block] = np.minimum(
-            1.0, np.exp(beta * (mono[cols[:, block]] - mono[:, None]))) / (k_free * width)
-    vals[:, 0] = 1.0 - vals[:, 1:].sum(axis=1)
-    return _csr(vals, cols, size)
+def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
+    """Moves on links, for ``blocks`` equal blocks of rows, row S with its
+    free pluses at ``plus`` (vertex indices, by row).
 
-
-def _downup_kernel(plus, bit, mono, beta, ell, base=0):
-    """Row S averages, over the C(k_free, l) kept l-subsets K of its free
-    pluses (at ``plus``, by row), the heat-bath law of the link of K (the
-    states T containing K).
-
-    As one sparse product K = A L: A[S, K] = 1 / C(k_free, l) for K in S,
-    and L has A^T's pattern with each link's row holding its law, taken
-    after subtracting the link's largest log-weight so that large beta stays
-    finite.  A link is named by the bitmask of K plus the row's ``base``, so
-    rows of different bases share no link.  The product sums the repeats as
-    it forms each row, so they never all exist at once."""
+    From S every l-subset K of its free pluses is kept in turn; the link of
+    the block's pin set + K is the set of states containing it.  A link's
+    key is the bitmask of K plus (block << n), so blocks share no link.  A
+    is the state x link matrix with A[S, K] = 1 / C(k_free, l) for K in S.
+      * Down-up (``swaps`` None): K = A L, where L has A^T's pattern and each
+        link's row holds its heat-bath law, taken after subtracting the
+        link's largest log-weight so that large beta stays finite.  The
+        product sums the repeats as it forms each row, so they never all
+        exist at once.  The +1 walk is l = k_free - 1.
+      * Kawasaki (l = k_free - 1): two distinct states share a link exactly
+        when one free plus of S moved to a free minus gives T, so the pattern
+        of A A^T is S and its ``swaps`` = k_free (n - k) swaps.  Each is
+        proposed with probability 1 / swaps and accepted by Metropolis; the
+        diagonal holds the rest.  The values overwrite the product's in
+        place, so the build holds the product and one temporary at a time.
+    Kept apart from ``_link_matrix`` so that its temporaries are gone before
+    the kernel is checked.
+    """
     from scipy.sparse import csr_array
 
     size, k_free = plus.shape
+    # each vertex's bit and each row's block key; Python integers past 62 bits
+    dtype = np.int64 if n + blocks.bit_length() < 63 else object
+    bit = np.array([1 << v for v in range(n)], dtype=dtype)
+    base = np.repeat(np.arange(blocks).astype(dtype) << n, size // blocks)
     kept = np.array(list(combinations(range(k_free), ell)),
                     dtype=np.intp).reshape(math.comb(k_free, ell), ell)
-    masks = np.full((size, len(kept)), base, dtype=bit.dtype)
+    masks = np.full((size, len(kept)), base[:, None], dtype=dtype)
     for j in range(ell):
         masks += bit[plus[:, kept[:, j]]]
     links, link_of = np.unique(masks.ravel(), return_inverse=True)
     A = csr_array((np.full(link_of.size, 1.0 / len(kept)), link_of.astype(np.int32),
                    np.arange(0, link_of.size + 1, len(kept), dtype=np.int32)),
                   shape=(size, len(links)))
-    L = A.T.tocsr()
-    starts, counts = L.indptr[:-1], np.diff(L.indptr)
-    logw = beta * mono[L.indices]
-    w = np.exp(logw - np.repeat(np.maximum.reduceat(logw, starts), counts))
-    L.data = w / np.repeat(np.add.reduceat(w, starts), counts)
-    return A @ L
+    del masks, links, link_of  # so that the product can reuse their memory
+    if swaps is None:
+        L = A.T.tocsr()
+        starts, counts = L.indptr[:-1], np.diff(L.indptr)
+        logw = beta * mono[L.indices]
+        w = np.exp(logw - np.repeat(np.maximum.reduceat(logw, starts), counts))
+        L.data = w / np.repeat(np.add.reduceat(w, starts), counts)
+        return A @ L
+    K = A @ A.T
+    K.sort_indices()
+    counts = np.diff(K.indptr)
+    diag = np.flatnonzero(K.indices == np.repeat(np.arange(size, dtype=np.int32), counts))
+    d, mono_f = K.data, mono.astype(float)  # mono_T - mono_S is exact
+    d[:] = mono_f[K.indices]
+    d -= np.repeat(mono_f, counts)
+    d *= beta
+    np.exp(d, out=d)
+    np.minimum(d, 1.0, out=d)
+    d /= swaps
+    d[diag] = 0.0
+    d[diag] = 1.0 - K.sum(axis=1)
+    return K
 
 
 # ---------------------------------------------------------------------------

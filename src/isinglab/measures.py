@@ -11,7 +11,6 @@ greedy vertex order, instead of visiting all 2^n configurations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -158,28 +157,6 @@ class PartitionTable:
         if not (0 <= k <= self.n):
             raise InvalidInputError(f"k={k} outside [0, {self.n}]")
         return self.log_zhat_by_k[k]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "beta": self.beta,
-                "pinning": {str(v): s for v, s in self.pinning.assignments.items()},
-                "logZ_by_k": [None if v == NEG_INF else v for v in self.log_zhat_by_k],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PartitionTable":
-        obj = json.loads(text)
-        return PartitionTable(
-            n=obj["n"],
-            beta=obj["beta"],
-            pinning=Pinning({int(v): s for v, s in obj["pinning"].items()}),
-            log_zhat_by_k=tuple(
-                NEG_INF if v is None else float(v) for v in obj["logZ_by_k"]
-            ),
-        )
 
 
 def _frontier_steps(free, nbrs):

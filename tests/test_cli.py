@@ -284,9 +284,25 @@ def test_validation_rejects_bad_params(tmp_path, capsys):
         assert run(["simulate", "--chain", chain, *source, "--beta", "0.5",
                     "--k", k, "--steps", "10", "--out", str(tmp_path)]) == 2, (
             chain, k, source)
+    # a non-finite float argument
+    for argv in (["thresholds", "--delta", "3", "--beta", "nan"],
+                 ["thresholds", "--delta", "3", "--beta", "inf"],
+                 ["landscape", "--delta", "3", "--beta", "1.2", "--lam", "1.01",
+                  "--grid", "nan"],
+                 ["landscape", "--delta", "3", "--beta", "1.2", "--lam", "inf"],
+                 ["phase-diagram", "--delta", "3", "--beta-min", "0.5",
+                  "--beta-max", "nan"],
+                 ["simulate", "--chain", "glauber", "--n", "6", "--delta", "3",
+                  "--beta", "nan", "--lam", "1.0", "--steps", "10"],
+                 ["spectra", "--chain", "downup", "--n", "6", "--delta", "3",
+                  "--beta", "nan", "--k", "3", "--report", "gap"],
+                 ["spectra", "--n", "6", "--delta", "3", "--beta", "0.5", "--lam", "1",
+                  "--report", "edgeworth", "--zero-free-domain", "0", "inf"]):
+        assert run([*argv, "--out", str(tmp_path)]) == 2, argv
     err = capsys.readouterr().err
     assert "Traceback" not in err and "1 <= k <= n - 1" in err
     assert "no scan step" in err
+    assert "--beta-max must be finite" in err and "--grid must be finite" in err
 
 
 def test_runtime_cap_exit(tmp_path):

@@ -352,13 +352,11 @@ def test_downup_product_matches_per_link_loop(beta):
                     continue
                 X, mono = fixed_k_states(g, k, plus_pinned=pinned)
                 free = [v for v in range(g.n) if v not in pinned]
-                plus = np.nonzero(X[:, free])[1].reshape(len(X), -1)
-                bit = 1 << np.arange(len(free))
                 for ell in range(k - len(pinned)):
-                    K = dynamics._downup_kernel(plus, bit, mono, beta, ell)
+                    tm = dynamics._link_matrix(g, beta, k, [pinned], ell, "kl_downup")
                     want = downup_kernel_loop(plus_sets(X), mono, free, beta,
                                               frozenset(pinned), ell)
-                    assert abs(K - want).max() <= 1e-14, (name, k, pinned, ell)
+                    assert abs(tm.K - want).max() <= 1e-14, (name, k, pinned, ell)
 
 
 def test_downup_product_past_62_free_vertices():
@@ -435,9 +433,11 @@ def test_kawasaki_matrix_matches_definition():
     """Every entry against min(1, e^{beta dm}) / (k_free (n - k)), with dm
     from the local swap count, and the diagonal holding the rest."""
     beta = 0.9
-    # on C66 the bitmasks over 65 and 66 free vertices pass 62 bits
+    # the link bitmasks are over all n vertices: on C66 and C64 they pass 62
+    # bits, also where C64 pinned at (0, 1) leaves 62 free vertices
     for g, k, pinnings in ((cycle_graph(5), 3, ((), (1,))), (cycle_graph(6), 3, ((), (1,))),
-                           (cycle_graph(66), 2, ((1,),)), (cycle_graph(66), 1, ((),))):
+                           (cycle_graph(66), 2, ((1,),)), (cycle_graph(66), 1, ((),)),
+                           (cycle_graph(64), 3, ((0, 1),))):
         for pinned in pinnings:
             pin = Pinning.plus(pinned)
             tm = build_transition_matrix(

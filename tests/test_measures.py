@@ -14,7 +14,6 @@ from isinglab.measures import (
     EMPTY_PINNING,
     NEG_INF,
     IsingParams,
-    PartitionTable,
     Pinning,
     SpinConfiguration,
     cumulants_of_size,
@@ -365,15 +364,6 @@ def test_mean_strictly_increasing_in_lambda():
     lams = [0.3, 0.7, 1.0, 1.5, 2.5]
     means = [cumulants_of_size(t, lam, 1).kappas[0] for lam in lams]
     assert all(a < b for a, b in zip(means, means[1:]))
-
-
-def test_partition_table_json_roundtrip():
-    t = exact_partition_table(cycle_graph(5), beta=0.4, pinning=Pinning({1: -1}))
-    t2 = PartitionTable.from_json(t.to_json())
-    assert t2.n == t.n and t2.beta == t.beta
-    for a, b in zip(t.log_zhat_by_k, t2.log_zhat_by_k):
-        assert a == b or (math.isinf(a) and math.isinf(b))
-    assert t2.pinning.assignments == t.pinning.assignments
 
 
 @settings(max_examples=20, deadline=None)

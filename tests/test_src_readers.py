@@ -1,6 +1,7 @@
 """Every public module-level function or class in ``src/isinglab`` has a
 reader in the package or in the benchmark scripts, or waits in ``PENDING``
-for the ROADMAP item that wires it into a command.
+for the ROADMAP item that wires it into a command.  Every private one has a
+reader there too: a helper that only the tests call belongs in the tests.
 
 The files are parsed, not imported, so nothing under ``bench/`` runs or
 gets written.  A read is a loaded name, an attribute, an imported name, or a
@@ -29,12 +30,14 @@ PENDING = {
 }
 
 
-def _public_definitions() -> set:
+def _definitions(private: bool = False) -> set:
+    """Module-level function and class names of ``src/``, the public or the
+    private ones."""
     names = set()
     for path in SRC:
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+                    and node.name.startswith("_") == private):
                 names.add(node.name)
     return names
 
@@ -68,12 +71,16 @@ def _read_names() -> set:
 
 
 def test_every_public_name_has_a_reader_or_a_pending_item():
-    unread = _public_definitions() - _read_names()
+    unread = _definitions() - _read_names()
     assert sorted(unread - PENDING.keys()) == []
 
 
 def test_pending_names_are_defined_and_still_unread():
     """A name that gains a reader, or goes, leaves PENDING."""
-    defined, read = _public_definitions(), _read_names()
+    defined, read = _definitions(), _read_names()
     assert sorted(PENDING.keys() - defined) == []
     assert sorted(PENDING.keys() & read) == []
+
+
+def test_every_private_name_has_a_reader():
+    assert sorted(_definitions(private=True) - _read_names()) == []
