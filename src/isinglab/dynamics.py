@@ -84,6 +84,8 @@ class ChainKernel:
         if self.kind == "glauber":
             if self.lam is None or self.lam <= 0:
                 raise InvalidInputError("glauber needs lambda > 0")
+            if len(self.pinning):
+                raise InvalidInputError("glauber kernels take no pinning")
         else:
             if self.k is None:
                 raise InvalidInputError(f"{self.kind} needs k")
@@ -283,15 +285,16 @@ def downup_step(g: Graph, beta: float, k: int, plus_pinning: Pinning,
 class TransitionMatrix:
     """Row-stochastic kernel as a CSR array, with its exact stationary vector.
 
-    ``K`` may be passed dense or sparse and is kept as a canonical
-    ``scipy.sparse.csr_array``.  Building one checks, once and in O(nnz)
-    memory, that rows sum to 1 and that pi(x) K(x, y) = pi(y) K(y, x).
+    ``states`` is the builder's boolean plus matrix, row i the pluses of
+    state i of K; only its length is read here.  ``K`` may be passed dense
+    or sparse and is kept as a canonical ``scipy.sparse.csr_array``.
+    Building one checks, once and in O(nnz) memory, that rows sum to 1 and
+    that pi(x) K(x, y) = pi(y) K(y, x).
     """
 
-    states: tuple  # hashable state labels, index-aligned with K
+    states: np.ndarray  # read-only, states x n
     K: object = field(repr=False)  # scipy.sparse.csr_array
     pi: np.ndarray = field(repr=False)
-    kind: str = ""
 
     def __post_init__(self):
         from scipy.sparse import csr_array
@@ -375,9 +378,8 @@ def build_transition_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
 
 
 def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
-    """States are the integers s < 2^n, bit v set where vertex v is plus, and
-    the rows of the plus matrix X; a row holds its n single-flip moves and
-    the diagonal."""
+    """State s < 2^n is row s of the plus matrix X, plus at the set bits of
+    s; a row of K holds its n single-flip moves and the diagonal."""
     n = g.n
     size = 2**n
     _check_nonzeros(size * (n + 1))
@@ -399,8 +401,8 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
         vals[:, v + 1] = np.where(X[:, v], down, up)
         stay += np.where(X[:, v], up, down)
     vals[:, 0] = stay
-    return TransitionMatrix(states=tuple(range(size)), K=_csr(vals, cols, size),
-                            pi=pi, kind="glauber")
+    X.flags.writeable = False
+    return TransitionMatrix(states=X, K=_csr(vals, cols, size), pi=pi)
 
 
 def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
@@ -437,13 +439,14 @@ def pinned_downup_matrices(g: Graph, beta: float, k: int, ell: int):
     block-diagonal kernels.
 
     Yields (pin sets, kernel) per batch of pin sets, in ``combinations``
-    order.  Block b of a kernel holds the states of
-    ``fixed_k_states(g, k, plus_pinned=U_b)`` in their listed order, its
-    entries and pi those of ``build_transition_matrix`` for
-    ``ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(U_b))``, so
-    pi sums to the number of blocks and each block is checked as its own
-    kernel would be.  One block's nonzero bound is checked before listing,
-    and each batch holds as many blocks as fit KERNEL_NONZERO_CAP.
+    order.  Block b of a kernel has as its ``states`` the rows of
+    ``fixed_k_states(g, k, plus_pinned=U_b)``, pinned pluses included, in
+    their listed order, and as its entries and pi those of
+    ``build_transition_matrix`` for ``ChainKernel("downup", beta=beta, k=k,
+    pinning=Pinning.plus(U_b))``, so pi sums to the number of blocks and
+    each block is checked as its own kernel would be.  One block's nonzero
+    bound is checked before listing, and each batch holds as many blocks as
+    fit KERNEL_NONZERO_CAP.
     """
     if not 0 <= ell < k <= g.n:
         raise InvalidInputError(f"need 0 <= ell < k <= n, got ell = {ell}, k = {k}")
@@ -457,20 +460,21 @@ def pinned_downup_matrices(g: Graph, beta: float, k: int, ell: int):
 def _link_matrix(g: Graph, beta: float, k: int, pin_sets: list, ell: int,
                  kind: str) -> TransitionMatrix:
     """Every fixed-magnetization kernel: one block per pin set U, each the
-    states of ``fixed_k_states(g, k, plus_pinned=U)`` in their listed order,
+    rows of ``fixed_k_states(g, k, plus_pinned=U)`` in their listed order
+    (the kernel's ``states`` are these rows, concatenated and read-only),
     and ``_link_kernel``'s moves on the links of their kept plus sets
     (Kawasaki for ``kind`` "kawasaki", else the down-up walk)."""
     listed = [fixed_k_states(g, k, plus_pinned=u) for u in pin_sets]
-    states = []
-    for (x, _), u in zip(listed, pin_sets):
-        states += map(frozenset, np.nonzero(x)[1].reshape(len(x), k).tolist())
-        x[:, list(u)] = False  # the free pluses only
-    plus = np.nonzero(np.concatenate([x for x, _ in listed]))[1].reshape(len(states), -1)
+    X = np.concatenate([x for x, _ in listed])
+    X.flags.writeable = False
+    free = [x & ~np.isin(np.arange(g.n), list(u))  # the free pluses
+            for (x, _), u in zip(listed, pin_sets)]
+    plus = np.nonzero(np.concatenate(free))[1].reshape(len(X), -1)
     mono = np.concatenate([m for _, m in listed])
     swaps = plus.shape[1] * (g.n - k) if kind == "kawasaki" else None
     K = _link_kernel(plus, mono, beta, ell, g.n, len(pin_sets), swaps)
     pi = np.concatenate([gibbs_law(beta * m) for _, m in listed])
-    return TransitionMatrix(states=tuple(states), K=K, pi=pi, kind=kind)
+    return TransitionMatrix(states=X, K=K, pi=pi)
 
 
 def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
@@ -570,9 +574,6 @@ class CoupledState:
     @property
     def rho(self) -> float:
         return self.phi * len(self.D) + len(self.B)
-
-    def coalesced(self) -> bool:
-        return len(self.D) == 0
 
 
 def _disagreements(X, Y, neighbor_sets):

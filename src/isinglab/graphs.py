@@ -37,9 +37,6 @@ class Graph:
             raise InvalidInputError("adjacency must have one entry per vertex")
         validate_graph(self)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     @cached_property
     def neighbors(self) -> list:
         """Per vertex, its non-loop neighbours, parallel edges once per copy."""
@@ -54,10 +51,6 @@ class Graph:
         ends.setflags(write=False)
         return ends
 
-    @property
-    def num_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
-
     def edges(self):
         """Yield each edge of the multiset once, as (u, v) with u <= v."""
         for u in range(self.n):
@@ -69,9 +62,6 @@ class Graph:
                     loops += 1
             for _ in range(loops // 2):
                 yield (u, u)
-
-    def edge_multiset(self) -> Counter:
-        return Counter(self.edges())
 
 
 def validate_graph(g: Graph) -> None:

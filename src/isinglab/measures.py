@@ -149,15 +149,6 @@ class PartitionTable:
             raise InvalidInputError("lambda must be > 0")
         return np.array(self.log_zhat_by_k) + np.arange(self.n + 1) * math.log(lam)
 
-    def log_z(self, lam: float) -> float:
-        """log Z(beta, lambda) = log sum_k lambda^k Zhat_k."""
-        return _logsumexp(self.log_weights_by_k(lam))
-
-    def log_zhat(self, k: int) -> float:
-        if not (0 <= k <= self.n):
-            raise InvalidInputError(f"k={k} outside [0, {self.n}]")
-        return self.log_zhat_by_k[k]
-
 
 def _frontier_steps(free, nbrs):
     """Greedy vertex order for the frontier DP, and its peak width in bits.

@@ -5,13 +5,14 @@ per-link loop behind the down-up kernel product, the per-pin-set loop
 behind the block-diagonal pinned walks, the closed-form completion
 law behind the down-up resample, the per-state grand-canonical loop, the
 frozenset influence matrix and local walks behind the plus-matrix ones, and
-local mono counts.  Also the oracles that only tests read: per-state Gibbs
-and fixed-magnetization probabilities, finite-difference cumulants, the
-dense matrix-power mixing time, the (k, l) down-up step, the censored band
-occupancy, overlaps, the partition-ratio bounds and the landscape's g(eta, b0)
-at any b0."""
+local mono counts.  Also the oracles that only tests read: edge multisets
+and counts, log Z, per-state Gibbs and fixed-magnetization probabilities,
+finite-difference cumulants, the dense matrix-power mixing time, the (k, l)
+down-up step, the censored band occupancy, overlaps, the partition-ratio
+bounds and the landscape's g(eta, b0) at any b0."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import log
@@ -71,6 +72,16 @@ def cycle_graph(n: int) -> Graph:
         raise InvalidInputError("cycle needs n >= 3")
     adjacency = [[(u - 1) % n, (u + 1) % n] for u in range(n)]
     return Graph(n=n, adjacency=adjacency, delta_max=2)
+
+
+def edge_multiset(g: Graph) -> Counter:
+    """Each edge (u, w), u <= w, with its multiplicity."""
+    return Counter(g.edges())
+
+
+def num_edges(g: Graph) -> int:
+    """Edge count, a self-loop once (it is twice in its vertex's row)."""
+    return sum(map(len, g.adjacency)) // 2
 
 
 @pytest.fixture(scope="session")
@@ -293,6 +304,11 @@ def swap_delta_mono(g, spins, u, w):
 
 # Per-state probabilities and finite-difference cumulants
 
+def log_z(table: PartitionTable, lam: float) -> float:
+    """log Z(beta, lambda) = log sum_k lambda^k Zhat_k."""
+    return _logsumexp(table.log_weights_by_k(lam))
+
+
 def cumulants_by_t_derivative(
     g: Graph, beta: float, lam: float, pinning: Pinning = EMPTY_PINNING,
     j_max: int = 3, step: float = 1e-3,
@@ -303,7 +319,7 @@ def cumulants_by_t_derivative(
     table = exact_partition_table(g, beta, pinning)
 
     def K(t):
-        return table.log_z(lam * math.exp(t))
+        return log_z(table, lam * math.exp(t))
 
     h = step
     k1 = (K(h) - K(-h)) / (2 * h)
@@ -330,7 +346,7 @@ def gibbs_prob(
     if table is None:
         table = exact_partition_table(g, params.beta, pinning)
     log_w = sigma.plus_count * math.log(params.lam) + params.beta * sigma.mono_edges
-    return math.exp(log_w - table.log_z(params.lam))
+    return math.exp(log_w - log_z(table, params.lam))
 
 
 def fixed_mag_prob(
@@ -349,7 +365,7 @@ def fixed_mag_prob(
         )
     if table is None:
         table = exact_partition_table(g, beta, pinning)
-    log_zhat = table.log_zhat(k)
+    log_zhat = table.log_zhat_by_k[k]
     if log_zhat == NEG_INF:
         raise InvalidInputError(f"Omega_k empty for k={k} under this pinning")
     return math.exp(beta * sigma.mono_edges - log_zhat)

@@ -48,6 +48,7 @@ from conftest import (
     fixed_mag_prob,
     gibbs_prob,
     partition_ratio_bounds,
+    plus_sets,
 )
 
 LN2 = math.log(2)
@@ -122,7 +123,8 @@ def criterion_2():
                 for tm in (kq, dq):
                     s, d = _stationarity_errors(tm)
                     worst_stat, worst_db = max(worst_stat, s), max(worst_db, d)
-                order = [dq.states.index(s2) for s2 in kq.states]
+                dq_states = plus_sets(dq.states)
+                order = [dq_states.index(s2) for s2 in plus_sets(kq.states)]
                 Pk, Pd = kq.P, dq.P[np.ix_(order, order)]
                 off = ~np.eye(len(kq.states), dtype=bool)
                 mask = off & ((Pk > 0) | (Pd > 0))
@@ -312,11 +314,11 @@ def _collect_coupling_stats(g, beta, k, steps, seed):
     rows = []
     state = None
     for _ in range(steps):
-        if state is None or state.coalesced():
+        if state is None or not state.D:
             xs = tuple(int(v) for v in rng.choice(g.n, size=k, replace=False))
             ys = tuple(int(v) for v in rng.choice(g.n, size=k, replace=False))
             state = driver.make_state(xs, ys)
-            if state.coalesced():
+            if not state.D:
                 continue
         nxt = driver.step(state, rng)
         rows.append((len(state.D), len(state.B), len(nxt.D), len(nxt.B)))
@@ -389,10 +391,11 @@ def criterion_7():
         out = driver.step(start, rng)
         key = frozenset(out.X)
         counts[key] = counts.get(key, 0) + 1
-    row = tm.P[tm.states.index(frozenset({0, 1}))]
+    states = plus_sets(tm.states)
+    row = tm.P[states.index(frozenset({0, 1}))]
     chi_stat = 0.0
     dof = -1
-    for s, p in zip(tm.states, row):
+    for s, p in zip(states, row):
         if p <= 0:
             continue
         exp = p * N

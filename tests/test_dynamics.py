@@ -230,8 +230,7 @@ def test_downup_beta0_uniform_candidates():
     tm = build_transition_matrix(ChainKernel("downup", beta=0.0, k=2), g)
     # removing either plus, the new position is uniform over n-k+1 = 4
     # candidates, so each swap-neighbor gets 1/8 and the diagonal 2 * 1/8.
-    states = tm.states
-    i = states.index(frozenset({0, 2}))
+    i = plus_sets(tm.states).index(frozenset({0, 2}))
     row = tm.P[i]
     assert math.isclose(row.sum(), 1.0)
     assert math.isclose(row[i], 0.25)
@@ -264,7 +263,7 @@ def test_kawasaki_stationary_matches_partition_table():
     states = plus_sets(X)
     w = np.exp(beta * mono)
     w /= w.sum()
-    order = [states.index(s) for s in tm.states]
+    order = [states.index(s) for s in plus_sets(tm.states)]
     assert np.max(np.abs(pi_power - tm.pi)) < 1e-10
     assert np.max(np.abs(w[order] - tm.pi)) < 1e-12
 
@@ -276,7 +275,7 @@ def test_pinned_kernels():
         tm = build_transition_matrix(
             ChainKernel(kind, beta=0.8, k=3, pinning=pin), g
         )
-        assert all(0 in s for s in tm.states)
+        assert tm.states[:, 0].all()
         assert np.allclose(tm.pi @ tm.P, tm.pi, atol=1e-12)
 
 
@@ -285,7 +284,8 @@ def test_kl_ell_km1_equals_downup():
     beta, k = 0.9, 2
     tm_kl = build_transition_matrix(ChainKernel("kl_downup", beta=beta, k=k, ell=1), g)
     tm_du = build_transition_matrix(ChainKernel("downup", beta=beta, k=k), g)
-    order = [tm_du.states.index(s) for s in tm_kl.states]
+    du_states = plus_sets(tm_du.states)
+    order = [du_states.index(s) for s in plus_sets(tm_kl.states)]
     assert np.max(np.abs(tm_kl.P - tm_du.P[np.ix_(order, order)])) < 1e-12
 
 
@@ -321,6 +321,7 @@ def test_kl_matrix_matches_expectation_formula():
         w = np.exp(beta * (mono - mono.max()))
         pi = w / w.sum()
         idx = {s: i for i, s in enumerate(states)}
+        tm_idx = {s: i for i, s in enumerate(plus_sets(tm.states))}
         n_sub = math.comb(k - len(pinned), ell)
         free = [v for v in range(g.n) if v not in pinned]
         for s1 in states:
@@ -333,7 +334,7 @@ def test_kl_matrix_matches_expectation_formula():
                         continue
                     p_u = mass / n_sub
                     q += p_u * (pi[idx[s1]] / mass) * (pi[idx[s2]] / mass) / pi[idx[s1]]
-                entry = tm.P[tm.states.index(s1), tm.states.index(s2)]
+                entry = tm.P[tm_idx[s1], tm_idx[s2]]
                 assert abs(q - entry) < 1e-12, (g.n, k, ell, pinned, s1, s2)
 
 
@@ -368,7 +369,7 @@ def test_downup_product_past_62_free_vertices():
     for kernel in (ChainKernel("kl_downup", beta=beta, k=2, ell=1),
                    ChainKernel("downup", beta=beta, k=2)):
         tm = build_transition_matrix(kernel, g)
-        assert tm.states == tuple(states)
+        assert np.array_equal(tm.states, X)
         assert abs(tm.K - want).max() <= 1e-14
 
 
@@ -376,9 +377,9 @@ def test_downup_product_past_62_free_vertices():
 def test_pinned_blocks_equal_per_pin_set_kernels(ell):
     """Each diagonal block of the pinned +1 down-up kernels is, entry for
     entry, the kernel ``build_transition_matrix`` makes for its pin set, with
-    the same pi, and no entry leaves its block; on the exact test set up to
-    10 vertices and a multigraph with self-loops, and at a beta where
-    exp(beta * mono) overflows."""
+    the same plus-matrix rows and pi, and no entry leaves its block; on the
+    exact test set up to 10 vertices and a multigraph with self-loops, and at
+    a beta where exp(beta * mono) overflows."""
     graphs = {name: g for name, g in exact_test_set().items() if g.n <= 10}
     graphs["looped"] = LOOPED
     for name, g in graphs.items():
@@ -395,7 +396,33 @@ def test_pinned_blocks_equal_per_pin_set_kernels(ell):
                         ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g)
                     block = slice(b * size, (b + 1) * size)
                     assert (tm.K[block, block] != want.K).nnz == 0, (name, k, u, beta)
+                    assert np.array_equal(tm.states[block], want.states), (name, k, u)
                     assert np.array_equal(tm.pi[block], want.pi), (name, k, u, beta)
+
+
+def test_kernel_states_are_the_listed_plus_matrix():
+    """``tm.states`` is the listing's read-only boolean plus matrix, one row
+    per row of K: the ``fixed_k_states`` rows for the fixed-magnetization
+    kernels, pinned or not, concatenated per pin set for the pinned blocks,
+    and for Glauber row s holds the bits of s."""
+    g, beta, k = random_regular(8, 3, seed=1), 0.7, 4
+    bits = ((np.arange(2**g.n)[:, None] >> np.arange(g.n)) & 1).astype(bool)
+    cases = [(ChainKernel("glauber", beta=beta, lam=1.2), bits),
+             (ChainKernel("kl_downup", beta=beta, k=k, ell=2), fixed_k_states(g, k)[0])]
+    for pinned in ((), (1, 5)):
+        X, _ = fixed_k_states(g, k, plus_pinned=pinned)
+        cases += [(ChainKernel(kind, beta=beta, k=k, pinning=Pinning.plus(pinned)), X)
+                  for kind in ("kawasaki", "downup")]
+    kernels = [(build_transition_matrix(kernel, g), want) for kernel, want in cases]
+    for ell in (1, 2):
+        for pin_sets, tm in pinned_downup_matrices(g, beta, k, ell):
+            want = [fixed_k_states(g, k, plus_pinned=u)[0] for u in pin_sets]
+            kernels.append((tm, np.concatenate(want)))
+    for tm, want in kernels:
+        assert tm.states.dtype == bool
+        assert not tm.states.flags.writeable
+        assert np.array_equal(tm.states, want)
+        assert len(tm.states) == tm.K.shape[0]
 
 
 def test_pinned_blocks_batched_under_the_nonzero_cap(monkeypatch):
@@ -411,6 +438,7 @@ def test_pinned_blocks_batched_under_the_nonzero_cap(monkeypatch):
     from scipy.sparse import block_diag
     assert (block_diag([tm.K for _, tm in batches]) != whole.K).nnz == 0
     assert np.array_equal(np.concatenate([tm.pi for _, tm in batches]), whole.pi)
+    assert np.array_equal(np.concatenate([tm.states for _, tm in batches]), whole.states)
     monkeypatch.setattr(dynamics, "KERNEL_NONZERO_CAP", 79)
     monkeypatch.setattr(dynamics, "fixed_k_states", _no_enumeration)
     with pytest.raises(TooLargeError, match="up to 80 nonzeros"):
@@ -443,13 +471,14 @@ def test_kawasaki_matrix_matches_definition():
             tm = build_transition_matrix(
                 ChainKernel("kawasaki", beta=beta, k=k, pinning=pin), g)
             pairs = (k - len(pinned)) * (g.n - k)
-            for i, s in enumerate(tm.states):
+            states = plus_sets(tm.states)
+            for i, s in enumerate(states):
                 spins = [1 if v in s else -1 for v in range(g.n)]
-                expected = np.zeros(len(tm.states))
+                expected = np.zeros(len(states))
                 for u in s - set(pinned):
                     for w in set(range(g.n)) - s:
                         dm = swap_delta_mono(g, spins, u, w)
-                        j = tm.states.index((s - {u}) | {w})
+                        j = states.index((s - {u}) | {w})
                         expected[j] = min(1.0, math.exp(beta * dm)) / pairs
                 expected[i] = 1.0 - expected.sum()
                 assert np.max(np.abs(tm.P[i] - expected)) < 1e-14, (g.n, pinned, s)
@@ -549,7 +578,8 @@ def test_kernel_comparison_kawasaki_downup():
             for k in range(1, g.n):
                 kq = build_transition_matrix(ChainKernel("kawasaki", beta=beta, k=k), g)
                 dq = build_transition_matrix(ChainKernel("downup", beta=beta, k=k), g)
-                order = [dq.states.index(s) for s in kq.states]
+                dq_states = plus_sets(dq.states)
+                order = [dq_states.index(s) for s in plus_sets(kq.states)]
                 Pk = kq.P
                 Pd = dq.P[np.ix_(order, order)]
                 off = ~np.eye(len(kq.states), dtype=bool)
@@ -567,7 +597,8 @@ def test_spin_flip_equivariance():
     tm_k = build_transition_matrix(ChainKernel("kawasaki", beta=beta, k=k), g)
     tm_flip = build_transition_matrix(ChainKernel("kawasaki", beta=beta, k=g.n - k), g)
     full = frozenset(range(g.n))
-    perm = [tm_flip.states.index(full - s) for s in tm_k.states]
+    flip_states = plus_sets(tm_flip.states)
+    perm = [flip_states.index(full - s) for s in plus_sets(tm_k.states)]
     assert np.max(np.abs(tm_k.P - tm_flip.P[np.ix_(perm, perm)])) < 1e-14
 
 
@@ -626,7 +657,7 @@ def test_coupled_sticky_on_diagonal():
     rng = make_rng(5)
     for _ in range(50):
         state = driver.step(state, rng)
-        assert state.coalesced()
+        assert not state.D
         assert state.X == state.Y
 
 
@@ -644,8 +675,9 @@ def test_coupled_marginal_matches_exact_kawasaki_row():
         out = driver.step(start, rng)
         key = frozenset(out.X)
         counts[key] = counts.get(key, 0) + 1
-    row = tm.P[tm.states.index(frozenset({0, 1}))]
-    for s, p in zip(tm.states, row):
+    states = plus_sets(tm.states)
+    row = tm.P[states.index(frozenset({0, 1}))]
+    for s, p in zip(states, row):
         observed = counts.get(s, 0) / n
         se = math.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(observed - p) <= 4 * se + 1e-12, (s, observed, p)
@@ -754,6 +786,8 @@ def test_coupled_contraction_small_k():
 def test_chainkernel_validation():
     with pytest.raises(InvalidInputError):
         ChainKernel("glauber", beta=0.5)
+    with pytest.raises(InvalidInputError, match="no pinning"):
+        ChainKernel("glauber", beta=0.5, lam=1.2, pinning=Pinning.plus([0]))
     with pytest.raises(InvalidInputError):
         ChainKernel("kawasaki", beta=0.5)
     with pytest.raises(InvalidInputError):

@@ -12,43 +12,43 @@ from isinglab.graphs import (
     write_edge_list,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, edge_multiset, num_edges, path_graph
 
 
 def test_k2_is_only_matching():
     g = random_regular(2, 1, seed=0, simple=True)
-    assert g.edge_multiset() == {(0, 1): 1}
+    assert edge_multiset(g) == {(0, 1): 1}
 
 
 def test_k4_unique_simple_cubic():
     g = random_regular(4, 3, seed=3, simple=True)
-    assert g.edge_multiset() == complete_graph(4).edge_multiset()
+    assert edge_multiset(g) == edge_multiset(complete_graph(4))
 
 
 def test_config_model_degree_sequence_and_symmetry():
     g = random_regular(100, 3, seed=11, simple=False)
-    assert all(g.degree(v) == 3 for v in range(g.n))
+    assert all(len(row) == 3 for row in g.adjacency)
     validate_graph(g)  # symmetry + range checks
 
 
 def test_handshake_sum_of_degrees():
     for n, d, seed in [(10, 3, 0), (12, 4, 1), (8, 2, 2)]:
         g = random_regular(n, d, seed=seed)
-        assert sum(g.degree(v) for v in range(n)) == n * d
+        assert sum(map(len, g.adjacency)) == n * d
 
 
 def test_seed_determinism():
     a = random_regular(30, 3, seed=5)
     b = random_regular(30, 3, seed=5)
     c = random_regular(30, 3, seed=6)
-    assert a.edge_multiset() == b.edge_multiset()
-    assert a.edge_multiset() != c.edge_multiset()
+    assert edge_multiset(a) == edge_multiset(b)
+    assert edge_multiset(a) != edge_multiset(c)
 
 
 def test_simple_flag_no_loops_or_parallel():
     for seed in range(5):
         g = random_regular(14, 3, seed=seed, simple=True)
-        ms = g.edge_multiset()
+        ms = edge_multiset(g)
         assert all(c == 1 for c in ms.values())
         assert all(u != w for (u, w) in ms)
 
@@ -66,17 +66,17 @@ def test_retry_cap():
 
 def test_self_loop_degree_convention():
     g = Graph(n=1, adjacency=[[0, 0]], delta_max=2)
-    assert g.degree(0) == 2
+    assert len(g.adjacency[0]) == 2
     assert list(g.edges()) == [(0, 0)]
 
 
 def test_union_identity_and_counting():
     k2 = complete_graph(2)
     u1 = disjoint_union(k2, 1)
-    assert u1.graph.edge_multiset() == k2.edge_multiset()
+    assert edge_multiset(u1.graph) == edge_multiset(k2)
     u3 = disjoint_union(k2, 3)
     assert u3.graph.n == 6
-    assert u3.graph.num_edges == 3
+    assert num_edges(u3.graph) == 3
     assert u3.component_of == [0, 0, 1, 1, 2, 2]
 
 
@@ -98,31 +98,31 @@ def test_union_copies_isomorphic_to_base_by_relabeling():
         off = i * base.n
         relabeled = {
             (u0 - off, v0 - off): c
-            for (u0, v0), c in u.graph.edge_multiset().items()
+            for (u0, v0), c in edge_multiset(u.graph).items()
             if u.component_of[u0] == i
         }
-        assert relabeled == dict(base.edge_multiset())
+        assert relabeled == dict(edge_multiset(base))
 
 
 def test_edge_list_roundtrip_k2(tmp_path):
     p = tmp_path / "k2.edges"
     write_edge_list(complete_graph(2), p)
     g = read_edge_list(p)
-    assert g.edge_multiset() == complete_graph(2).edge_multiset()
+    assert edge_multiset(g) == edge_multiset(complete_graph(2))
 
 
 def test_edge_list_literal_format(tmp_path):
     p = tmp_path / "g.edges"
     p.write_text("2 1\n0 1\n")
     g = read_edge_list(p)
-    assert g.edge_multiset() == {(0, 1): 1}
+    assert edge_multiset(g) == {(0, 1): 1}
 
 
 def test_edge_list_roundtrip_random(tmp_path):
     g = random_regular(20, 3, seed=9)
     p = tmp_path / "rr.edges"
     write_edge_list(g, p)
-    assert read_edge_list(p).edge_multiset() == g.edge_multiset()
+    assert edge_multiset(read_edge_list(p)) == edge_multiset(g)
 
 
 def test_edge_list_errors(tmp_path):
@@ -156,10 +156,10 @@ def test_roundtrip_property(n, seed, tmp_path_factory):
     g = random_regular(n, 3, seed=seed)
     p = tmp_path_factory.mktemp("rt") / "g.edges"
     write_edge_list(g, p)
-    assert read_edge_list(p).edge_multiset() == g.edge_multiset()
+    assert edge_multiset(read_edge_list(p)) == edge_multiset(g)
 
 
 def test_named_graphs():
-    assert path_graph(3).num_edges == 2
-    assert cycle_graph(5).num_edges == 5
-    assert complete_graph(4).num_edges == 6
+    assert num_edges(path_graph(3)) == 2
+    assert num_edges(cycle_graph(5)) == 5
+    assert num_edges(complete_graph(4)) == 6

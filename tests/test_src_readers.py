@@ -1,12 +1,14 @@
 """Every public module-level function or class in ``src/isinglab`` has a
 reader in the package or in the benchmark scripts, or waits in ``PENDING``
-for the ROADMAP item that wires it into a command.  Every private one has a
-reader there too: a helper that only the tests call belongs in the tests.
+for the ROADMAP item that wires it into a command.  Every private one, and
+every method or property of a ``src/`` class, has a reader there too: a
+helper that only the tests call belongs in the tests.
 
 The files are parsed, not imported, so nothing under ``bench/`` runs or
 gets written.  A read is a loaded name, an attribute, an imported name, or a
 string constant equal to the name (``bench/layers.py`` lists the functions
 it traces as strings); reads inside the name's own definition do not count.
+Class members are matched by name, whatever object the attribute is read on.
 """
 
 import ast
@@ -42,32 +44,41 @@ def _definitions(private: bool = False) -> set:
     return names
 
 
-def _reads(node) -> set:
-    """Names read anywhere under ``node``."""
+def _members() -> set:
+    """Method and property names of the classes in ``src/``, dunders left
+    out; a dataclass field is an annotation, not a definition."""
+    names = set()
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names.update(sub.name for sub in node.body
+                             if isinstance(sub, ast.FunctionDef)
+                             and not sub.name.startswith("__"))
+    return names
+
+
+def _reads(node, own=frozenset()) -> set:
+    """Names read anywhere under ``node``, less each read of the name of a
+    definition that encloses it."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        own = own | {node.name}
     found = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
-        elif isinstance(sub, ast.ImportFrom):
-            found.update(alias.name for alias in sub.names)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            found.add(sub.value)
-    return found
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    elif isinstance(node, ast.ImportFrom):
+        found.update(alias.name for alias in node.names)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        found.add(node.value)
+    for child in ast.iter_child_nodes(node):
+        found |= _reads(child, own)
+    return found - own
 
 
 def _read_names() -> set:
-    """Names read in ``src/`` and ``bench/*.py``, each top-level definition's
-    reads of its own name left out."""
-    read = set()
-    for path in SRC + BENCH:
-        for node in ast.parse(path.read_text()).body:
-            reads = _reads(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                reads.discard(node.name)
-            read |= reads
-    return read
+    """Names read in ``src/`` and ``bench/*.py``."""
+    return set().union(*(_reads(ast.parse(path.read_text())) for path in SRC + BENCH))
 
 
 def test_every_public_name_has_a_reader_or_a_pending_item():
@@ -84,3 +95,7 @@ def test_pending_names_are_defined_and_still_unread():
 
 def test_every_private_name_has_a_reader():
     assert sorted(_definitions(private=True) - _read_names()) == []
+
+
+def test_every_class_member_has_a_reader():
+    assert sorted(_members() - _read_names()) == []
