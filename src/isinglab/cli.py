@@ -8,9 +8,9 @@ config and seed (the manifest's wall-time field is the one exception).
 
 A config file of flat ``key = value`` lines can pre-populate any flag;
 explicit flags override the file.  Exit codes: 0 ok, 1 failed check
-(exactcheck, a non-reversible kernel or a degenerate spectrum), 2 validation
-error (also a missing input file, or a float overflow at extreme beta or
-lambda), 3 runtime cap exceeded.
+(exactcheck, a non-reversible kernel, a degenerate spectrum or tree fixed
+points out of order), 2 validation error (also a missing input file, or a
+float overflow at extreme beta or lambda), 3 runtime cap exceeded.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def cmd_thresholds(args, ctx: RunContext) -> int:
 
 
 def cmd_phase_diagram(args, ctx: RunContext) -> int:
-    from .thresholds import beta_u, eta_plus, lambda_a_bar, lambda_u
+    from .thresholds import compute_thresholds
 
     if args.beta_max <= args.beta_min:
         raise InvalidInputError("need beta_max > beta_min")
@@ -216,21 +216,12 @@ def cmd_phase_diagram(args, ctx: RunContext) -> int:
         args.beta_min + i * (args.beta_max - args.beta_min) / (args.steps - 1)
         for i in range(args.steps)
     ]
-    bu = beta_u(args.delta)
-
-    def row(beta):
-        lu = lambda_u(args.delta, beta) if beta > bu else float("nan")
-        lab = lambda_a_bar(args.delta, beta)
-        ec = eta_plus(args.delta, beta, 1.0)
-        eu = eta_plus(args.delta, beta, lu) if beta > bu else float("nan")
-        ea = eta_plus(args.delta, beta, lab)
-        return (beta, lu, lab, ec, eu, ea)
-
-    ctx.write_csv(
-        "phase_diagram.csv",
-        ["beta", "lambda_u", "lambda_a_bar", "eta_c", "eta_u", "eta_a_bar"],
-        [row(beta) for beta in betas],
-    )
+    header = ["beta", "lambda_u", "lambda_a_bar", "eta_c", "eta_u", "eta_a_bar"]
+    rows = []
+    for beta in betas:
+        ts = vars(compute_thresholds(args.delta, beta))
+        rows.append(tuple(math.nan if ts[h] is None else ts[h] for h in header))
+    ctx.write_csv("phase_diagram.csv", header, rows)
     return EXIT_OK
 
 
@@ -548,6 +539,9 @@ def cmd_metastability(args, ctx: RunContext) -> int:
 def _common(p):
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=0)
+
+
+def _enum_cap(p):
     p.add_argument("--enum-cap", type=int, default=24,
                    help="max free vertices for exact enumeration")
 
@@ -615,6 +609,7 @@ def _spectra_args(p):
                    help="assumed zero-free activity interval, recorded verbatim")
     p.add_argument("--zero-free-delta", type=float,
                    help="assumed zero-freeness radius, recorded verbatim")
+    _enum_cap(p)
 
 
 def _exactcheck_args(p):
@@ -622,6 +617,7 @@ def _exactcheck_args(p):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
+    _enum_cap(p)
 
 
 def _metastability_args(p):

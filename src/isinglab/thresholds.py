@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from .errors import InvalidInputError, NoNonuniquenessError
+from .errors import InvalidInputError, IsinglabError, NoNonuniquenessError
 
 MARGINAL_BAND = 1e-8
 ROOT_DEDUP = 1e-8
@@ -209,16 +209,6 @@ def eta_of_fixed_point(R: float, beta: float) -> float:
     return (T - 1) / (T + 1)
 
 
-def L_star(delta: int, beta: float, lam: float) -> float:
-    """Largest solution of the tree equation in half-log-likelihood form,
-
-        L = (1/2) log(lambda) + (delta-1) artanh(tanh L tanh(beta/2)),
-
-    which is L* = (1/2) log R for the largest fixed point R.
-    """
-    return 0.5 * math.log(tree_fixed_points(delta, beta, lam)[-1].R)
-
-
 def eta_plus(delta: int, beta: float, lam: float) -> float:
     """Mean root magnetization of the plus measure on the delta-regular tree."""
     return eta_of_fixed_point(tree_fixed_points(delta, beta, lam)[-1].R, beta)
@@ -287,38 +277,42 @@ class ThresholdSet:
 
 
 def compute_thresholds(delta: int, beta: float, lam: float | None = None) -> ThresholdSet:
-    """Assemble the full threshold report for one (delta, beta)."""
+    """The threshold report for one (delta, beta), one tree solve per field.
+
+    eta_c, eta_u and eta_a_bar are the root magnetizations of the largest
+    fixed point R at lambda = 1, lambda_u and lambda_a_bar.  Above beta_u they
+    must increase.  eta increases with R and is 0 at R = 1, so the check is
+    1 < R_c < R_u < R_a_bar: the same order on values that, unlike eta at
+    large beta, do not round to 1.
+    """
     bu = beta_u(delta)
     lab = lambda_a_bar(delta, beta)
-    ec = eta_plus(delta, beta, 1.0)
-    if beta > bu:
-        lu = lambda_u(delta, beta)
-        eu = eta_plus(delta, beta, lu)
-    else:
-        lu, eu = None, None
-    ea = eta_plus(delta, beta, lab)
+    lu = lambda_u(delta, beta) if beta > bu else None
+    Rc, Ru, Ra = (None if field is None else tree_fixed_points(delta, beta, field)[-1].R
+                  for field in (1.0, lu, lab))
+    if lu is not None and not 1 < Rc < Ru < Ra:
+        raise IsinglabError(
+            f"threshold ordering violated at delta={delta}, beta={beta}: largest "
+            f"fixed points R_c={Rc} R_u={Ru} R_a_bar={Ra} are not increasing above 1"
+        )
     extra = {}
     if lam is not None:
+        # L* = (1/2) log R solves L = (1/2) log lam + (delta-1) artanh(tanh L tanh(beta/2))
+        fps = tree_fixed_points(delta, beta, lam)
         extra = {
             "lam": lam,
-            "L_star": L_star(delta, beta, lam),
-            "eta_plus": eta_plus(delta, beta, lam),
-            "eta_minus": eta_minus(delta, beta, lam),
+            "L_star": 0.5 * math.log(fps[-1].R),
+            "eta_plus": eta_of_fixed_point(fps[-1].R, beta),
+            "eta_minus": eta_of_fixed_point(fps[0].R, beta),
         }
-    ts = ThresholdSet(
+    return ThresholdSet(
         delta=delta,
         beta=beta,
         beta_u=bu,
         lambda_u=lu,
         lambda_a_bar=lab,
-        eta_c=ec,
-        eta_u=eu,
-        eta_a_bar=ea,
+        eta_c=eta_of_fixed_point(Rc, beta),
+        eta_u=None if Ru is None else eta_of_fixed_point(Ru, beta),
+        eta_a_bar=eta_of_fixed_point(Ra, beta),
         **extra,
     )
-    if beta > bu and not (0 < ts.eta_c < ts.eta_u < ts.eta_a_bar):
-        raise AssertionError(
-            f"threshold ordering violated: eta_c={ts.eta_c} eta_u={ts.eta_u} "
-            f"eta_a_bar={ts.eta_a_bar}"
-        )
-    return ts

@@ -95,21 +95,6 @@ def k3():
 
 
 @pytest.fixture(scope="session")
-def k4():
-    return complete_graph(4)
-
-
-@pytest.fixture(scope="session")
-def p3():
-    return path_graph(3)
-
-
-@pytest.fixture(scope="session")
-def rr10():
-    return random_regular(10, 3, seed=7, simple=True)
-
-
-@pytest.fixture(scope="session")
 def two_c6():
     return disjoint_union(cycle_graph(6), 2).graph
 

@@ -93,9 +93,11 @@ def criterion_1():
 
 
 def _stationarity_errors(tm):
-    stat = float(np.max(np.abs(tm.pi @ tm.P - tm.pi)))
-    F = tm.pi[:, None] * tm.P
-    db = float(np.max(np.abs(F - F.T)))
+    """max |piK - pi| and max |F - F^T| for the flux F = diag(pi) K, both on
+    the sparse kernel."""
+    stat = float(np.max(np.abs(tm.pi @ tm.K - tm.pi)))
+    F = tm.K.multiply(tm.pi[:, None])
+    db = float(abs(F - F.T).max())
     return stat, db
 
 

@@ -28,6 +28,34 @@ def test_thresholds_validation_exit():
     assert run(["thresholds", "--delta", "2", "--beta", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("delta, beta", [("6", "4.0"), ("3", "9.54"),
+                                         ("10", "2.24")])
+def test_thresholds_at_large_beta_match_the_phase_diagram_row(tmp_path, delta,
+                                                              beta):
+    """eta_u and eta_a_bar round to 1 here; both commands report one row."""
+    assert run(["thresholds", "--delta", delta, "--beta", beta,
+                "--out", str(tmp_path)]) == 0
+    ts = json.loads((tmp_path / "thresholds.json").read_text())
+    assert run(["phase-diagram", "--delta", delta, "--beta-min", beta,
+                "--beta-max", str(float(beta) + 1), "--steps", "2",
+                "--out", str(tmp_path)]) == 0
+    header, first = (tmp_path / "phase_diagram.csv").read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), map(float, first.split(","))))
+    assert row == {key: ts[key] for key in row}
+
+
+@pytest.mark.parametrize("argv", [
+    ["thresholds", "--delta", "3", "--beta", "1.098612288668111"],
+    ["phase-diagram", "--delta", "3", "--beta-min", "1.098612288668111",
+     "--beta-max", "2", "--steps", "2"],
+])
+def test_threshold_ordering_violation_exits_1(tmp_path, capsys, argv):
+    # just above beta_u(3) the solver's largest fixed point at lambda_u is < 1
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    _assert_one_line_error(capsys)
+    assert not list(tmp_path.iterdir())
+
+
 def test_landscape_three_critical_points(tmp_path):
     code = run(["landscape", "--delta", "4", "--beta", "0.7931",
                 "--lam", "1.01", "--grid", "5e-3", "--out", str(tmp_path)])
@@ -351,6 +379,48 @@ def test_fixed_mag_reports_k_above_graph_size_exit(tmp_path, capsys, report):
     assert "Traceback" not in err and "k=50 outside [0, 4]" in err
 
 
+@pytest.mark.parametrize("field", [("--k", "4"), ("--lam", "1.2")])
+def test_influence_report_equals_the_library(tmp_path, field):
+    from isinglab.cli import _json_ready
+    from isinglab.graphs import random_regular
+    from isinglab.spectral import (
+        fixed_mag_distribution,
+        grand_canonical_distribution,
+        influence_matrix,
+    )
+
+    assert run(["spectra", "--report", "influence", "--n", "8", "--delta", "3",
+                "--beta", "0.6", *field, "--seed", "2", "--out", str(tmp_path)]) == 0
+    g = random_regular(8, 3, seed=2)
+    if field[0] == "--k":
+        X, probs = fixed_mag_distribution(g, 0.6, 4)
+    else:
+        X, probs = grand_canonical_distribution(g, 0.6, 1.2)
+    infl = influence_matrix(X, probs)
+    assert json.loads((tmp_path / "spectra.json").read_text()) == _json_ready({
+        "graph_n": 8, "beta": 0.6, "report": "influence",
+        "linf_norm": infl.linf_norm, "top_eigenvalue": infl.top_eigenvalue,
+        "has_complex_pair": infl.has_complex_pair,
+    })
+
+
+def test_localwalks_report_equals_the_library(tmp_path):
+    from isinglab.cli import _json_ready
+    from isinglab.graphs import random_regular
+    from isinglab.spectral import local_expansion_zetas, local_to_global_gap_bound
+
+    assert run(["spectra", "--report", "localwalks", "--n", "8", "--delta", "3",
+                "--beta", "0.6", "--k", "4", "--seed", "2",
+                "--out", str(tmp_path)]) == 0
+    zetas = local_expansion_zetas(random_regular(8, 3, seed=2), 0.6, 4)
+    bound = local_to_global_gap_bound(zetas, 3)
+    assert json.loads((tmp_path / "spectra.json").read_text()) == _json_ready({
+        "graph_n": 8, "beta": 0.6, "report": "localwalks",
+        "zetas": list(zetas), "ell": 3, "gammas": list(bound.gammas),
+        "gap_lower_bound": bound.bound, "collapsed": bound.collapsed,
+    })
+
+
 def test_influence_honours_enum_cap(tmp_path, capsys):
     # 2^10 grand-canonical states are within the default cap but not within 5
     code = run(["spectra", "--report", "influence", "--n", "10", "--delta", "3",
@@ -473,11 +543,17 @@ def test_help_lists_every_command(capsys):
 
 
 def test_command_help_lists_its_arguments(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["landscape", "--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "--grid" in out and "--enum-cap" in out
+    """--enum-cap is an argument of the two commands that read it."""
+    from isinglab.cli import COMMANDS
+
+    for name in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            run([name, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--out" in out and "--seed" in out
+        assert ("--enum-cap" in out) == (name in ("spectra", "exactcheck")), name
+        assert name != "landscape" or "--grid" in out
 
 
 def test_unknown_command_exits_2(capsys):

@@ -49,14 +49,6 @@ def cfg(g, spins):
     return SpinConfiguration.from_spins(g, spins)
 
 
-def empirical_law(step_fn, start, n_steps, rng):
-    counts = {}
-    for _ in range(n_steps):
-        out = step_fn(start, rng)
-        counts[out.spins] = counts.get(out.spins, 0) + 1
-    return counts
-
-
 def test_glauber_isolated_vertex_unbiased():
     g = Graph(n=1, adjacency=[[]], delta_max=0)
     rng = make_rng(0)

@@ -37,10 +37,6 @@ def chi_square_ok(counts, probs, n, alpha=0.01):
     return stat <= chi2.ppf(1 - alpha, dof), stat, dof
 
 
-def spins_key(spins):
-    return tuple(spins)
-
-
 def state_of(sigma):
     return frozenset(v for v, s in enumerate(sigma.spins) if s == 1)
 

@@ -9,6 +9,10 @@ gets written.  A read is a loaded name, an attribute, an imported name, or a
 string constant equal to the name (``bench/layers.py`` lists the functions
 it traces as strings); reads inside the name's own definition do not count.
 Class members are matched by name, whatever object the attribute is read on.
+
+The tests hold to the same rule: a module-level function in ``tests/`` that
+is not a ``test_*`` function has a reader in ``tests/``.  A fixture is read
+when a test or another fixture takes a parameter of its name.
 """
 
 import ast
@@ -17,6 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "isinglab").glob("*.py"))
 BENCH = sorted((ROOT / "bench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # name -> the ROADMAP open item that gives it a command reader
 PENDING = {
@@ -99,3 +104,27 @@ def test_every_private_name_has_a_reader():
 
 def test_every_class_member_has_a_reader():
     assert sorted(_members() - _read_names()) == []
+
+
+def _is_fixture(node) -> bool:
+    """A function decorated ``@pytest.fixture`` or ``@pytest.fixture(...)``."""
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(dec, ast.Attribute) and dec.attr == "fixture":
+            return True
+    return False
+
+
+def test_every_test_helper_has_a_reader():
+    helpers, read = set(), set()
+    for path in TESTS:
+        tree = ast.parse(path.read_text())
+        read |= _reads(tree)
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name.startswith("test_") or _is_fixture(node):
+                read.update(arg.arg for arg in node.args.args)
+            if not node.name.startswith("test_"):
+                helpers.add(node.name)
+    assert sorted(helpers - read) == []

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
+from isinglab import thresholds
 from isinglab.errors import InvalidInputError, NoNonuniquenessError
 from isinglab.thresholds import (
-    L_star,
     ThresholdSet,
     beta_u,
     compute_thresholds,
@@ -81,7 +81,7 @@ def test_tangency_detected_at_lambda_u():
 
 
 def test_L_star_zero_below_beta_u_at_unit_field():
-    assert abs(L_star(4, 0.5, 1.0)) < 1e-12
+    assert abs(compute_thresholds(4, 0.5, lam=1.0).L_star) < 1e-12
     assert abs(eta_plus(4, 0.5, 1.0)) < 1e-12
 
 
@@ -193,3 +193,30 @@ def test_eta_c_lt_eta_u():
     for delta, beta in [(3, 1.2), (4, LN2 + 0.1), (5, 0.8)]:
         ts = compute_thresholds(delta, beta)
         assert ts.eta_c < ts.eta_u
+
+
+def test_one_tree_solve_per_reported_field(monkeypatch):
+    """lambda = 1, lambda_u, lambda_a_bar and lam: four solves, not six."""
+    calls = []
+
+    def counting(delta, beta, lam):
+        calls.append(lam)
+        return tree_fixed_points(delta, beta, lam)
+
+    monkeypatch.setattr(thresholds, "tree_fixed_points", counting)
+    ts = compute_thresholds(3, 1.2, lam=1.01)
+    assert sorted(calls) == sorted([1.0, ts.lambda_u, ts.lambda_a_bar, 1.01])
+    assert ts.L_star == 0.5 * math.log(tree_fixed_points(3, 1.2, 1.01)[-1].R)
+    assert ts.eta_plus == eta_plus(3, 1.2, 1.01)
+    assert ts.eta_minus == eta_minus(3, 1.2, 1.01)
+
+
+@pytest.mark.parametrize("delta, beta", [(3, 9.54), (4, 6.51), (5, 4.93),
+                                         (6, 3.93), (6, 4.0), (8, 2.83),
+                                         (10, 2.24), (10, 4.48)])
+def test_ordering_holds_where_the_magnetizations_round_to_one(delta, beta):
+    # eta_u and eta_a_bar are 1.0 in floats here; the fixed points are not
+    ts = compute_thresholds(delta, beta)
+    assert ts.eta_a_bar == 1.0
+    assert 0 < ts.eta_c <= ts.eta_u <= ts.eta_a_bar
+    assert ts.eta_u == eta_plus(delta, beta, ts.lambda_u)
