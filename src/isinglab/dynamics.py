@@ -23,11 +23,12 @@ On enumerable instances every kernel can also be realized as an explicit
 row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
 Kawasaki and down-up kernels, pinned or not, come from one builder of moves
 on the links of kept plus sets (``_link_matrix``): one state x link
-incidence, whose product with the links' heat-bath laws is the down-up
-kernel and whose pattern with its transpose is the Kawasaki one.  The +1
-down-up walks pinned at every l-subset are the blocks of a few
-block-diagonal kernels of that builder (``pinned_downup_matrices``).  The
-coupled Kawasaki
+incidence A, whose pattern with its transpose is the Kawasaki kernel.  A
+down-up kernel is kept as its two link factors, A and the links' heat-bath
+laws L; it is checked on them, and K = A L is formed only when it is read,
+while gaps are solved on the smaller side of A L and L A.  The +1 down-up
+walks pinned at every l-subset are the blocks of a few block-diagonal
+kernels of that builder (``pinned_downup_matrices``).  The coupled Kawasaki
 chain tracks the disagreement set D, the "bad" disagreements B (those
 adjacent to an agreeing plus), and the contraction functional
 rho = phi |D| + |B|.
@@ -60,8 +61,9 @@ from .rng import as_rng
 DENSE_KERNEL_BYTES = 512 << 20  # dense view P: at most 8 192 states
 # A build peaks near 36 bytes per nonzero, measured as peak RSS growth on
 # random_regular(20, 3, seed=1): C(20, 10) = 184 756 Kawasaki states (18.7 M
-# nonzeros) 643 MiB, the +1 down-up walk there 643 MiB, Glauber (22 M)
-# 669 MiB.  So about 1.2 GB at the cap.
+# nonzeros) 643 MiB, Glauber (22 M) 669 MiB.  So about 1.2 GB at the cap.
+# A down-up build holds only its link factors, but the cap still bounds the
+# product K = A L that a read of its K forms.
 KERNEL_NONZERO_CAP = 1 << 25
 ROW_SUM_TOL = 1e-12
 DETAILED_BALANCE_TOL = 1e-10
@@ -281,33 +283,42 @@ def downup_step(g: Graph, beta: float, k: int, plus_pinning: Pinning,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic kernel as a CSR array, with its exact stationary vector.
 
     ``states`` is the builder's boolean plus matrix, row i the pluses of
     state i of K; only its length is read here.  ``K`` may be passed dense
-    or sparse and is kept as a canonical ``scipy.sparse.csr_array``.
-    Building one checks, once and in O(nnz) memory, that rows sum to 1 and
-    that pi(x) K(x, y) = pi(y) K(y, x).
+    or sparse, or as the link factors (A, L) of a down-up kernel K = A L:
+    A the state x link incidence and L the links' laws over states.
+    ``factors`` keeps them (None for a kernel passed whole), and ``tm.K`` is
+    always a canonical ``scipy.sparse.csr_array``, for factors formed when
+    first read.  Building one checks, once and in O(nnz) memory, that rows
+    sum to 1 and that pi(x) K(x, y) = pi(y) K(y, x).  Factors are checked
+    instead: rows of A and of L sum to 1, and L(e, y) (pi A)(e) = pi(y) A(y, e)
+    for every link e, which makes pi(x) K(x, y) a sum over links symmetric
+    in x and y, so a K formed later is reversible and is not checked again.
     """
 
-    states: np.ndarray  # read-only, states x n
-    K: object = field(repr=False)  # scipy.sparse.csr_array
-    pi: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        from scipy.sparse import csr_array
-
-        K = csr_array(self.K, dtype=float)
-        K.sum_duplicates()
-        object.__setattr__(self, "K", K)
-        err = np.max(np.abs(K.sum(axis=1) - 1.0))
-        if err > ROW_SUM_TOL:
-            raise NonReversibleError(f"rows sum to 1 +- {err:.2e} > {ROW_SUM_TOL}")
-        err = _detailed_balance_error(K, self.pi)
+    def __init__(self, states: np.ndarray, K, pi: np.ndarray):
+        self.states = states  # read-only, states x n
+        self.pi = pi
+        self.factors = K if isinstance(K, tuple) else None
+        if self.factors is None:
+            self.K = _canonical(K)
+            _check_rows(self.K)
+            err = _detailed_balance_error(self.K, pi)
+        else:
+            A, L = K
+            _check_rows(A, L)
+            err = _link_balance_error(A, L, pi)
         if err > DETAILED_BALANCE_TOL:
             raise NonReversibleError(f"detailed balance violated by {err:.2e}")
+
+    @cached_property
+    def K(self):
+        """The kernel, the product of the factors when ``factors`` is set."""
+        A, L = self.factors
+        return _canonical(A @ L)
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -318,24 +329,52 @@ class TransitionMatrix:
         return P
 
 
+def _canonical(K):
+    """K as a float CSR array with sorted, summed entries."""
+    from scipy.sparse import csr_array
+
+    K = csr_array(K, dtype=float)
+    K.sum_duplicates()
+    return K
+
+
+def _check_rows(*matrices) -> None:
+    """Refuse any of ``matrices`` with a row that does not sum to 1."""
+    err = max(float(np.max(np.abs(M.sum(axis=1) - 1.0))) for M in matrices)
+    if err > ROW_SUM_TOL:
+        raise NonReversibleError(f"rows sum to 1 +- {err:.2e} > {ROW_SUM_TOL}")
+
+
+def _row_scaled(M, weights: np.ndarray):
+    """The CSR array M with row i multiplied by weights[i]."""
+    rows = np.repeat(weights, np.diff(M.indptr))
+    return type(M)((rows * M.data, M.indices, M.indptr), shape=M.shape)
+
+
 def _detailed_balance_error(K, pi: np.ndarray) -> float:
     """max |pi(x) K(x, y) - pi(y) K(y, x)| over the stored entries of K."""
     Kt = K.T.tocsr()
     if not (np.array_equal(K.indptr, Kt.indptr)
             and np.array_equal(K.indices, Kt.indices)):
         # entries without a stored reverse: compare on the union pattern
-        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
-        F = type(K)((pi[rows] * K.data, K.indices, K.indptr), shape=K.shape)
+        F = _row_scaled(K, pi)
         return float(abs(F - F.T).max())
-    # same pattern: entry p of K and of K^T are (x, y) and (y, x); in blocks,
-    # so that no temporary grows with nnz
+    # same pattern: entry p of K and of K^T are (x, y) and (y, x); in blocks
+    # of whole rows, so that no temporary grows with nnz
+    counts = np.diff(K.indptr)
+    step = max(1, (1 << 20) // max(1, int(counts.max(initial=0))))
     err = 0.0
-    for lo in range(0, K.nnz, 1 << 20):
-        hi = min(lo + (1 << 20), K.nnz)
-        rows = np.searchsorted(K.indptr, np.arange(lo, hi), side="right") - 1
-        d = pi[rows] * K.data[lo:hi] - pi[K.indices[lo:hi]] * Kt.data[lo:hi]
-        err = max(err, float(np.max(np.abs(d))))
+    for r in range(0, K.shape[0], step):
+        lo, hi = K.indptr[r], K.indptr[min(r + step, K.shape[0])]
+        rows = np.repeat(pi[r:r + step], counts[r:r + step])
+        d = rows * K.data[lo:hi] - pi[K.indices[lo:hi]] * Kt.data[lo:hi]
+        err = max(err, float(np.max(np.abs(d), initial=0.0)))
     return err
+
+
+def _link_balance_error(A, L, pi: np.ndarray) -> float:
+    """max |L(e, y) (pi A)(e) - pi(y) A(y, e)| over the entries of L and A^T."""
+    return float(abs(_row_scaled(L, pi @ A) - _row_scaled(A, pi).T).max())
 
 
 def _check_dense_size(size: int) -> None:
@@ -426,8 +465,9 @@ def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
 
 def _nonzero_bound(m: int, k_free: int, ell: int) -> int:
     """Entries a fixed-magnetization kernel on C(m, k_free) states may hold:
-    a row lies in C(k_free, l) links of C(m - l, k_free - l) states each, and
-    the down-up product first lists its C(k_free, l) kept subsets."""
+    a row lies in C(k_free, l) links of C(m - l, k_free - l) states each
+    (the bound on K = A L that a read of a down-up K forms), and the link
+    incidence A lists its C(k_free, l) kept subsets."""
     size = math.comb(m, k_free)
     subsets = math.comb(k_free, ell)
     link = math.comb(m - ell, k_free - ell)
@@ -483,13 +523,13 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
 
     From S every l-subset K of its free pluses is kept in turn; the link of
     the block's pin set + K is the set of states containing it.  A link's
-    key is the bitmask of K plus (block << n), so blocks share no link.  A
+    key is the bitmask of K plus (block << n), so blocks share no link, and
+    the links are sorted by key, so each block's links are consecutive.  A
     is the state x link matrix with A[S, K] = 1 / C(k_free, l) for K in S.
-      * Down-up (``swaps`` None): K = A L, where L has A^T's pattern and each
-        link's row holds its heat-bath law, taken after subtracting the
-        link's largest log-weight so that large beta stays finite.  The
-        product sums the repeats as it forms each row, so they never all
-        exist at once.  The +1 walk is l = k_free - 1.
+      * Down-up (``swaps`` None): the factors (A, L) of the kernel A L, where
+        L has A^T's pattern and each link's row holds its heat-bath law,
+        taken after subtracting the link's largest log-weight so that large
+        beta stays finite.  The +1 walk is l = k_free - 1.
       * Kawasaki (l = k_free - 1): two distinct states share a link exactly
         when one free plus of S moved to a free minus gives T, so the pattern
         of A A^T is S and its ``swaps`` = k_free (n - k) swaps.  Each is
@@ -515,14 +555,14 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
     A = csr_array((np.full(link_of.size, 1.0 / len(kept)), link_of.astype(np.int32),
                    np.arange(0, link_of.size + 1, len(kept), dtype=np.int32)),
                   shape=(size, len(links)))
-    del masks, links, link_of  # so that the product can reuse their memory
+    del masks, links, link_of  # so that the next factor can reuse their memory
     if swaps is None:
         L = A.T.tocsr()
         starts, counts = L.indptr[:-1], np.diff(L.indptr)
         logw = beta * mono[L.indices]
         w = np.exp(logw - np.repeat(np.maximum.reduceat(logw, starts), counts))
         L.data = w / np.repeat(np.add.reduceat(w, starts), counts)
-        return A @ L
+        return A, L
     K = A @ A.T
     K.sort_indices()
     counts = np.diff(K.indptr)

@@ -9,10 +9,14 @@ most (C - 1)/(k - |U| - 1) when M has top eigenvalue at most C.
 
 Second eigenvalues come from one dense ``eigvalsh`` for a kernel of at
 most DENSE_EIGEN_STATES states, where the per-call cost of a Lanczos solve
-dominates, and from one Lanczos solve of the sparse kernel above that.  The
-gap factorization check solves the C(n, l) pinned walks as the blocks of
-block-diagonal kernels: one batched ``eigvalsh`` over the stacked blocks,
-or one Lanczos solve per block when blocks are larger.
+dominates, and from one Lanczos solve of the sparse kernel above that, with
+the top eigenvalue deflated.  A down-up kernel K = A L, kept as its link
+factors, is solved on the smaller of K and L A (the walk on its links,
+which has the same nonzero spectrum), so its K is never formed for a gap
+when it has fewer links than states.  The gap factorization check solves the
+C(n, l) pinned walks as the blocks of block-diagonal kernels: one batched
+``eigvalsh`` over the stacked blocks, or one Lanczos solve per block when
+blocks are larger.
 """
 
 from __future__ import annotations
@@ -71,19 +75,27 @@ def _dense_second_eigenvalues(Q: np.ndarray, sq: np.ndarray) -> np.ndarray:
 
 
 def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
-    """One Lanczos solve (ARPACK ``eigsh``, the two largest eigenvalues)
-    that applies K itself, from a fixed start vector so that reruns agree."""
+    """lambda_2 of S = D^{1/2} K D^{-1/2}, D^{1/2} = diag(sq), by one Lanczos
+    solve (ARPACK ``eigsh``, the largest eigenvalue) of S - 2 u u^T with
+    u = sq / |sq|.  S u = u, so that eigenvalue moves to -1 and the largest
+    left is lambda_2.  Each product applies K itself between two scalings,
+    from a fixed start vector so that reruns agree."""
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     size = len(sq)
-    A = LinearOperator((size, size), dtype=float,
-                       matvec=lambda x: sq * (K @ (x.ravel() / sq)))
+    u = sq / np.linalg.norm(sq)
+
+    def matvec(x):
+        x = x.ravel()
+        return sq * (K @ (x / sq)) - 2.0 * (u @ x) * u
+
     try:
-        top = eigsh(A, k=2, which="LA", v0=make_rng(0).random(size),
+        top = eigsh(LinearOperator((size, size), dtype=float, matvec=matvec),
+                    k=1, which="LA", v0=make_rng(0).random(size),
                     return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         raise DegenerateError(f"Lanczos solve did not converge: {exc}") from exc
-    return float(top.min())
+    return float(top[0])
 
 
 def _second_eigenvalues(tm: TransitionMatrix, block: int) -> np.ndarray:
@@ -91,14 +103,33 @@ def _second_eigenvalues(tm: TransitionMatrix, block: int) -> np.ndarray:
     pi-symmetrized kernel D^{1/2} K D^{-1/2}, D = diag(pi); K holds no entry
     outside these blocks.
 
-    Blocks of at most DENSE_EIGEN_STATES states are filled dense from K's
-    rows (never from ``tm.P``) and solved by one batched ``eigvalsh``, at
-    most DENSE_STACK_BYTES of them at a time; larger blocks get one Lanczos
-    solve each, on their slice of K.
+    A kernel kept as link factors K = A L is solved on the link side
+    M = L A, reversible for pi A, whenever a block has at least two links
+    and fewer links than states.  M has K's nonzero eigenvalues, the rest of
+    K's are 0, and a down-up kernel has none below 0, so lambda_2 is the
+    same.  Otherwise the solve is on K.
     """
     if block == 1:
         raise DegenerateError("a one-state chain has no second eigenvalue")
-    K, size, sq = tm.K, len(tm.states), np.sqrt(tm.pi)
+    if tm.factors is not None:
+        A, L = tm.factors
+        links = A.shape[1] * block // len(tm.states)  # per block
+        if 2 <= links < block:
+            return _block_second_eigenvalues(L @ A, np.sqrt(tm.pi @ A), links)
+    return _block_second_eigenvalues(tm.K, np.sqrt(tm.pi), block)
+
+
+def _block_second_eigenvalues(K, sq: np.ndarray, block: int) -> np.ndarray:
+    """lambda_2 of each diagonal block of ``block`` rows of
+    D^{1/2} K D^{-1/2}, D^{1/2} = diag(sq), for a CSR K with no duplicate
+    entries.
+
+    Blocks of at most DENSE_EIGEN_STATES rows are filled dense from K's rows
+    (never from ``tm.P``) and solved by one batched ``eigvalsh``, at most
+    DENSE_STACK_BYTES of them at a time; larger blocks get one Lanczos solve
+    each, on their slice of K.
+    """
+    size = len(sq)
     if block > DENSE_EIGEN_STATES:
         return np.array([
             _lanczos_second_eigenvalue(
@@ -319,7 +350,8 @@ def gap_factorization_check(g: Graph, beta: float, k: int,
 
     The C(n, l) pinned walks P^U come as block-diagonal kernels
     (``pinned_downup_matrices``), and inf_U gap = 1 - the largest lambda_2
-    of their blocks.
+    of their blocks.  All three walks are down-up kernels, each solved on
+    its links where it has fewer links than states.
     """
     kl_kernel = ChainKernel("kl_downup", beta=beta, k=k, ell=ell)  # checks ell first
     tm_full = build_transition_matrix(ChainKernel("downup", beta=beta, k=k), g)

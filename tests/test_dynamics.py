@@ -20,7 +20,7 @@ from isinglab.dynamics import (
     kawasaki_step,
     pinned_downup_matrices,
 )
-from isinglab.errors import InvalidInputError, TooLargeError
+from isinglab.errors import InvalidInputError, NonReversibleError, TooLargeError
 from isinglab.graphs import Graph, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
@@ -390,6 +390,61 @@ def test_pinned_blocks_equal_per_pin_set_kernels(ell):
                     assert (tm.K[block, block] != want.K).nnz == 0, (name, k, u, beta)
                     assert np.array_equal(tm.states[block], want.states), (name, k, u)
                     assert np.array_equal(tm.pi[block], want.pi), (name, k, u, beta)
+
+
+def test_downup_kernels_keep_their_link_factors():
+    """A down-up kernel keeps A (state x link) and L (link x state) and forms
+    K = A L only when it is read; Kawasaki and Glauber are passed whole."""
+    g = cycle_graph(6)
+    for kernel, links in ((ChainKernel("downup", beta=0.7, k=3), 15),
+                          (ChainKernel("kl_downup", beta=0.7, k=3, ell=1), 6),
+                          (ChainKernel("downup", beta=0.7, k=3,
+                                       pinning=Pinning.plus([2])), 5)):
+        tm = build_transition_matrix(kernel, g)
+        A, L = tm.factors
+        assert A.shape == L.shape[::-1] == (len(tm.states), links)
+        assert "K" not in vars(tm)
+        assert abs(tm.K - A @ L).max() == 0.0 and tm.K.has_canonical_format
+    for kernel in (ChainKernel("kawasaki", beta=0.7, k=3),
+                   ChainKernel("glauber", beta=0.7, lam=1.2)):
+        assert build_transition_matrix(kernel, g).factors is None
+
+
+def test_perturbed_link_factors_are_refused():
+    """Factors are checked as they are passed: a row of A or of L off 1, and
+    a row moved by +-eps so that it still sums to 1 but breaks
+    L(e, y) (pi A)(e) = pi(y) A(y, e), each raise NonReversibleError."""
+    tm = build_transition_matrix(ChainKernel("downup", beta=0.7, k=3), cycle_graph(6))
+    A, L = tm.factors
+
+    def moved(M, *eps):  # row 0 of A and of L holds at least two entries
+        M = M.copy()
+        M.data[:len(eps)] += eps
+        return M
+
+    TransitionMatrix(states=tm.states, K=(A, L), pi=tm.pi)
+    for factors, match in (((moved(A, 1e-9), L), "rows sum to 1"),
+                           ((A, moved(L, 1e-9)), "rows sum to 1"),
+                           ((moved(A, 1e-6, -1e-6), L), "detailed balance violated"),
+                           ((A, moved(L, 1e-6, -1e-6)), "detailed balance violated")):
+        with pytest.raises(NonReversibleError, match=match):
+            TransitionMatrix(states=tm.states, K=factors, pi=tm.pi)
+    with pytest.raises(NonReversibleError, match="detailed balance violated"):
+        TransitionMatrix(states=tm.states, K=(A, L),
+                         pi=tm.pi * np.linspace(1.0, 1.01, len(tm.pi)))
+
+
+def test_detailed_balance_error_in_row_blocks():
+    """2^16 Glauber states hold 17 entries each, more than one block of 2^20:
+    under a pi off the reversing one, the blockwise maximum equals the one
+    over the whole union pattern."""
+    tm = build_transition_matrix(ChainKernel("glauber", beta=0.7, lam=1.2),
+                                 cycle_graph(16))
+    assert tm.K.nnz > 1 << 20
+    pi = tm.pi * np.linspace(1.0, 1.5, len(tm.pi))
+    F = tm.K.multiply(pi[:, None]).tocsr()
+    want = float(abs(F - F.T).max())
+    assert want > 0 and dynamics._detailed_balance_error(tm.K, pi) == want
 
 
 def test_kernel_states_are_the_listed_plus_matrix():

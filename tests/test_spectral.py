@@ -4,7 +4,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from isinglab.dynamics import ChainKernel, build_transition_matrix
+from isinglab.dynamics import (
+    ChainKernel,
+    build_transition_matrix,
+    pinned_downup_matrices,
+)
 from isinglab.errors import DegenerateError, InvalidInputError, NonReversibleError
 from isinglab.graphs import disjoint_union, random_regular
 from isinglab.measures import (
@@ -123,7 +127,8 @@ def test_lanczos_gap_matches_dense_eigvalsh(kernel, g):
 ])
 def test_dense_and_lanczos_split(monkeypatch, kernel, g, states):
     """Up to 200 states the gap comes from one dense eigvalsh, above it from
-    one Lanczos solve; both equal the dense view's."""
+    one Lanczos solve; both equal the dense view's.  The down-up walk is
+    solved on its C(10, 4) = 210 links, fewer than its states."""
     from isinglab import spectral
 
     solves = []
@@ -140,7 +145,79 @@ def test_dense_and_lanczos_split(monkeypatch, kernel, g, states):
     assert "P" not in vars(tm)  # the dense solve fills no cached dense view
     want = _dense_gap(tm)
     assert abs(gap - want) <= 1e-12 * want, (states, gap, want)
-    assert solves == ([] if states <= 200 else [states])
+    side = 210 if kernel.kind == "downup" else states
+    assert solves == ([] if side <= 200 else [side])
+
+
+def _downup_cases():
+    """(label, kernel, states and links per block) for the down-up kernels:
+    the (k, l) walk at every l (0 included) and the +1 walk, plain and
+    pinned, on the exact test set up to 10 vertices, with the pinned blocks
+    at l = 1, 2; and on 12 vertices walks with 220 to 792 links a block."""
+    graphs = {name: g for name, g in exact_test_set().items() if g.n <= 10}
+    for name, g in graphs.items():
+        n = g.n
+        for k in range(1, n):
+            for ell in range(k):
+                yield ((name, "kl", k, ell), build_transition_matrix(
+                    ChainKernel("kl_downup", beta=0.7, k=k, ell=ell), g),
+                    math.comb(n, k), math.comb(n, ell))
+            if k >= 3:
+                kernel = ChainKernel("downup", beta=0.7, k=k,
+                                     pinning=Pinning.plus([0, n - 1]))
+                yield ((name, "pinned", k), build_transition_matrix(kernel, g),
+                       math.comb(n - 2, k - 2), math.comb(n - 2, k - 3))
+            for ell in (1, 2):
+                if ell < k:
+                    for _, tm in pinned_downup_matrices(g, 0.7, k, ell):
+                        yield ((name, "blocks", k, ell), tm, math.comb(n - ell, k - ell),
+                               math.comb(n - ell, k - ell - 1))
+    g = random_regular(12, 3, seed=5)
+    for ell in (3, 5):
+        yield (("RR12", "kl", 6, ell),
+               build_transition_matrix(ChainKernel("kl_downup", beta=0.7, k=6, ell=ell), g),
+               924, math.comb(12, ell))
+    (_, tm), = pinned_downup_matrices(g, 0.7, 6, 1)
+    yield ("RR12", "blocks", 6, 1), tm, 462, 330
+
+
+def test_link_side_gap_matches_dense_gap():
+    """A factored kernel with 2 <= links < states a block is solved on its
+    links, dense up to 200 links and by Lanczos above, and forms no K; with
+    one link (l = 0) or at least as many links as states it is solved on K.
+    Each block's lambda_2 equals the dense gap of its formed K to 1e-12."""
+    from isinglab import spectral
+
+    sides = set()
+    for label, tm, block, links in _downup_cases():
+        assert tm.factors[0].shape[1] * block == links * len(tm.states), label
+        got = 1.0 - spectral._second_eigenvalues(tm, block)
+        on_links = 2 <= links < block
+        assert ("K" in vars(tm)) != on_links, label
+        sides.add((on_links, (links if on_links else block) > 200))
+        for b, lo in enumerate(range(0, len(tm.states), block)):
+            part = slice(lo, lo + block)
+            want = _dense_gap(TransitionMatrix(states=tm.states[part],
+                                               K=tm.K[part, part], pi=tm.pi[part]))
+            assert abs(got[b] - want) <= 1e-12 * want, (label, b, got[b], want)
+    assert sides == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_gap_only_paths_form_no_kernel(monkeypatch, tmp_path):
+    """The kl gap report and the factorization check (the full, pinned and
+    (k, l) walks, each with fewer links than states) solve on the links and
+    never form a down-up K."""
+    from isinglab.cli import main
+
+    def formed(self):
+        raise AssertionError("a down-up K was formed")
+
+    monkeypatch.setattr(TransitionMatrix, "K", property(formed))
+    assert main(["spectra", "--report", "gap", "--chain", "kl_downup", "--n", "11",
+                 "--delta", "4", "--beta", "0.5", "--k", "5", "--ell", "3",
+                 "--out", str(tmp_path)]) == 0
+    rep = gap_factorization_check(random_regular(9, 4, seed=1), 0.5, 4, 1)
+    assert rep.satisfied and rep.full_kernel.factors is not None
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (4, 9)], ids=["2x20-dense", "2x126-lanczos"])
