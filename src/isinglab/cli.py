@@ -169,9 +169,6 @@ def validate_args(args) -> list:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         problems.append("seed must be >= 0")
-    enum_cap = getattr(args, "enum_cap", None)
-    if enum_cap is not None and enum_cap < 0:
-        problems.append("enum-cap must be >= 0")
     delta = getattr(args, "delta", None)
     if delta is not None and delta < 0:
         problems.append("delta must be nonnegative")
@@ -331,13 +328,11 @@ def cmd_spectra(args, ctx: RunContext) -> int:
         )
     elif args.report == "influence":
         if args.k is not None:
-            X, probs = fixed_mag_distribution(g, args.beta, args.k,
-                                              max_free=args.enum_cap)
+            X, probs = fixed_mag_distribution(g, args.beta, args.k)
         else:
             if args.lam is None:
                 raise InvalidInputError("influence needs --k or --lam")
-            X, probs = grand_canonical_distribution(
-                g, args.beta, args.lam, max_free=args.enum_cap)
+            X, probs = grand_canonical_distribution(g, args.beta, args.lam)
         infl = influence_matrix(X, probs)
         report.update(
             linf_norm=infl.linf_norm,
@@ -347,7 +342,7 @@ def cmd_spectra(args, ctx: RunContext) -> int:
     elif args.report == "localwalks":
         if args.k is None:
             raise InvalidInputError("localwalks needs --k")
-        zetas = local_expansion_zetas(g, args.beta, args.k, max_free=args.enum_cap)
+        zetas = local_expansion_zetas(g, args.beta, args.k)
         ell = args.ell if args.ell is not None else args.k - 1
         bound = local_to_global_gap_bound(zetas, ell)
         report.update(
@@ -368,7 +363,7 @@ def cmd_spectra(args, ctx: RunContext) -> int:
     elif args.report == "edgeworth":
         if args.lam is None:
             raise InvalidInputError("edgeworth needs --lam")
-        table = exact_partition_table(g, args.beta, max_free=args.enum_cap)
+        table = exact_partition_table(g, args.beta)
         kappas = cumulants_of_size(table, args.lam, 5).kappas
         errs = {
             f"d{d}": lclt_error(table, args.lam, d=d).sup_error for d in (0, 1, 2)
@@ -396,7 +391,7 @@ def cmd_exactcheck(args, ctx: RunContext) -> int:
     k = args.k
     beta = args.beta
     checks = {}
-    table = exact_partition_table(g, beta, max_free=args.enum_cap)
+    table = exact_partition_table(g, beta)
     pmf = size_distribution(table, args.lam)
     checks["pmf_normalized"] = bool(abs(float(pmf.sum()) - 1.0) < 1e-12)
 
@@ -541,11 +536,6 @@ def _common(p):
     p.add_argument("--seed", type=int, default=0)
 
 
-def _enum_cap(p):
-    p.add_argument("--enum-cap", type=int, default=24,
-                   help="max free vertices for exact enumeration")
-
-
 def _graph_source(p):
     p.add_argument("--graph", help="edge-list file")
     p.add_argument("--n", type=int)
@@ -609,7 +599,6 @@ def _spectra_args(p):
                    help="assumed zero-free activity interval, recorded verbatim")
     p.add_argument("--zero-free-delta", type=float,
                    help="assumed zero-freeness radius, recorded verbatim")
-    _enum_cap(p)
 
 
 def _exactcheck_args(p):
@@ -617,7 +606,6 @@ def _exactcheck_args(p):
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
-    _enum_cap(p)
 
 
 def _metastability_args(p):

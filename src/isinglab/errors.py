@@ -14,7 +14,7 @@ class RetriesExhaustedError(IsinglabError, RuntimeError):
 
 
 class TooLargeError(IsinglabError, RuntimeError):
-    """An exact computation was requested beyond its enumeration cap."""
+    """An exact table, listing or kernel would pass its size cap."""
 
 
 class NonReversibleError(IsinglabError, RuntimeError):

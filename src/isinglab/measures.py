@@ -24,7 +24,6 @@ from .errors import (
 )
 from .graphs import Graph
 
-DEFAULT_ENUMERATION_CAP = 24
 # Largest frontier-DP table, 256 MB of float64; as dynamics.KERNEL_NONZERO_CAP.
 TABLE_ENTRY_CAP = 1 << 25
 
@@ -151,17 +150,18 @@ class PartitionTable:
 
 
 def _frontier_steps(free, nbrs):
-    """Greedy vertex order for the frontier DP, and its peak width in bits.
+    """Greedy vertex order for the frontier DP, refused (TooLargeError) at
+    the first step whose table of 2^w x (free + 1) entries, w frontier spins
+    held just after a vertex enters, is over TABLE_ENTRY_CAP.
 
     Each step takes the free vertex that leaves the smallest frontier once
     finished vertices (those with no unprocessed neighbour) are dropped; ties
-    go to the lowest id.  Returns ([(v, finished after v enters), ...], peak),
-    where ``peak`` counts the frontier spins held just after a vertex enters.
+    go to the lowest id.  Returns [(v, finished after v enters), ...].
     """
     left = list(free)
     remaining = {v: len(nbrs[v]) for v in free}
     frontier = set()
-    steps, peak = [], 0
+    steps = []
 
     def frontier_after(v):
         done = sum(1 for u in nbrs[v] if u in frontier and remaining[u] == 1)
@@ -170,21 +170,25 @@ def _frontier_steps(free, nbrs):
     while left:
         v = min(left, key=frontier_after)
         left.remove(v)
-        peak = max(peak, len(frontier) + 1)
+        width = len(frontier) + 1
+        if (1 << width) * (len(free) + 1) > TABLE_ENTRY_CAP:
+            raise TooLargeError(
+                f"a frontier table of 2^{width} x {len(free) + 1} entries is "
+                f"over the {TABLE_ENTRY_CAP}-entry cap"
+            )
         for u in nbrs[v]:
             remaining[u] -= 1
         frontier.add(v)
         done = sorted(u for u in frontier if remaining[u] == 0)
         frontier.difference_update(done)
         steps.append((v, done))
-    return steps, peak
+    return steps
 
 
 def exact_partition_table(
     g: Graph,
     beta: float,
     pinning: Pinning = EMPTY_PINNING,
-    max_free: int = DEFAULT_ENUMERATION_CAP,
 ) -> PartitionTable:
     """Exact per-k log partition values, by a transfer-matrix DP.
 
@@ -195,8 +199,8 @@ def exact_partition_table(
     log-weights indexed by (spins of the frontier, plus-count so far): an
     entering vertex doubles it, and a vertex whose neighbours have all
     entered is summed out.  The cost is about n_free^2 * 2^w for peak
-    frontier width w; a table of more than TABLE_ENTRY_CAP entries is refused
-    before anything is allocated.
+    frontier width w; a table of more than TABLE_ENTRY_CAP entries, its one
+    bound, is refused while the order is built, before anything is allocated.
     """
     if beta < 0:
         raise InvalidInputError("beta must be >= 0")
@@ -204,10 +208,6 @@ def exact_partition_table(
         if not (0 <= v < g.n):
             raise InvalidInputError(f"pinned vertex {v} not in graph")
     free = [v for v in range(g.n) if v not in pinning]
-    if len(free) > max_free:
-        raise TooLargeError(
-            f"{len(free)} free vertices exceeds enumeration cap {max_free}"
-        )
 
     spin = pinning.assignments
     const = 0  # monochromatic edges fixed by the pinning, self-loops included
@@ -224,12 +224,7 @@ def exact_partition_table(
             mult[u][w] = mult[u].get(w, 0) + 1
             mult[w][u] = mult[w].get(u, 0) + 1
 
-    steps, peak = _frontier_steps(free, mult)
-    if (1 << peak) * (len(free) + 1) > TABLE_ENTRY_CAP:
-        raise TooLargeError(
-            f"a frontier table of 2^{peak} x {len(free) + 1} entries is over "
-            f"the {TABLE_ENTRY_CAP}-entry cap"
-        )
+    steps = _frontier_steps(free, mult)
 
     table = np.zeros((1, 1))
     frontier = []  # vertex of each spin bit of the table's row index

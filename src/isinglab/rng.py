@@ -18,11 +18,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
     Stream s is the key's sequence jumped by s * 2^128 draws, so no two
     (seed, stream) pairs share draws; stream 0 is the unjumped sequence.
-    Identical arguments give identical output on every platform.
+    Seeds fit the 128-bit key below 2^112; a jump by 2^128 streams wraps the
+    256-bit counter back to stream 0.  Identical arguments give identical
+    output on every platform.
     """
     seed, stream = int(seed), int(stream)
-    if seed < 0 or stream < 0:
-        raise InvalidInputError(f"seed and stream must be >= 0, got {seed}, {stream}")
+    if not (0 <= seed < 1 << 112 and 0 <= stream < 1 << 128):
+        raise InvalidInputError("need 0 <= seed < 2^112 and 0 <= stream < 2^128, "
+                                f"got {seed}, {stream}")
     return np.random.Generator(np.random.Philox(key=seed << 16).jumped(stream))
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DegenerateError, InvalidInputError, TooLargeError
 from .graphs import Graph
 from .measures import (
-    DEFAULT_ENUMERATION_CAP,
     EMPTY_PINNING,
     TABLE_ENTRY_CAP,
     PartitionTable,
@@ -220,24 +219,21 @@ def influence_matrix(X, probs) -> InfluenceMatrix:
                            has_complex_pair=has_complex)
 
 
-def _check_listing(g: Graph, size: int, max_free: int) -> None:
-    """Refuse, before listing, more than ``max_free`` free vertices, or a plus
-    matrix of ``size`` states over TABLE_ENTRY_CAP entries (as many float64
-    as ``_marginals`` then holds)."""
-    if g.n > max_free:
-        raise TooLargeError(f"{g.n} free vertices exceeds enumeration cap {max_free}")
+def _check_listing(g: Graph, size: int) -> None:
+    """Refuse, before listing, a plus matrix of ``size`` states over
+    TABLE_ENTRY_CAP entries (as many float64 as ``_marginals`` then holds):
+    the one bound on a listing, whatever the vertex count."""
     if size * g.n > TABLE_ENTRY_CAP:
         raise TooLargeError(f"a plus matrix of {size} x {g.n} entries is over "
                             f"the {TABLE_ENTRY_CAP}-entry cap")
 
 
-def grand_canonical_distribution(g: Graph, beta: float, lam: float,
-                                 max_free: int = DEFAULT_ENUMERATION_CAP):
+def grand_canonical_distribution(g: Graph, beta: float, lam: float):
     """(X, probs) over plus-sets for the grand-canonical measure: the plus
-    matrix listed size by size, enumerating at most ``max_free`` vertices."""
+    matrix listed size by size, all 2^n states, refused by ``_check_listing``."""
     if beta < 0:
         raise InvalidInputError("beta must be >= 0")
-    _check_listing(g, 2**g.n, max_free)
+    _check_listing(g, 2**g.n)
     X, logw = [], []
     for r in range(g.n + 1):
         plus_sets, mono = fixed_k_states(g, r)
@@ -246,13 +242,12 @@ def grand_canonical_distribution(g: Graph, beta: float, lam: float,
     return np.concatenate(X), gibbs_law(np.concatenate(logw))
 
 
-def fixed_mag_distribution(g: Graph, beta: float, k: int,
-                           max_free: int = DEFAULT_ENUMERATION_CAP):
-    """(X, probs) over plus-sets for the fixed-magnetization measure,
-    enumerating at most ``max_free`` vertices."""
+def fixed_mag_distribution(g: Graph, beta: float, k: int):
+    """(X, probs) over plus-sets for the fixed-magnetization measure: its
+    C(n, k) states, refused by ``_check_listing``."""
     if not 0 <= k <= g.n:
         raise InvalidInputError(f"k={k} outside [0, {g.n}]")
-    _check_listing(g, math.comb(g.n, k), max_free)
+    _check_listing(g, math.comb(g.n, k))
     X, mono = fixed_k_states(g, k)
     return X, gibbs_law(beta * mono)
 
@@ -371,10 +366,10 @@ def gap_factorization_check(g: Graph, beta: float, k: int,
     )
 
 
-def local_expansion_zetas(g: Graph, beta: float, k: int,
-                          max_free: int = DEFAULT_ENUMERATION_CAP) -> list:
-    """zeta_m = max over U in C(V, m) of the local-walk second eigenvalue."""
-    X, probs = fixed_mag_distribution(g, beta, k, max_free=max_free)
+def local_expansion_zetas(g: Graph, beta: float, k: int) -> list:
+    """zeta_m = max over U in C(V, m) of the local-walk second eigenvalue:
+    sum_{m < k-1} C(n, m) local walks, a count no cap bounds."""
+    X, probs = fixed_mag_distribution(g, beta, k)
     zetas = []
     for m in range(k - 1):
         worst = -1.0

@@ -342,11 +342,20 @@ def test_runtime_cap_exit(tmp_path):
 
 
 def test_influence_runtime_cap_exit(tmp_path, capsys):
-    # 2^30 grand-canonical states exceed the enumeration cap -> exit 3
+    # a plus matrix of 2^30 grand-canonical states x 30 is over the entry cap
     code = run(["spectra", "--report", "influence", "--n", "30", "--delta", "3",
                 "--beta", "0.5", "--lam", "1", "--out", str(tmp_path)])
     assert code == 3
-    assert "exceeds enumeration cap 24" in capsys.readouterr().err
+    assert (f"a plus matrix of {2**30} x 30 entries is over the "
+            f"{2**25}-entry cap") in capsys.readouterr().err
+
+
+def test_edgeworth_table_past_24_vertices(tmp_path):
+    # a 48-vertex table: no vertex count caps it, only its 2^w x 49 entries
+    assert run(["spectra", "--report", "edgeworth", "--n", "48", "--delta", "3",
+                "--simple", "--beta", "0.5", "--lam", "1.01",
+                "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "spectra.json").read_text())["graph_n"] == 48
 
 
 def _no_enumeration(*args, **kwargs):
@@ -356,8 +365,9 @@ def _no_enumeration(*args, **kwargs):
 @pytest.mark.parametrize("size", [("--lam", "1.1", "--n", "22"),
                                   ("--k", "12", "--n", "24")])
 def test_influence_listing_cap_exit(tmp_path, capsys, monkeypatch, size):
-    # 2^22 grand-canonical and C(24, 12) fixed-k plus sets are within the
-    # enumeration cap, but their plus matrices are over the table-entry cap
+    # the plus matrices of 2^22 grand-canonical and C(24, 12) fixed-k plus
+    # sets are over the table-entry cap: refused before listing, and the
+    # refused run leaves no manifest
     from isinglab import spectral
 
     monkeypatch.setattr(spectral, "fixed_k_states", _no_enumeration)
@@ -365,6 +375,7 @@ def test_influence_listing_cap_exit(tmp_path, capsys, monkeypatch, size):
                 "--beta", "0.5", "--out", str(tmp_path)])
     assert code == 3
     assert "entry cap" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("report", ["influence", "localwalks"])
@@ -421,26 +432,6 @@ def test_localwalks_report_equals_the_library(tmp_path):
     })
 
 
-def test_influence_honours_enum_cap(tmp_path, capsys):
-    # 2^10 grand-canonical states are within the default cap but not within 5
-    code = run(["spectra", "--report", "influence", "--n", "10", "--delta", "3",
-                "--beta", "0.5", "--lam", "1", "--enum-cap", "5",
-                "--out", str(tmp_path)])
-    assert code == 3
-    assert "exceeds enumeration cap 5" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("report", ["influence", "localwalks"])
-def test_fixed_mag_reports_honour_enum_cap(tmp_path, capsys, report):
-    # C(10, 5) fixed-magnetization states: 10 free vertices, over a cap of 5
-    code = run(["spectra", "--report", report, "--n", "10", "--delta", "3",
-                "--beta", "0.5", "--k", "5", "--enum-cap", "5",
-                "--out", str(tmp_path)])
-    assert code == 3
-    assert "10 free vertices exceeds enumeration cap 5" in capsys.readouterr().err
-    assert not (tmp_path / "manifest.json").exists()
-
-
 @pytest.mark.parametrize("lam", ["1e300", "1e-300"])
 def test_edgeworth_at_extreme_lambda_exits_1(tmp_path, capsys, lam):
     # the variance is positive but so small that s**3 underflows to 0
@@ -489,8 +480,8 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
      "--steps", "1"],
     ["metastability", "--mode", "kawasaki-union", "--delta", "3", "--beta", "1.2",
      "--eta", "0.0", "--n", "20", "--T", "10", "--seeds", "1", "--m", "0"],
-    ["spectra", "--report", "edgeworth", "--n", "18", "--delta", "3",
-     "--beta", "0.5", "--lam", "1", "--enum-cap", "-1"],
+    # a Philox key holds seeds below 2^112
+    ["graph-gen", "--n", "10", "--delta", "3", "--seed", str(2**112)],
 ])
 def test_unchecked_counts_exit_2(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -543,7 +534,8 @@ def test_help_lists_every_command(capsys):
 
 
 def test_command_help_lists_its_arguments(capsys):
-    """--enum-cap is an argument of the two commands that read it."""
+    """Every command takes --out and --seed, and none takes --enum-cap: a
+    table, a listing or a kernel is bounded by its size alone."""
     from isinglab.cli import COMMANDS
 
     for name in COMMANDS:
@@ -552,8 +544,29 @@ def test_command_help_lists_its_arguments(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--out" in out and "--seed" in out
-        assert ("--enum-cap" in out) == (name in ("spectra", "exactcheck")), name
+        assert "--enum-cap" not in out, name
         assert name != "landscape" or "--grid" in out
+
+
+def test_readme_flags_are_parser_options():
+    """Every --flag README.md names, its pip install line aside, is an
+    option of the top-level parser or of a command's parser, so a removed
+    flag does not stay documented."""
+    import argparse
+    import re
+    from pathlib import Path
+
+    from isinglab.cli import build_parser
+
+    ap = build_parser()
+    commands = next(a for a in ap._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {s for p in (ap, *commands.values()) for s in p._option_string_actions}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = {flag for line in readme.splitlines()
+             if not line.startswith("pip install")
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)}
+    assert "--seed" in named and not named - options, sorted(named - options)
 
 
 def test_unknown_command_exits_2(capsys):

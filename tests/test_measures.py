@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isinglab.errors import InvalidInputError, TooLargeError
-from isinglab.graphs import Graph, random_regular
+from isinglab.graphs import Graph, disjoint_union, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     NEG_INF,
     IsingParams,
+    PartitionTable,
     Pinning,
     SpinConfiguration,
+    _logsumexp,
     cumulants_of_size,
     exact_partition_table,
     fixed_k_states,
@@ -86,12 +88,6 @@ def test_partition_table_pinned_k2():
     assert math.isclose(math.exp(log_z(t, lam)), expected, rel_tol=1e-12)
     # entries below the pinned plus-count are -inf
     assert t.log_zhat_by_k[0] == float("-inf")
-
-
-def test_enumeration_cap():
-    g = random_regular(26, 3, seed=0)
-    with pytest.raises(TooLargeError):
-        exact_partition_table(g, beta=0.1, max_free=24)
 
 
 def assert_tables_match(got, want, where):
@@ -194,6 +190,37 @@ def test_frontier_table_cap_refuses_before_allocating():
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+    # a large cubic graph is refused as soon as the greedy order's frontier
+    # passes the cap, long before the whole O(n^2) order is built
+    g = random_regular(2000, 3, seed=0)
+    t0 = time.perf_counter()
+    with pytest.raises(TooLargeError, match="entry cap"):
+        exact_partition_table(g, beta=0.5)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _log_convolution_power(log_by_k, m):
+    """Per-k log weights of the sum of m independent copies of a count whose
+    per-k log weights are ``log_by_k``, -inf where no split reaches k."""
+    out = [0.0]
+    for _ in range(m):
+        out = [_logsumexp(out[j] + log_by_k[k - j]
+                          for j in range(len(out)) if 0 <= k - j < len(log_by_k))
+               for k in range(len(out) + len(log_by_k) - 1)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("base_n,m,seed", [(14, 2, 1), (10, 3, 2), (12, 4, 3)])
+def test_union_table_is_the_convolution_power_of_its_base(base_n, m, seed):
+    """Tables of 28 to 48 vertices: copies are independent, so the union's
+    table is the m-fold log-convolution of the base's Gray-code table."""
+    base = random_regular(base_n, 3, seed=seed)
+    want = _log_convolution_power(gray_code_table(base, 0.7).log_zhat_by_k, m)
+    union = disjoint_union(base, m).graph
+    assert_tables_match(
+        exact_partition_table(union, 0.7),
+        PartitionTable(n=union.n, beta=0.7, pinning=EMPTY_PINNING,
+                       log_zhat_by_k=want), (base_n, m, seed))
 
 
 def test_spin_flip_symmetry_of_cubic_24_table():

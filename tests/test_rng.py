@@ -37,3 +37,13 @@ def test_seed_stream_pairs_draw_distinct_values():
 def test_negative_stream_rejected():
     with pytest.raises(InvalidInputError):
         make_rng(0, -1)
+
+
+@pytest.mark.parametrize("seed,stream", [(2**112, 0), (0, 2**128)])
+def test_seed_and_stream_bounded(seed, stream):
+    # a larger seed overflows the 128-bit Philox key, and a jump by 2^128
+    # streams wraps the 256-bit counter back to stream 0
+    with pytest.raises(InvalidInputError):
+        make_rng(seed, stream)
+    top = make_rng(2**112 - 1, 2**128 - 1).random(8)
+    assert not np.array_equal(top, make_rng(2**112 - 1, 0).random(8))
