@@ -616,17 +616,6 @@ class CoupledState:
         return self.phi * len(self.D) + len(self.B)
 
 
-def _disagreements(X, Y, neighbor_sets):
-    D = frozenset(j for j in range(len(X)) if X[j] != Y[j])
-    B = set()
-    agree = [j for j in range(len(X)) if X[j] == Y[j]]
-    for j in D:
-        nbrs = neighbor_sets[X[j]] | neighbor_sets[Y[j]]
-        if any(X[i] in nbrs for i in agree):
-            B.add(j)
-    return D, frozenset(B)
-
-
 class CoupledKawasaki:
     """Driver holding the graph context for the coupled chain."""
 
@@ -634,6 +623,9 @@ class CoupledKawasaki:
                  phi: float):
         if not plus_pinning.plus_only:
             raise InvalidInputError("coupling supports plus pinnings only")
+        if not phi > 0:
+            # rho = phi |D| + |B| is a metric on the coupled states only then
+            raise InvalidInputError(f"need phi > 0, got phi = {phi}")
         self.g = g
         self.beta = beta
         self.k = k
@@ -648,15 +640,17 @@ class CoupledKawasaki:
                                     f"k = {k}, |pinned| = {len(self.pinned)}")
 
     def make_state(self, x_positions, y_positions) -> CoupledState:
-        """State built from scratch: D and B by :func:`_disagreements`."""
+        """State built from scratch: B read off the agree counts, as in
+        :meth:`_rescored`."""
         X, Y = tuple(x_positions), tuple(y_positions)
         for pos in (X, Y):
             if len(set(pos)) != len(pos) or set(pos) & self.pinned:
                 raise InvalidInputError("positions must be distinct and unpinned")
-        D, B = _disagreements(X, Y, self.neighbor_sets)
         x_index, y_index = self._index_map(X), self._index_map(Y)
         agreeing = [w for x, y in zip(X, Y) if x == y for w in self.neighbor_sets[x]]
         agree_nbrs = np.bincount(agreeing, minlength=self.g.n).tolist()
+        D = frozenset(j for j in range(len(X)) if X[j] != Y[j])
+        B = frozenset(j for j in D if agree_nbrs[X[j]] or agree_nbrs[Y[j]])
         return CoupledState(X=X, Y=Y, pinned=self.pinned, phi=self.phi, D=D, B=B,
                             x_index=x_index, y_index=y_index,
                             agree_nbrs=agree_nbrs)

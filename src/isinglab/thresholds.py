@@ -28,20 +28,26 @@ exact:
   lambda = 1 it is the symmetric fixed point R = 1, found exactly.
 
 Each bracket is bisected to adjacent floats and each root polished by
-Newton; a tangency double root is reported with a flag.  eta+ and eta- are
-the root magnetizations of the largest and smallest fixed points, and
-lambda_u is the closed-form tangency of the recursion.
+Newton.  One rule, read off the rounding error of hhat itself, settles a
+tangency: with err(r) = ROUNDING_ULPS ulps of r^(d+1) + c e^beta r^d +
+e^beta r + c, a critical point rc with |hhat(rc)| <= err(rc) is one double
+root, and the two pieces beside it are not bisected.  If both critical
+points pass, the three roots lie within rounding of one another and come
+back as one marginal root at r = c.  eta+ and eta- are the root
+magnetizations of the largest and smallest fixed points, and lambda_u is
+the closed-form tangency of the recursion.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 from .errors import InvalidInputError, IsinglabError, NoNonuniquenessError
 
 MARGINAL_BAND = 1e-8
-ROOT_DEDUP = 1e-8
+ROUNDING_ULPS = 2
 
 
 def beta_u(delta: int) -> float:
@@ -53,11 +59,16 @@ def beta_u(delta: int) -> float:
 
 @dataclass(frozen=True)
 class TreeFixedPoint:
+    """A fixed point R and the slope h'(R).  A double root, and the
+    near-triple root at r = c (not flagged double), is marginal and never
+    stable; a simple root is marginal when |h'(R)| is within MARGINAL_BAND
+    of 1, and stable when |h'(R)| < 1 and it is not marginal."""
+
     R: float
     stable: bool
     derivative: float
-    marginal: bool = False  # |h'(R) - 1| within the tangency band
-    double_root: bool = False  # found as a tangency of hhat (multiplicity 2)
+    marginal: bool = False
+    double_root: bool = False  # a tangency of hhat (multiplicity 2)
 
 
 def _recursion_value(R: float, delta: int, beta: float, lam: float) -> float:
@@ -94,9 +105,10 @@ def bisect_root(f, a: float, b: float, fa: float | None = None) -> float:
 def tree_fixed_points(delta: int, beta: float, lam: float) -> list:
     """All positive fixed points of the tree recursion, in increasing R.
 
-    Simple roots come from bisection on the monotone pieces of hhat between
-    its critical points, plus Newton polish; tangency double roots are
-    caught at the critical points of hhat and flagged.
+    Each root is found once: a critical point where |hhat| is within its
+    rounding is one double root and the pieces beside it are not searched
+    (two such points are one root at r = c); every other piece whose end
+    values differ in sign, or an exact zero at a breakpoint, is one root.
     """
     if delta < 3:
         raise InvalidInputError("need delta >= 3")
@@ -136,62 +148,41 @@ def tree_fixed_points(delta: int, beta: float, lam: float) -> list:
     if hhat_prime(r_inf) < 0:
         crits = [bisect_root(hhat_prime, 0.0, r_inf),
                  bisect_root(hhat_prime, r_inf, d * c * eb / (d + 1))]
-    # Every root lies in (0, c e^beta + 1]; r = c is the root R = 1 at lambda = 1.
-    breakpoints = sorted([0.0, c, c * eb + 1.0] + crits)
-
-    roots = []  # (r, double_flag)
-    for a, b in zip(breakpoints, breakpoints[1:]):
-        fa, fb = hhat(a), hhat(b)
-        if fa == 0.0:
-            roots.append((a, False))
-        if min(fa, fb) < 0 < max(fa, fb):
-            roots.append((newton_polish(bisect_root(hhat, a, b, fa)), False))
-
-    # Tangency double roots sit at critical points with hhat ~ 0 and no
-    # simple crossing nearby.
-    for rc in crits:
-        scale = max(1.0, abs(rc) ** (d + 1))
-        if abs(hhat(rc)) <= 1e-12 * scale and not any(
-            abs(r - rc) <= 1e-5 * max(1.0, rc) for r, _ in roots
-        ):
-            roots.append((rc, True))
-
-    roots.sort()
-    dedup = []
-    for r, dbl in roots:
-        if dedup and abs(r - dedup[-1][0]) <= ROOT_DEDUP * max(1.0, r):
-            if dbl:
-                dedup[-1] = (dedup[-1][0], True)
-            continue
-        dedup.append((r, dbl))
-
-    # A pair of simple roots closer than 1e-6 in r is a tangency that the
-    # floating-point lambda cannot hit exactly; report it as one double root.
-    merged = []
-    i = 0
-    while i < len(dedup):
-        if i + 1 < len(dedup) and (
-            dedup[i + 1][0] - dedup[i][0] <= 1e-6 * max(1.0, dedup[i + 1][0])
-        ):
-            merged.append((0.5 * (dedup[i][0] + dedup[i + 1][0]), True))
-            i += 2
-        else:
-            merged.append(dedup[i])
-            i += 1
-    dedup = merged
+    # A critical point where hhat vanishes within its rounding error (a few
+    # ulps of the sum of its terms' magnitudes) is a double root.
+    ulps = ROUNDING_ULPS * sys.float_info.epsilon
+    tangent = [rc for rc in crits if abs(hhat(rc))
+               <= ulps * (rc ** (d + 1) + c * eb * rc**d + eb * rc + c)]
+    if len(tangent) == 2:
+        # all three roots lie within rounding of one another
+        roots = [(c, 3)]
+    else:
+        # Every root lies in (0, c e^beta + 1]; r = c is the root R = 1 at lambda = 1.
+        breakpoints = sorted({0.0, c, c * eb + 1.0, *crits})
+        roots = []  # (r, multiplicity)
+        for a, b in zip(breakpoints, breakpoints[1:]):
+            if a in tangent:
+                roots.append((a, 2))
+            if a in tangent or b in tangent:
+                continue
+            fa, fb = hhat(a), hhat(b)
+            if fa == 0.0:
+                roots.append((a, 1))
+            if min(fa, fb) < 0 < max(fa, fb):
+                roots.append((newton_polish(bisect_root(hhat, a, b, fa)), 1))
 
     out = []
-    for r, dbl in dedup:
+    for r, mult in roots:
         R = r**d
         deriv = _recursion_derivative(R, delta, beta, lam)
-        marginal = abs(abs(deriv) - 1.0) < MARGINAL_BAND
+        marginal = mult > 1 or abs(abs(deriv) - 1.0) < MARGINAL_BAND
         out.append(
             TreeFixedPoint(
                 R=R,
                 stable=abs(deriv) < 1 and not marginal,
                 derivative=deriv,
-                marginal=marginal or dbl,
-                double_root=dbl,
+                marginal=marginal,
+                double_root=mult == 2,
             )
         )
     return out

@@ -4,8 +4,8 @@ against: the Gray-code enumeration behind the partition-table DP, the
 per-link loop behind the down-up kernel product, the per-pin-set loop
 behind the block-diagonal pinned walks, the closed-form completion
 law behind the down-up resample, the per-state grand-canonical loop, the
-frozenset influence matrix and local walks behind the plus-matrix ones, and
-local mono counts.  Also the oracles that only tests read: edge multisets
+frozenset influence matrix and local walks behind the plus-matrix ones,
+local mono counts, and the coupled chain's disagreement sets from scratch.  Also the oracles that only tests read: edge multisets
 and counts, log Z, per-state Gibbs and fixed-magnetization probabilities,
 finite-difference cumulants, the dense matrix-power mixing time, the (k, l)
 down-up step, the censored band occupancy, overlaps, the partition-ratio
@@ -285,6 +285,19 @@ def swap_delta_mono(g, spins, u, w):
     after = local_mono(g, spins, {u, w})
     spins[u], spins[w] = spins[w], spins[u]
     return after - before
+
+
+def _disagreements(X, Y, neighbor_sets):
+    """D and B of a coupled state from scratch, in O(|D| k): B holds each
+    disagreeing index whose plus in either copy neighbours an agreeing plus."""
+    D = frozenset(j for j in range(len(X)) if X[j] != Y[j])
+    B = set()
+    agree = [j for j in range(len(X)) if X[j] == Y[j]]
+    for j in D:
+        nbrs = neighbor_sets[X[j]] | neighbor_sets[Y[j]]
+        if any(X[i] in nbrs for i in agree):
+            B.add(j)
+    return D, frozenset(B)
 
 
 # Per-state probabilities and finite-difference cumulants

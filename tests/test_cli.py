@@ -482,6 +482,11 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
      "--eta", "0.0", "--n", "20", "--T", "10", "--seeds", "1", "--m", "0"],
     # a Philox key holds seeds below 2^112
     ["graph-gen", "--n", "10", "--delta", "3", "--seed", str(2**112)],
+    # rho = phi |D| + |B| is a metric only for phi > 0
+    ["simulate", "--chain", "coupled-kawasaki", "--n", "6", "--delta", "3",
+     "--beta", "0.5", "--k", "3", "--steps", "5", "--phi", "0"],
+    ["simulate", "--chain", "coupled-kawasaki", "--n", "6", "--delta", "3",
+     "--beta", "0.5", "--k", "3", "--steps", "5", "--phi", "-1"],
 ])
 def test_unchecked_counts_exit_2(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path)]) == 2

@@ -34,6 +34,7 @@ from isinglab.rng import make_rng
 
 from conftest import (
     LOOPED,
+    _disagreements,
     complete_graph,
     completion_law,
     cycle_graph,
@@ -754,9 +755,9 @@ def test_coupled_bad_disagreement_definition():
 
 
 def test_coupled_incremental_matches_from_scratch():
-    """Step's incremental D, B and caches equal make_state's, step by step,
-    and its swap probabilities equal those from the whole spin vector."""
-    from isinglab.dynamics import _disagreements
+    """Step's incremental D, B and caches equal make_state's and the
+    from-scratch oracle's, step by step, and its swap probabilities equal
+    those from the whole spin vector."""
     from isinglab.graphs import random_regular
 
     # loops at 3 and 13, parallel edges at 0, 9, 14 and 15
@@ -776,6 +777,7 @@ def test_coupled_incremental_matches_from_scratch():
         D, B = _disagreements(state.X, state.Y, driver.neighbor_sets)
         assert (state.D, state.B) == (D, B)
         ref = driver.make_state(state.X, state.Y)
+        assert (ref.D, ref.B) == (D, B)
         for name in ("x_index", "y_index", "agree_nbrs"):
             assert np.array_equal(getattr(state, name), getattr(ref, name)), name
         moved.add((len(D), len(B)))

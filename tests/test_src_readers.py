@@ -1,8 +1,9 @@
 """Every public module-level function or class in ``src/isinglab`` has a
 reader in the package or in the benchmark scripts, or waits in ``PENDING``
-for the ROADMAP item that wires it into a command.  Every private one, and
-every method or property of a ``src/`` class, has a reader there too: a
-helper that only the tests call belongs in the tests.
+for the ROADMAP item that wires it into a command.  Every private one, every
+method or property of a ``src/`` class, and every module-level UPPER_CASE
+constant has a reader there too: a helper that only the tests call belongs
+in the tests, and a tolerance that no check reads any more goes.
 
 The files are parsed, not imported, so nothing under ``bench/`` runs or
 gets written.  A read is a loaded name, an attribute, an imported name, or a
@@ -46,6 +47,23 @@ def _definitions(private: bool = False) -> set:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and node.name.startswith("_") == private):
                 names.add(node.name)
+    return names
+
+
+def _constants() -> set:
+    """Module-level UPPER_CASE names assigned in ``src/``: the package's
+    caps, tolerances and tables."""
+    names = set()
+    for path in SRC:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names.update(sub.id for target in targets for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name) and sub.id.isupper())
     return names
 
 
@@ -100,6 +118,11 @@ def test_pending_names_are_defined_and_still_unread():
 
 def test_every_private_name_has_a_reader():
     assert sorted(_definitions(private=True) - _read_names()) == []
+
+
+def test_every_constant_has_a_reader():
+    """A cap or tolerance that its last check left behind goes with it."""
+    assert sorted(_constants() - _read_names()) == []
 
 
 def test_every_class_member_has_a_reader():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -73,11 +74,74 @@ def test_descartes_count():
                     assert len(fps) in (1, 3), (delta, beta, lam)
 
 
-def test_tangency_detected_at_lambda_u():
-    lu = lambda_u(4, LN2 + 0.1)
-    fps = tree_fixed_points(4, LN2 + 0.1, lu)
-    assert len(fps) == 2
-    assert any(fp.double_root or fp.marginal for fp in fps)
+@pytest.mark.parametrize("delta", range(3, 13))
+def test_tangency_detected_at_lambda_u(delta):
+    """At lambda_u and 1/lambda_u, for 800 beta in (beta_u, 5 beta_u]: one
+    double root, marginal and not stable, and one stable simple root."""
+    bu = beta_u(delta)
+    for i in range(1, 801):
+        beta = bu * (1 + 4 * i / 800)
+        lu = lambda_u(delta, beta)
+        for lam in (lu, 1 / lu):
+            fps = tree_fixed_points(delta, beta, lam)
+            assert len(fps) == 2, (beta, lam)
+            double, simple = sorted(fps, key=lambda fp: not fp.double_root)
+            assert double.double_root and double.marginal and not double.stable, (beta, lam)
+            assert not simple.double_root and simple.stable and not simple.marginal, (beta, lam)
+
+
+def _mirror_cases():
+    """Seeded (delta, beta, lambda) with beta off (beta_u, beta_u (1 + 1e-8)]:
+    lambda_u (1 + s) for s in {0, +-1e-10, +-1e-13}, lambda = 1 and a
+    log-uniform lambda; below beta_u, lambda = 1 and a log-uniform lambda."""
+    rng = random.Random(29)
+    for _ in range(500):
+        delta = rng.randint(3, 12)
+        bu = beta_u(delta)
+        if rng.random() < 0.2:
+            beta = bu * rng.random()
+            lams = [1.0, math.exp(rng.uniform(-0.5, 0.5))]
+        else:
+            beta = bu * (1 + 10 ** rng.uniform(-7.9, 0.7))
+            lu = lambda_u(delta, beta)
+            lams = [lu * (1 + s) for s in (0, 1e-10, -1e-10, 1e-13, -1e-13)]
+            lams += [1.0, lu ** rng.uniform(-2, 2)]
+        for lam in lams:
+            yield delta, beta, lam
+
+
+def test_fixed_points_mirror_under_inverse_field():
+    """R -> 1/R maps the fixed points at lambda to those at 1/lambda, so the
+    root count and the double-root flags mirror."""
+    mismatched = []
+    for delta, beta, lam in _mirror_cases():
+        a = [fp.double_root for fp in tree_fixed_points(delta, beta, lam)]
+        b = [fp.double_root for fp in tree_fixed_points(delta, beta, 1 / lam)]
+        if a != b[::-1]:
+            mismatched.append((delta, beta, lam, a, b))
+    assert mismatched == []
+
+
+def test_unit_field_at_beta_u_is_one_marginal_root():
+    """The near-triple root at R = 1 comes back as one root."""
+    for delta in (3, 5):
+        bu = beta_u(delta)
+        for beta in (bu, bu * (1 + 1e-13)):
+            fps = tree_fixed_points(delta, beta, 1.0)
+            assert len(fps) == 1, (delta, beta, fps)
+            assert fps[0].R == 1.0 and fps[0].marginal and not fps[0].stable
+
+
+@pytest.mark.parametrize("delta, beta", [(3, 1.2), (4, LN2 + 0.1), (5, 0.8), (10, 0.5)])
+def test_root_count_just_off_lambda_u(delta, beta):
+    """A relative 1e-13 off the tangency: one root above lambda_u, three
+    below, and the mirror image at 1/lambda."""
+    lu = lambda_u(delta, beta)
+    for lam, count in ((lu * (1 + 1e-13), 1), (lu * (1 - 1e-13), 3)):
+        for field in (lam, 1 / lam):
+            fps = tree_fixed_points(delta, beta, field)
+            assert len(fps) == count, (field, fps)
+            assert not any(fp.double_root for fp in fps)
 
 
 def test_L_star_zero_below_beta_u_at_unit_field():
