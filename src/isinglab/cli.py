@@ -60,10 +60,21 @@ def _json_ready(obj):
 
 @functools.cache
 def _numpy_version() -> str:
-    """numpy's version, without importing numpy for the commands that need none."""
+    """numpy's version, without importing numpy for the commands that need none.
+
+    Read off the one ``numpy-<version>.dist-info`` directory beside the
+    package; ``importlib.metadata``, whose import slows a fresh process's
+    start, is the fallback for an install without one."""
     np = sys.modules.get("numpy")
     if np is not None:
         return np.__version__
+    from importlib.util import find_spec
+
+    spec = find_spec("numpy")
+    if spec is not None and spec.origin:
+        infos = list(Path(spec.origin).parents[1].glob("numpy-*.dist-info"))
+        if len(infos) == 1:
+            return infos[0].name[len("numpy-"):-len(".dist-info")]
     from importlib.metadata import version
 
     return version("numpy")

@@ -1,19 +1,18 @@
 """Bounded-degree multigraphs, configuration-model generation, and edge-list I/O.
 
-Graphs are immutable after construction: adjacency lists are plain Python
-lists owned by the instance and never mutated by library code, so instances
-are safe to share read-only across threads.
+A graph is its edge multiset: a tuple of (u, w) pairs with u <= w, one per
+edge, so it is symmetric by construction.  Instances are immutable and safe
+to share read-only across threads.
 
 Conventions:
   * vertex ids are dense 0-based integers,
-  * a self-loop at v puts v twice into adjacency[v] (degree contribution 2),
-  * parallel edges are represented by repeated neighbor entries.
+  * a self-loop at v is the pair (v, v), once, and adds 2 to v's degree,
+  * parallel edges are repeated pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import Counter
 from functools import cached_property
 
 from .errors import InvalidInputError, RetriesExhaustedError
@@ -24,63 +23,51 @@ SIMPLE_RETRY_CAP = 1000  # configuration-model draws for one simple graph
 
 @dataclass(frozen=True)
 class Graph:
-    """Multigraph with adjacency lists and a declared maximum degree."""
+    """Multigraph as its edge multiset, with a declared maximum degree."""
 
     n: int
-    adjacency: list
+    edges: tuple
     delta_max: int
 
     def __post_init__(self):
-        if self.n < 0:
+        """Check the vertex count, the edge ids and the degree bound."""
+        n = self.n
+        if n < 0:
             raise InvalidInputError("vertex count must be nonnegative")
-        if len(self.adjacency) != self.n:
-            raise InvalidInputError("adjacency must have one entry per vertex")
-        validate_graph(self)
+        degree = [0] * n
+        for u, w in self.edges:
+            if not 0 <= u <= w < n:
+                for x in (u, w):
+                    if not 0 <= x < n:
+                        raise InvalidInputError(
+                            f"neighbor id {x} out of range [0, {n})")
+                raise InvalidInputError(f"edge ({u}, {w}) must list u <= w")
+            degree[u] += 1
+            degree[w] += 1
+        if degree and max(degree) > self.delta_max:
+            u = next(v for v, d in enumerate(degree) if d > self.delta_max)
+            raise InvalidInputError(
+                f"vertex {u} has degree {degree[u]} > delta_max={self.delta_max}"
+            )
 
     @cached_property
     def neighbors(self) -> list:
         """Per vertex, its non-loop neighbours, parallel edges once per copy."""
-        return [tuple(w for w in row if w != v) for v, row in enumerate(self.adjacency)]
+        nbrs = [[] for _ in range(self.n)]
+        for u, w in self.edges:
+            if u != w:
+                nbrs[u].append(w)
+                nbrs[w].append(u)
+        return [tuple(row) for row in nbrs]
 
     @cached_property
     def edge_ends(self):
-        """The edges in ``edges()`` order as two read-only index arrays (u, w)."""
+        """The edges as two read-only index arrays (u, w)."""
         import numpy as np
 
-        ends = np.array(list(self.edges()), dtype=np.intp).reshape(-1, 2).T
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
         ends.setflags(write=False)
         return ends
-
-    def edges(self):
-        """Yield each edge of the multiset once, as (u, v) with u <= v."""
-        for u in range(self.n):
-            loops = 0
-            for w in self.adjacency[u]:
-                if w > u:
-                    yield (u, w)
-                elif w == u:
-                    loops += 1
-            for _ in range(loops // 2):
-                yield (u, u)
-
-
-def validate_graph(g: Graph) -> None:
-    """Check id ranges, multiset symmetry, and the degree bound."""
-    seen = Counter()
-    for u, nbrs in enumerate(g.adjacency):
-        if len(nbrs) > g.delta_max:
-            raise InvalidInputError(
-                f"vertex {u} has degree {len(nbrs)} > delta_max={g.delta_max}"
-            )
-        for w in nbrs:
-            if not (0 <= w < g.n):
-                raise InvalidInputError(f"neighbor id {w} out of range [0, {g.n})")
-            seen[(u, w)] += 1
-    for (u, w), c in seen.items():
-        if seen[(w, u)] != c:
-            raise InvalidInputError(
-                f"adjacency not symmetric as a multiset at edge ({u}, {w})"
-            )
 
 
 @dataclass(frozen=True)
@@ -91,21 +78,14 @@ class UnionGraph:
     component_of: list
 
 
-def _has_loop_or_parallel(adjacency) -> bool:
-    for u, nbrs in enumerate(adjacency):
-        if u in nbrs:
-            return True
-        if len(set(nbrs)) != len(nbrs):
-            return True
-    return False
-
-
 def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
     """Sample a delta-regular multigraph from the configuration model.
 
     Takes delta half-edge copies of every vertex and pairs them by a uniform
     perfect matching.  With ``simple=True``, rejection-samples until the
     result has no self-loop or parallel edge (at most SIMPLE_RETRY_CAP draws).
+    The edges are sorted by lower end, a vertex's loops after its other
+    edges, and otherwise kept in matching order.
     """
     if n < 2:
         raise InvalidInputError("need n >= 2")
@@ -115,15 +95,14 @@ def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
         raise InvalidInputError(f"n*delta = {n * delta} must be even")
     rng = as_rng(seed)
     for _ in range(SIMPLE_RETRY_CAP if simple else 1):
-        stubs = [v for v in range(n) for _ in range(delta)]
-        perm = rng.permutation(n * delta)
-        adjacency = [[] for _ in range(n)]
-        for i in range(0, n * delta, 2):
-            u, w = stubs[perm[i]], stubs[perm[i + 1]]
-            adjacency[u].append(w)
-            adjacency[w].append(u)
-        if not simple or not _has_loop_or_parallel(adjacency):
-            return Graph(n=n, adjacency=adjacency, delta_max=delta)
+        # stub i belongs to vertex i // delta
+        ends = [i // delta for i in rng.permutation(n * delta).tolist()]
+        edges = sorted(((u, w) if u <= w else (w, u)
+                        for u, w in zip(ends[::2], ends[1::2])),
+                       key=lambda e: (e[0], e[0] == e[1]))
+        if not simple or (len(set(edges)) == len(edges)
+                          and all(u != w for u, w in edges)):
+            return Graph(n=n, edges=tuple(edges), delta_max=delta)
     raise RetriesExhaustedError(
         f"no simple graph found in {SIMPLE_RETRY_CAP} configuration-model draws"
     )
@@ -134,13 +113,9 @@ def disjoint_union(base: Graph, m: int) -> UnionGraph:
     if m < 1:
         raise InvalidInputError("need m >= 1 copies")
     n = base.n
-    adjacency = []
-    component_of = []
-    for i in range(m):
-        off = i * n
-        adjacency.extend([w + off for w in nbrs] for nbrs in base.adjacency)
-        component_of.extend([i] * n)
-    graph = Graph(n=m * n, adjacency=adjacency, delta_max=base.delta_max)
+    edges = tuple((u + i * n, w + i * n) for i in range(m) for u, w in base.edges)
+    component_of = [i for i in range(m) for _ in range(n)]
+    graph = Graph(n=m * n, edges=edges, delta_max=base.delta_max)
     return UnionGraph(graph=graph, component_of=component_of)
 
 
@@ -148,12 +123,12 @@ def write_edge_list(g: Graph, path) -> None:
     """Write 'n delta' header plus one 'u v' line per edge of the multiset."""
     with open(path, "w") as fh:
         fh.write(f"{g.n} {g.delta_max}\n")
-        for u, w in g.edges():
+        for u, w in g.edges:
             fh.write(f"{u} {w}\n")
 
 
 def read_edge_list(path) -> Graph:
-    """Inverse of :func:`write_edge_list` on the adjacency multiset."""
+    """Inverse of :func:`write_edge_list`: the file's edges in file order."""
     try:
         fh = open(path)
     except OSError as exc:
@@ -166,11 +141,11 @@ def read_edge_list(path) -> Graph:
             n, delta_max = int(header[0]), int(header[1])
         except ValueError as exc:
             raise InvalidInputError(f"{path}: malformed header {header}") from exc
-        adjacency = [[] for _ in range(n)]
+        edges = []
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 2:
                 raise InvalidInputError(f"{path}:{lineno}: expected 'u v'")
             try:
@@ -179,10 +154,5 @@ def read_edge_list(path) -> Graph:
                 raise InvalidInputError(f"{path}:{lineno}: malformed ids") from exc
             if not (0 <= u < n and 0 <= w < n):
                 raise InvalidInputError(f"{path}:{lineno}: id out of range")
-            adjacency[u].append(w)
-            if w != u:
-                adjacency[w].append(u)
-            else:
-                adjacency[u].append(u)
-    return Graph(n=n, adjacency=adjacency, delta_max=delta_max)
-
+            edges.append((u, w) if u <= w else (w, u))
+    return Graph(n=n, edges=tuple(edges), delta_max=delta_max)

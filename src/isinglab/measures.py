@@ -113,11 +113,7 @@ def monochromatic_edges(g: Graph, spins) -> int:
     """
     if len(spins) != g.n:
         raise InvalidInputError("spin vector length must equal vertex count")
-    m = 0
-    for u, w in g.edges():
-        if u == w or spins[u] == spins[w]:
-            m += 1
-    return m
+    return sum(1 for u, w in g.edges if spins[u] == spins[w])
 
 
 def _logsumexp(values) -> float:
@@ -213,7 +209,7 @@ def exact_partition_table(
     const = 0  # monochromatic edges fixed by the pinning, self-loops included
     field = {v: {-1: 0, 1: 0} for v in free}  # pinned neighbours by spin
     mult = {v: {} for v in free}  # free-free edge multiplicities
-    for u, w in g.edges():
+    for u, w in g.edges:
         if u == w or (u in spin and w in spin):
             if u == w or spin[u] == spin[w]:
                 const += 1

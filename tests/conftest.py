@@ -48,40 +48,37 @@ from isinglab.rng import as_rng
 from isinglab.spectral import spectral_gap
 
 # loop at 0; doubled edges 1-2 and 3-4
-LOOPED = Graph(n=6, adjacency=[[0, 0, 1, 5], [0, 2, 2], [1, 1, 3], [2, 4, 4],
-                               [3, 3, 5], [4, 0]], delta_max=4)
+LOOPED = Graph(n=6, edges=((0, 1), (0, 5), (0, 0), (1, 2), (1, 2), (2, 3),
+                           (3, 4), (3, 4), (4, 5)), delta_max=4)
 
 
 # Small named graphs used throughout the test rig.
 
 def complete_graph(n: int) -> Graph:
-    adjacency = [[w for w in range(n) if w != u] for u in range(n)]
-    return Graph(n=n, adjacency=adjacency, delta_max=max(n - 1, 0))
+    edges = tuple((u, w) for u in range(n) for w in range(u + 1, n))
+    return Graph(n=n, edges=edges, delta_max=max(n - 1, 0))
 
 
 def path_graph(n: int) -> Graph:
-    adjacency = [[] for _ in range(n)]
-    for u in range(n - 1):
-        adjacency[u].append(u + 1)
-        adjacency[u + 1].append(u)
-    return Graph(n=n, adjacency=adjacency, delta_max=2 if n > 2 else 1)
+    edges = tuple((u, u + 1) for u in range(n - 1))
+    return Graph(n=n, edges=edges, delta_max=2 if n > 2 else 1)
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InvalidInputError("cycle needs n >= 3")
-    adjacency = [[(u - 1) % n, (u + 1) % n] for u in range(n)]
-    return Graph(n=n, adjacency=adjacency, delta_max=2)
+    edges = ((0, n - 1),) + tuple((u, u + 1) for u in range(n - 1))
+    return Graph(n=n, edges=edges, delta_max=2)
 
 
 def edge_multiset(g: Graph) -> Counter:
     """Each edge (u, w), u <= w, with its multiplicity."""
-    return Counter(g.edges())
+    return Counter(g.edges)
 
 
 def num_edges(g: Graph) -> int:
-    """Edge count, a self-loop once (it is twice in its vertex's row)."""
-    return sum(map(len, g.adjacency)) // 2
+    """Edge count, a self-loop once."""
+    return len(g.edges)
 
 
 @pytest.fixture(scope="session")
@@ -133,9 +130,8 @@ def gray_code_table(g, beta, pinning=EMPTY_PINNING):
         s_new = -spins[v]
         spins[v] = s_new
         k += 1 if s_new == 1 else -1
-        for w in g.adjacency[v]:
-            if w != v:  # self-loops stay monochromatic under any flip
-                m += 1 if spins[w] == s_new else -1
+        for w in g.neighbors[v]:  # self-loops stay monochromatic under any flip
+            m += 1 if spins[w] == s_new else -1
         counts[k][m] = counts[k].get(m, 0) + 1
 
     log_by_k = tuple(
@@ -257,25 +253,10 @@ def grand_canonical_loop(g, beta, lam):
 
 
 def local_mono(g, spins, vertices):
-    """Monochromatic edges among those incident to the given vertex set.
-
-    Edges inside the set are counted from their smaller endpoint only;
-    parallel copies count once per adjacency occurrence; self-loops are
-    always monochromatic.
-    """
-    m = 0
-    for v in vertices:
-        loops = 0
-        for w in g.adjacency[v]:
-            if w == v:
-                loops += 1
-            elif w in vertices:
-                if w > v and spins[v] == spins[w]:
-                    m += 1
-            elif spins[v] == spins[w]:
-                m += 1
-        m += loops // 2
-    return m
+    """Monochromatic edges among those incident to the given vertex set,
+    each edge of the multiset once; self-loops are always monochromatic."""
+    return sum(1 for u, w in g.edges
+               if (u in vertices or w in vertices) and spins[u] == spins[w])
 
 
 def swap_delta_mono(g, spins, u, w):

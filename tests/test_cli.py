@@ -126,7 +126,8 @@ def test_byte_identical_outputs(tmp_path):
 # --seed, which the --n graph also draws from, to stream 1
 # (test_simulate_trace_stream_apart_from_graph).  The landscape,
 # phase-diagram and thresholds entries were recorded before f(eta) became one
-# curve per (delta, beta, lambda) with its constants computed once.
+# curve per (delta, beta, lambda) with its constants computed once.  The
+# graph-gen entries were recorded while a graph still kept adjacency lists.
 LANDSCAPE_ARGV = ["landscape", "--delta", "3", "--beta", "1.2", "--lam", "1.01"]
 GOLDEN_TRACES = [
     (["simulate", "--chain", "glauber", "--n", "60", "--delta", "3",
@@ -165,6 +166,11 @@ GOLDEN_TRACES = [
     (["thresholds", "--delta", "3", "--beta", "1.2", "--lam", "1.01"],
      "thresholds.json",
      "e9f48b527ab6fbc53a2bdcd1edd00b28cee1350df38fc964b21fa3cf7f217811"),
+    (["graph-gen", "--n", "60", "--delta", "3", "--seed", "11"], "graph.edges",
+     "fb800ffad817e26a75745eeac98e19c6e8cf24ff8d2ccf5c04b39320f65d1a6b"),
+    (["graph-gen", "--n", "60", "--delta", "3", "--seed", "11", "--simple"],
+     "graph.edges",
+     "ee260e4eb5decdd110dbd902462d63777fdc33cb1a736948ac9b1aedd58cf4ac"),
 ]
 
 
@@ -172,7 +178,7 @@ GOLDEN_TRACES = [
     "simulate-glauber", "simulate-kawasaki", "simulate-coupled",
     "metastability-glauber", "metastability-union", "spectra-edgeworth",
     "exactcheck", "landscape-csv", "landscape-critical", "phase-diagram",
-    "thresholds",
+    "thresholds", "graph-gen", "graph-gen-simple",
 ])
 def test_golden_trace_hashes(tmp_path, argv, name, digest):
     assert run(argv + ["--out", str(tmp_path)]) == 0
@@ -205,6 +211,27 @@ def test_simulate_trace_stream_apart_from_graph(tmp_path, chain, args):
                 "--seed", "5", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "trace.csv").read_text().splitlines()[1:]
     assert lines == [",".join(fmt(x) for x in row) for row in rows]
+
+
+@pytest.mark.parametrize("chain,args", [
+    ("glauber", ["--lam", "1.05"]),
+    ("kawasaki", ["--k", "25"]),
+    ("coupled-kawasaki", ["--k", "25"]),
+])
+def test_graph_file_and_seeded_graph_give_one_chain(tmp_path, chain, args):
+    """``simulate --graph F``, F written by ``graph-gen --seed S``, writes the
+    trace of ``simulate --n --seed S``.  The file's graph lists each vertex's
+    neighbours in another order, so no kernel may read that order."""
+    common = ["simulate", "--chain", chain, "--beta", "0.8", *args,
+              "--steps", "5000", "--thin", "7", "--seed", "11"]
+    assert run(["graph-gen", "--n", "60", "--delta", "3", "--seed", "11",
+                "--out", str(tmp_path / "g")]) == 0
+    assert run(common + ["--graph", str(tmp_path / "g" / "graph.edges"),
+                         "--out", str(tmp_path / "a")]) == 0
+    assert run(common + ["--n", "60", "--delta", "3",
+                         "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "trace.csv").read_bytes()
+            == (tmp_path / "b" / "trace.csv").read_bytes())
 
 
 def test_spectra_gap_report(tmp_path, k4_file=None):
@@ -659,6 +686,22 @@ def test_tree_commands_load_no_numpy(tmp_path):
     assert out.stdout.strip() == "[]"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["numpy_version"]
+
+
+def test_numpy_version_without_numpy_imported(monkeypatch):
+    """The manifest's numpy version, read off the dist-info directory when
+    numpy is not imported, or from its metadata without such a directory,
+    is the installed one."""
+    import importlib.util
+    import sys
+    from importlib.metadata import version
+
+    from isinglab.cli import _numpy_version
+
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert _numpy_version.__wrapped__() == version("numpy")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    assert _numpy_version.__wrapped__() == version("numpy")
 
 
 def test_write_csv_matches_fmt_per_cell(tmp_path):

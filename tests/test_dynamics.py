@@ -51,7 +51,7 @@ def cfg(g, spins):
 
 
 def test_glauber_isolated_vertex_unbiased():
-    g = Graph(n=1, adjacency=[[]], delta_max=0)
+    g = Graph(n=1, edges=(), delta_max=0)
     rng = make_rng(0)
     hits = sum(
         glauber_step(g, IsingParams(1.0, 1.0), cfg(g, [-1]), rng).spins[0] == 1
@@ -62,7 +62,7 @@ def test_glauber_isolated_vertex_unbiased():
 
 def test_glauber_all_plus_neighbors_conditional():
     # star center with all neighbors +: P(+) = e^{b d}/(e^{b d}+1)
-    g = Graph(n=4, adjacency=[[1, 2, 3], [0], [0], [0]], delta_max=3)
+    g = Graph(n=4, edges=((0, 1), (0, 2), (0, 3)), delta_max=3)
     beta = 0.7
     rng = make_rng(1)
     start = cfg(g, [-1, 1, 1, 1])
@@ -81,7 +81,7 @@ def test_glauber_self_loop_neutral():
     # a self-loop is always monochromatic, so it cancels from the heat-bath
     # conditional: vertex 0 with one loop and one + neighbor behaves like a
     # degree-1 vertex
-    g = Graph(n=2, adjacency=[[0, 0, 1], [0]], delta_max=3)
+    g = Graph(n=2, edges=((0, 1), (0, 0)), delta_max=3)
     beta = 0.9
     tm = build_transition_matrix(ChainKernel("glauber", beta=beta, lam=1.0), g)
     # P(spin0 = + | spin1 = +) = e^b / (e^b + 1): check row from state (-,+)
@@ -743,7 +743,7 @@ def test_coupled_rho_zero_iff_equal():
 def test_coupled_bad_disagreement_definition():
     # path 0-1-2-3: X pluses (0,1), Y pluses (0,2): the disagreeing index
     # sits at vertices {1, 2} and the agreeing plus 0 neighbors 1, so bad.
-    g = Graph(n=4, adjacency=[[1], [0, 2], [1, 3], [2]], delta_max=2)
+    g = Graph(n=4, edges=((0, 1), (1, 2), (2, 3)), delta_max=2)
     driver = CoupledKawasaki(g, beta=0.3, k=2, plus_pinning=EMPTY_PINNING, phi=0.4)
     st = driver.make_state((0, 1), (0, 2))
     assert st.D == frozenset({1})

@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isinglab.errors import InvalidInputError, RetriesExhaustedError
@@ -8,11 +9,17 @@ from isinglab.graphs import (
     disjoint_union,
     random_regular,
     read_edge_list,
-    validate_graph,
     write_edge_list,
 )
+from isinglab.measures import mono_counts, monochromatic_edges
 
 from conftest import complete_graph, cycle_graph, edge_multiset, num_edges, path_graph
+
+
+def degrees(g):
+    """Each vertex's degree, a self-loop counted 2."""
+    return [len(g.neighbors[v]) + 2 * sum(u == w == v for u, w in g.edges)
+            for v in range(g.n)]
 
 
 def test_k2_is_only_matching():
@@ -27,14 +34,14 @@ def test_k4_unique_simple_cubic():
 
 def test_config_model_degree_sequence_and_symmetry():
     g = random_regular(100, 3, seed=11, simple=False)
-    assert all(len(row) == 3 for row in g.adjacency)
-    validate_graph(g)  # symmetry + range checks
+    assert all(0 <= u <= w < 100 for u, w in g.edges)
+    assert degrees(g) == [3] * 100
 
 
 def test_handshake_sum_of_degrees():
     for n, d, seed in [(10, 3, 0), (12, 4, 1), (8, 2, 2)]:
         g = random_regular(n, d, seed=seed)
-        assert sum(map(len, g.adjacency)) == n * d
+        assert sum(degrees(g)) == n * d
 
 
 def test_seed_determinism():
@@ -65,9 +72,11 @@ def test_retry_cap():
 
 
 def test_self_loop_degree_convention():
-    g = Graph(n=1, adjacency=[[0, 0]], delta_max=2)
-    assert len(g.adjacency[0]) == 2
-    assert list(g.edges()) == [(0, 0)]
+    g = Graph(n=1, edges=((0, 0),), delta_max=2)
+    assert degrees(g) == [2]
+    assert g.neighbors == [()]
+    with pytest.raises(InvalidInputError):
+        Graph(n=1, edges=((0, 0),), delta_max=1)
 
 
 def test_union_identity_and_counting():
@@ -85,7 +94,7 @@ def test_union_component_edge_counts():
     u = disjoint_union(base, 2)
     assert u.graph.n == 20
     per_comp = [0, 0]
-    for a, b in u.graph.edges():
+    for a, b in u.graph.edges:
         assert u.component_of[a] == u.component_of[b]
         per_comp[u.component_of[a]] += 1
     assert per_comp == [15, 15]  # delta*n/2
@@ -135,28 +144,72 @@ def test_edge_list_errors(tmp_path):
         read_edge_list(bad)
 
 
-def test_asymmetric_adjacency_rejected():
-    with pytest.raises(InvalidInputError):
-        Graph(n=2, adjacency=[[1], []], delta_max=1)
-
-
 def test_degree_bound_enforced():
     with pytest.raises(InvalidInputError):
-        Graph(n=3, adjacency=[[1, 2], [0], [0]], delta_max=1)
+        Graph(n=3, edges=((0, 1), (0, 2)), delta_max=1)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=20),
+    delta=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**31),
 )
-def test_roundtrip_property(n, seed, tmp_path_factory):
-    if (3 * n) % 2:
+@example(n=8, delta=4, seed=2)  # self-loops and parallel edges
+def test_roundtrip_property(n, delta, seed, tmp_path_factory):
+    """Configuration-model multigraphs, loops and parallel edges included:
+    reading a written file and writing it again reproduces it byte for byte."""
+    if (delta * n) % 2:
         n += 1
-    g = random_regular(n, 3, seed=seed)
-    p = tmp_path_factory.mktemp("rt") / "g.edges"
-    write_edge_list(g, p)
-    assert edge_multiset(read_edge_list(p)) == edge_multiset(g)
+    g = random_regular(n, delta, seed=seed)
+    d = tmp_path_factory.mktemp("rt")
+    write_edge_list(g, d / "g.edges")
+    h = read_edge_list(d / "g.edges")
+    assert h == g
+    write_edge_list(h, d / "h.edges")
+    assert (d / "h.edges").read_bytes() == (d / "g.edges").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_multiset_views_agree(data):
+    """On any edge multiset (loops and parallel edges included) the degree
+    bound, ``neighbors``, ``edge_ends``, ``monochromatic_edges`` and
+    ``mono_counts`` agree with a count over the edges one by one."""
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=24))
+    edges = tuple((min(p), max(p)) for p in pairs)
+    spins = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+
+    degree = [0] * n
+    nbrs = [[] for _ in range(n)]
+    for u, w in edges:
+        degree[u] += 1
+        degree[w] += 1  # a loop counts 2
+        if u != w:
+            nbrs[u].append(w)
+            nbrs[w].append(u)
+    g = Graph(n=n, edges=edges, delta_max=max(degree))
+    if edges:
+        with pytest.raises(InvalidInputError):
+            Graph(n=n, edges=edges, delta_max=max(degree) - 1)
+    assert degrees(g) == degree
+    assert [sorted(nb) for nb in g.neighbors] == [sorted(nb) for nb in nbrs]
+    u, w = g.edge_ends
+    assert list(zip(u.tolist(), w.tolist())) == list(edges)
+    mono = sum(1 for u, w in edges if spins[u] == spins[w])
+    assert monochromatic_edges(g, spins) == mono
+    plus = np.array([[s == 1 for s in spins], [s == -1 for s in spins]])
+    assert mono_counts(g, plus).tolist() == [mono, mono]
+
+
+def test_edge_ids_checked():
+    for edges in (((0, 2),), ((-1, 0),), ((1, 0),)):
+        with pytest.raises(InvalidInputError):
+            Graph(n=2, edges=edges, delta_max=2)
+    with pytest.raises(InvalidInputError):
+        Graph(n=-1, edges=(), delta_max=0)
 
 
 def test_named_graphs():

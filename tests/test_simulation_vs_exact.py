@@ -138,7 +138,7 @@ def test_glauber_trace_loop_mono_matches_pi():
     mean_mono_exact = 0.0
     for row, p in zip(tm.states, tm.pi):
         spins = [1 if b else -1 for b in row]
-        m = sum(1 for u, w in g.edges() if spins[u] == spins[w])
+        m = sum(1 for u, w in g.edges if spins[u] == spins[w])
         mean_mono_exact += p * m
     rows = list(trace_rows_glauber(g, beta, lam, "all_plus", T=400_000, seed=32))
     burn = len(rows) // 5
@@ -163,11 +163,7 @@ def test_kawasaki_trace_loop_occupancy_matches_mu_hat():
 def test_trace_loops_handle_multigraph_defects():
     """Loops and parallel edges: trace bookkeeping stays consistent."""
     # vertex 0: self-loop; vertices 1-2: doubled edge; 3 hangs off 2
-    g = Graph(
-        n=4,
-        adjacency=[[0, 0, 1], [0, 2, 2], [1, 1, 3], [2]],
-        delta_max=3,
-    )
+    g = Graph(n=4, edges=((0, 1), (0, 0), (1, 2), (1, 2), (2, 3)), delta_max=3)
     rows = list(trace_rows_glauber(g, 0.7, 1.2, "all_minus", T=5000, seed=34))
     rows2 = list(trace_rows_glauber(g, 0.7, 1.2, "all_minus", T=5000, seed=34))
     assert rows == rows2
@@ -186,11 +182,7 @@ def test_trace_loops_handle_multigraph_defects():
 def test_kawasaki_trace_exact_mono_on_multigraph():
     """Incremental mono bookkeeping equals a recount at every step, with
     and without a pinning; pinned vertices never move."""
-    g = Graph(
-        n=4,
-        adjacency=[[0, 0, 1], [0, 2, 2], [1, 1, 3], [2]],
-        delta_max=3,
-    )
+    g = Graph(n=4, edges=((0, 1), (0, 0), (1, 2), (1, 2), (2, 3)), delta_max=3)
     from isinglab.measures import monochromatic_edges
 
     rng = make_rng(36)
