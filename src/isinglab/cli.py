@@ -454,6 +454,12 @@ def cmd_metastability(args, ctx: RunContext) -> int:
             raise InvalidInputError("glauber mode needs --lam")
         args.start = args.start or "all_minus"
         bp, bm = trace_bands(args.delta, args.beta, args.lam)
+        for name, (lo, hi) in (("plus", bp), ("minus", bm)):
+            if not any(lo <= (2 * j - args.n) / args.n <= hi
+                       for j in range(args.n + 1)):
+                raise InvalidInputError(
+                    f"the {name} band ({lo:.4g}, {hi:.4g}) holds no attainable "
+                    f"magnetization (2j - n)/n at n = {args.n}; take a larger --n")
         summary.update(lam=args.lam, band_plus=list(bp), band_minus=list(bm))
         per_seed = []
         rows = []
@@ -503,6 +509,7 @@ def cmd_metastability(args, ctx: RunContext) -> int:
             eta_plus=params.eta_plus, eta_minus=params.eta_minus,
             k_plus=k_plus, k_minus=k_minus, k_total=k_total,
         )
+        record_every = max(1, args.T // 1000)
         rows = []
         per_seed = []
         for r in range(args.seeds):
@@ -516,19 +523,19 @@ def cmd_metastability(args, ctx: RunContext) -> int:
                     spins[int(v) + c * args.n] = 1
             res = run_kawasaki_trace(
                 union.graph, args.beta, k_total, spins, args.T,
-                seed=rng, record_every=max(1, args.T // 1000),
+                seed=rng, record_every=record_every,
                 component_of=union.component_of,
             )
             counts = res["component_counts"]
             rows.extend(
-                (r, i, *c) for i, c in enumerate(counts)
+                (r, i * record_every, *c) for i, c in enumerate(counts)
             )
             final = counts[-1]
             per_seed.append({"seed": r, "final_counts": list(final)})
         summary["per_seed"] = per_seed
         ctx.write_csv(
             "traces.csv",
-            ["seed", "step"] + [f"k_comp{j}" for j in range(m)],
+            ["seed", "t"] + [f"k_comp{j}" for j in range(m)],
             rows,
         )
     else:

@@ -49,7 +49,6 @@ from .graphs import Graph
 from .measures import (
     EMPTY_PINNING,
     IsingParams,
-    Pinning,
     SpinConfiguration,
     fixed_k_states,
     gibbs_law,
@@ -77,24 +76,20 @@ class ChainKernel:
     beta: float
     lam: float = None  # glauber only
     k: int = None  # fixed-magnetization kinds
-    pinning: Pinning = EMPTY_PINNING
+    pinned: frozenset = EMPTY_PINNING  # vertices pinned plus
     ell: int = None  # kl_downup only
 
     def __post_init__(self):
+        object.__setattr__(self, "pinned", frozenset(self.pinned))
         if self.kind not in ("glauber", "kawasaki", "downup", "kl_downup"):
             raise InvalidInputError(f"unknown chain kind {self.kind!r}")
         if self.kind == "glauber":
             if self.lam is None or self.lam <= 0:
                 raise InvalidInputError("glauber needs lambda > 0")
-            if len(self.pinning):
+            if self.pinned:
                 raise InvalidInputError("glauber kernels take no pinning")
-        else:
-            if self.k is None:
-                raise InvalidInputError(f"{self.kind} needs k")
-            if not self.pinning.plus_only:
-                raise InvalidInputError(
-                    "fixed-magnetization chains support plus pinnings only"
-                )
+        elif self.k is None:
+            raise InvalidInputError(f"{self.kind} needs k")
         if self.kind == "kl_downup":
             if self.ell is None or not (0 <= self.ell <= self.k - 1):
                 raise InvalidInputError("kl_downup needs 0 <= ell <= k-1")
@@ -181,7 +176,7 @@ def _heat_bath(g: Graph, beta: float, lam: float, spins: list, rng, T: int):
 
 
 def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int,
-                    pinned=frozenset()):
+                    pinned=EMPTY_PINNING):
     """Kawasaki kernel: T Metropolis swaps of a uniform (+, -) pair of
     ``spins`` (in place), the ``pinned`` vertices left out of both lists.
 
@@ -227,7 +222,7 @@ def _kawasaki_swaps(g: Graph, beta: float, spins: list, rng, T: int,
 def _resample(g: Graph, beta: float, keep: set, r: int, rng) -> SpinConfiguration:
     """Add r pluses to ``keep``, drawn by Gibbs law among the plus sets of
     size |keep| + r that contain it; the draw keeps its listed mono count."""
-    X, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
+    X, mono = fixed_k_states(g, len(keep) + r, pinned=keep)
     i = int(rng.choice(len(X), p=gibbs_law(beta * mono)))
     return SpinConfiguration(spins=tuple(np.where(X[i], 1, -1).tolist()),
                              plus_count=len(keep) + r, mono_edges=int(mono[i]))
@@ -245,33 +240,39 @@ def glauber_step(g: Graph, params: IsingParams, sigma: SpinConfiguration, rng):
     return SpinConfiguration(spins=tuple(spins), plus_count=plus, mono_edges=mono)
 
 
-def kawasaki_step(g: Graph, beta: float, k: int, pinning: Pinning,
-                  sigma: SpinConfiguration, rng):
-    """Metropolis swap of a uniformly chosen unpinned (+, -) pair."""
+def _pinned_plus(sigma: SpinConfiguration, k: int, pinned) -> frozenset:
+    """``pinned`` as a frozenset, refused unless sigma has k pluses and is
+    plus at every pinned vertex."""
+    pinned = frozenset(pinned)
     if sigma.plus_count != k:
         raise InvalidInputError("configuration plus-count differs from k")
-    free = {s for v, s in enumerate(sigma.spins) if v not in pinning}
+    if any(not 0 <= v < len(sigma.spins) or sigma.spins[v] != 1 for v in pinned):
+        raise InvalidInputError("configuration is not plus at every pinned vertex")
+    return pinned
+
+
+def kawasaki_step(g: Graph, beta: float, k: int, pinned,
+                  sigma: SpinConfiguration, rng):
+    """Metropolis swap of a uniformly chosen unpinned (+, -) pair."""
+    pinned = _pinned_plus(sigma, k, pinned)
+    free = {s for v, s in enumerate(sigma.spins) if v not in pinned}
     if free != {1, -1}:
         raise InvalidInputError("no swappable (+,-) pair under this pinning")
     spins = list(sigma.spins)
-    swap, = _kawasaki_swaps(g, beta, spins, as_rng(rng), 1,
-                            frozenset(pinning.assignments))
+    swap, = _kawasaki_swaps(g, beta, spins, as_rng(rng), 1, pinned)
     if swap is None:
         return sigma
     return SpinConfiguration(spins=tuple(spins), plus_count=k,
                              mono_edges=sigma.mono_edges + swap[2])
 
 
-def downup_step(g: Graph, beta: float, k: int, plus_pinning: Pinning,
+def downup_step(g: Graph, beta: float, k: int, pinned,
                 sigma: SpinConfiguration, rng):
     """Remove a uniform unpinned plus, resample it from the conditional law."""
     rng = as_rng(rng)
-    if not plus_pinning.plus_only:
-        raise InvalidInputError("down-up walk supports plus pinnings only")
-    if sigma.plus_count != k:
-        raise InvalidInputError("configuration plus-count differs from k")
+    pinned = _pinned_plus(sigma, k, pinned)
     plus = [v for v in range(g.n) if sigma.spins[v] == 1]
-    free_plus = [v for v in plus if v not in plus_pinning]
+    free_plus = [v for v in plus if v not in pinned]
     if not free_plus:
         raise InvalidInputError("need at least one unpinned plus")
     v = free_plus[int(rng.integers(len(free_plus)))]
@@ -447,7 +448,7 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
 def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     """Kawasaki, +1 down-up and (k, l) down-up on one pin set: validation
     and the nonzero check, then ``_link_matrix``."""
-    pinned = frozenset(kernel.pinning.assignments)
+    pinned = kernel.pinned
     k = kernel.k
     k_free = k - len(pinned)
     if k_free < 1:
@@ -480,10 +481,10 @@ def pinned_downup_matrices(g: Graph, beta: float, k: int, ell: int):
 
     Yields (pin sets, kernel) per batch of pin sets, in ``combinations``
     order.  Block b of a kernel has as its ``states`` the rows of
-    ``fixed_k_states(g, k, plus_pinned=U_b)``, pinned pluses included, in
+    ``fixed_k_states(g, k, pinned=U_b)``, pinned pluses included, in
     their listed order, and as its entries and pi those of
     ``build_transition_matrix`` for ``ChainKernel("downup", beta=beta, k=k,
-    pinning=Pinning.plus(U_b))``, so pi sums to the number of blocks and
+    pinned=U_b)``, so pi sums to the number of blocks and
     each block is checked as its own kernel would be.  One block's nonzero
     bound is checked before listing, and each batch holds as many blocks as
     fit KERNEL_NONZERO_CAP.
@@ -500,11 +501,11 @@ def pinned_downup_matrices(g: Graph, beta: float, k: int, ell: int):
 def _link_matrix(g: Graph, beta: float, k: int, pin_sets: list, ell: int,
                  kind: str) -> TransitionMatrix:
     """Every fixed-magnetization kernel: one block per pin set U, each the
-    rows of ``fixed_k_states(g, k, plus_pinned=U)`` in their listed order
+    rows of ``fixed_k_states(g, k, pinned=U)`` in their listed order
     (the kernel's ``states`` are these rows, concatenated and read-only),
     and ``_link_kernel``'s moves on the links of their kept plus sets
     (Kawasaki for ``kind`` "kawasaki", else the down-up walk)."""
-    listed = [fixed_k_states(g, k, plus_pinned=u) for u in pin_sets]
+    listed = [fixed_k_states(g, k, pinned=u) for u in pin_sets]
     X = np.concatenate([x for x, _ in listed])
     X.flags.writeable = False
     free = [x & ~np.isin(np.arange(g.n), list(u))  # the free pluses
@@ -619,17 +620,14 @@ class CoupledState:
 class CoupledKawasaki:
     """Driver holding the graph context for the coupled chain."""
 
-    def __init__(self, g: Graph, beta: float, k: int, plus_pinning: Pinning,
-                 phi: float):
-        if not plus_pinning.plus_only:
-            raise InvalidInputError("coupling supports plus pinnings only")
+    def __init__(self, g: Graph, beta: float, k: int, pinned, phi: float):
         if not phi > 0:
             # rho = phi |D| + |B| is a metric on the coupled states only then
             raise InvalidInputError(f"need phi > 0, got phi = {phi}")
         self.g = g
         self.beta = beta
         self.k = k
-        self.pinned = frozenset(plus_pinning.assignments)
+        self.pinned = frozenset(pinned)
         self.phi = phi
         self.neighbor_sets = [frozenset(nb) for nb in g.neighbors]
         # with multiplicity, for the monochromatic-edge change of a swap

@@ -93,16 +93,20 @@ def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
         raise InvalidInputError("degree must be nonnegative")
     if (n * delta) % 2 != 0:
         raise InvalidInputError(f"n*delta = {n * delta} must be even")
+    import numpy as np
+
     rng = as_rng(seed)
     for _ in range(SIMPLE_RETRY_CAP if simple else 1):
         # stub i belongs to vertex i // delta
-        ends = [i // delta for i in rng.permutation(n * delta).tolist()]
-        edges = sorted(((u, w) if u <= w else (w, u)
-                        for u, w in zip(ends[::2], ends[1::2])),
+        ends = rng.permutation(n * delta) // delta
+        lo = np.minimum(ends[::2], ends[1::2])
+        hi = np.maximum(ends[::2], ends[1::2])
+        # a simple draw has no loop (lo == hi) and no repeated pair lo n + hi
+        if simple and ((lo == hi).any() or np.unique(lo * n + hi).size < lo.size):
+            continue
+        edges = sorted(zip(lo.tolist(), hi.tolist()),
                        key=lambda e: (e[0], e[0] == e[1]))
-        if not simple or (len(set(edges)) == len(edges)
-                          and all(u != w for u, w in edges)):
-            return Graph(n=n, edges=tuple(edges), delta_max=delta)
+        return Graph(n=n, edges=tuple(edges), delta_max=delta)
     raise RetriesExhaustedError(
         f"no simple graph found in {SIMPLE_RETRY_CAP} configuration-model draws"
     )

@@ -7,6 +7,12 @@ external field lambda and the fixed-magnetization measure for any k can both
 be recovered exactly from one table.  A transfer-matrix DP over the free
 vertices builds it in about n^2 * 2^w steps, w being the widest frontier of a
 greedy vertex order, instead of visiting all 2^n configurations.
+
+A pinning is the set U of vertices pinned plus, as a frozenset (``pinned``):
+the paper's arguments condition only on pluses (the links of k-sets behind
+the local walks, the down-up walk and the pinned chains of the gap
+factorization), so a pinned measure is the measure on the states that are
+plus on U.
 """
 
 from __future__ import annotations
@@ -44,37 +50,7 @@ class IsingParams:
             raise InvalidInputError("lambda must be > 0")
 
 
-@dataclass(frozen=True)
-class Pinning:
-    """Partial spin assignment on a vertex subset U."""
-
-    assignments: dict
-
-    def __post_init__(self):
-        for v, s in self.assignments.items():
-            if s not in (-1, 1):
-                raise InvalidInputError(f"pinned spin at {v} must be +-1, got {s}")
-
-    @property
-    def plus_only(self) -> bool:
-        return all(s == 1 for s in self.assignments.values())
-
-    @property
-    def plus_count(self) -> int:
-        return sum(1 for s in self.assignments.values() if s == 1)
-
-    def __len__(self):
-        return len(self.assignments)
-
-    def __contains__(self, v):
-        return v in self.assignments
-
-    @staticmethod
-    def plus(vertices) -> "Pinning":
-        return Pinning({v: 1 for v in vertices})
-
-
-EMPTY_PINNING = Pinning({})
+EMPTY_PINNING = frozenset()  # no vertex pinned
 
 
 @dataclass(frozen=True)
@@ -128,13 +104,14 @@ def _logsumexp(values) -> float:
 class PartitionTable:
     """Per-k log fixed-magnetization partition values at one beta.
 
-    ``log_zhat_by_k[k] = log sum_{sigma in Omega_k^{tau_U}} e^{beta m(sigma)}``
-    with -inf at infeasible k.  Any-lambda quantities are assembled on demand.
+    ``log_zhat_by_k[k] = log sum_{sigma in Omega_k^U} e^{beta m(sigma)}``, the
+    states with k pluses that are plus on U = ``pinned``, with -inf at
+    infeasible k.  Any-lambda quantities are assembled on demand.
     """
 
     n: int
     beta: float
-    pinning: Pinning
+    pinned: frozenset
     log_zhat_by_k: tuple
 
     def log_weights_by_k(self, lam: float) -> np.ndarray:
@@ -184,38 +161,37 @@ def _frontier_steps(free, nbrs):
 def exact_partition_table(
     g: Graph,
     beta: float,
-    pinning: Pinning = EMPTY_PINNING,
+    pinned=EMPTY_PINNING,
 ) -> PartitionTable:
-    """Exact per-k log partition values, by a transfer-matrix DP.
+    """Exact per-k log partition values with the ``pinned`` vertices plus, by
+    a transfer-matrix DP.
 
-    Self-loops and pinned-pinned edges fold into a constant, free-pinned edges
-    into a per-spin field on the free vertex, and parallel free-free edges
-    into a multiplicity.  The free vertices then enter one at a time in a
-    greedy minimum-frontier order (``_frontier_steps``), and the table holds
-    log-weights indexed by (spins of the frontier, plus-count so far): an
-    entering vertex doubles it, and a vertex whose neighbours have all
-    entered is summed out.  The cost is about n_free^2 * 2^w for peak
+    Self-loops and pinned-pinned edges fold into a constant, free-pinned
+    edges into a count of pinned neighbours per free vertex, and parallel
+    free-free edges into a multiplicity.  The free vertices then enter one at
+    a time in a greedy minimum-frontier order (``_frontier_steps``), and the
+    table holds log-weights indexed by (spins of the frontier, plus-count so
+    far): an entering vertex doubles it, and a vertex whose neighbours have
+    all entered is summed out.  The cost is about n_free^2 * 2^w for peak
     frontier width w; a table of more than TABLE_ENTRY_CAP entries, its one
     bound, is refused while the order is built, before anything is allocated.
     """
     if beta < 0:
         raise InvalidInputError("beta must be >= 0")
-    for v in pinning.assignments:
+    pinned = frozenset(pinned)
+    for v in pinned:
         if not (0 <= v < g.n):
             raise InvalidInputError(f"pinned vertex {v} not in graph")
-    free = [v for v in range(g.n) if v not in pinning]
+    free = [v for v in range(g.n) if v not in pinned]
 
-    spin = pinning.assignments
-    const = 0  # monochromatic edges fixed by the pinning, self-loops included
-    field = {v: {-1: 0, 1: 0} for v in free}  # pinned neighbours by spin
+    const = 0  # self-loops and pinned-pinned edges, monochromatic in every state
+    field = {v: 0 for v in free}  # pinned (plus) neighbours
     mult = {v: {} for v in free}  # free-free edge multiplicities
     for u, w in g.edges:
-        if u == w or (u in spin and w in spin):
-            if u == w or spin[u] == spin[w]:
-                const += 1
-        elif u in spin or w in spin:
-            pinned, v = (u, w) if u in spin else (w, u)
-            field[v][spin[pinned]] += 1
+        if u == w or (u in pinned and w in pinned):
+            const += 1
+        elif u in pinned or w in pinned:
+            field[w if u in pinned else u] += 1
         else:
             mult[u][w] = mult[u].get(w, 0) + 1
             mult[w][u] = mult[w].get(u, 0) + 1
@@ -236,9 +212,9 @@ def exact_partition_table(
         # rows with v minus, then rows with v plus (one more plus spin)
         grown = np.empty((2 * rows, cols + 1))
         grown[:rows, -1] = grown[rows:, 0] = NEG_INF
-        minus_mono = beta * field[v][-1] + all_nbrs - plus_nbrs
+        minus_mono = all_nbrs - plus_nbrs
         np.add(table, minus_mono[:, None], out=grown[:rows, :-1])
-        plus_mono = beta * field[v][1] + plus_nbrs
+        plus_mono = beta * field[v] + plus_nbrs
         np.add(table, plus_mono[:, None], out=grown[rows:, 1:])
         frontier.append(v)
         for u in done:
@@ -249,15 +225,10 @@ def exact_partition_table(
         table = grown
 
     log_by_k = [NEG_INF] * (g.n + 1)
-    base = pinning.plus_count
     for k, value in enumerate(table[0]):
-        log_by_k[base + k] = float(value) + beta * const
-    return PartitionTable(
-        n=g.n,
-        beta=beta,
-        pinning=pinning,
-        log_zhat_by_k=tuple(log_by_k),
-    )
+        log_by_k[len(pinned) + k] = float(value) + beta * const
+    return PartitionTable(n=g.n, beta=beta, pinned=pinned,
+                          log_zhat_by_k=tuple(log_by_k))
 
 
 def gibbs_law(logw: np.ndarray) -> np.ndarray:
@@ -322,8 +293,8 @@ def mono_counts(g: Graph, X: np.ndarray) -> np.ndarray:
     return (X[:, u] == X[:, w]).sum(axis=1, dtype=float)
 
 
-def fixed_k_states(g: Graph, k: int, plus_pinned=()):
-    """All plus-sets of size k containing the pinned vertices, with mono counts.
+def fixed_k_states(g: Graph, k: int, pinned=EMPTY_PINNING):
+    """All plus-sets of size k containing the ``pinned`` set, with mono counts.
 
     Returns (X, mono): X is the (states x n) boolean plus matrix, its rows in
     ``combinations`` order of the free pluses, and mono their ``mono_counts``.
@@ -331,9 +302,9 @@ def fixed_k_states(g: Graph, k: int, plus_pinned=()):
     distributions).  It lists C(n - |pinned|, k - |pinned|) states, which the
     kernel, (k, l) resample and spectral callers cap before calling it.
     """
-    pinned = frozenset(plus_pinned)
+    pinned = frozenset(pinned)
     if len(pinned) > k:
-        raise InvalidInputError("pinning larger than k")
+        raise InvalidInputError("pinned set larger than k")
     free = [v for v in range(g.n) if v not in pinned]
     r = k - len(pinned)
     size = math.comb(len(free), r)

@@ -423,7 +423,9 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
                        component_of=None) -> dict:
     """Kawasaki run; with ``component_of``, also tracks per-copy counts.
 
-    Returns {"component_counts": trajectory or None, "spins": final spins}.
+    Returns {"component_counts": trajectory or None, "spins": final spins},
+    the trajectory's entry i the plus count of each copy at step
+    i * record_every, from the start (i = 0) on.
     """
     if T < 1:
         raise InvalidInputError("need T >= 1")
@@ -438,7 +440,7 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
         counts = [0] * (max(component_of) + 1)
         for v in range(g.n):
             counts[component_of[v]] += spins[v] == 1
-        traj = []
+        traj = [tuple(counts)]
         for t, swap in enumerate(swaps, 1):
             if swap:
                 counts[component_of[swap[0]]] -= 1
@@ -487,7 +489,7 @@ def trace_rows_coupled(g: Graph, beta: float, k: int, phi: float, T: int,
     """Coupled-Kawasaki rows (t, n_disagree, n_bad, rho), as the chain makes
     them.  The coupled start is built before this returns."""
     rng = as_rng(seed)
-    driver = CoupledKawasaki(g, beta=beta, k=k, plus_pinning=EMPTY_PINNING, phi=phi)
+    driver = CoupledKawasaki(g, beta=beta, k=k, pinned=EMPTY_PINNING, phi=phi)
     xs = tuple(int(v) for v in rng.choice(g.n, size=k, replace=False))
     ys = tuple(int(v) for v in rng.choice(g.n, size=k, replace=False))
 

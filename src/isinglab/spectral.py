@@ -33,7 +33,6 @@ from .measures import (
     EMPTY_PINNING,
     TABLE_ENTRY_CAP,
     PartitionTable,
-    Pinning,
     cumulants_of_size,
     exact_partition_table,
     fixed_k_states,
@@ -451,19 +450,22 @@ def edgeworth_pmf(kappas, ells, d: int) -> EdgeworthApprox:
             raise DegenerateError(
                 f"Edgeworth coefficient of order {j} is not finite (s = {s:.3g})")
         beta_coeffs[j] = kappas[j - 1] / scale
+    coeffs = []  # (r, coefficient of H_r), the same for every ell
+    for r in range(3, 6 * d + 1):
+        coeff = 0.0
+        for tup in _edgeworth_tuples(r, d):
+            term = 1.0
+            for j, kj in zip(range(3, 2 * d + 2), tup):
+                term *= beta_coeffs[j] ** kj / math.factorial(kj)
+            coeff += term
+        if coeff:
+            coeffs.append((r, coeff))
     values = []
     for ell in ells:
         x = ell / s
         series = 1.0
-        for r in range(3, 6 * d + 1):
-            coeff = 0.0
-            for tup in _edgeworth_tuples(r, d):
-                term = 1.0
-                for j, kj in zip(range(3, 2 * d + 2), tup):
-                    term *= beta_coeffs[j] ** kj / math.factorial(kj)
-                coeff += term
-            if coeff:
-                series += _hermite(r, x) * coeff
+        for r, coeff in coeffs:
+            series += _hermite(r, x) * coeff
         values.append(math.exp(-(ell**2) / (2 * s2)) / (math.sqrt(2 * math.pi) * s) * series)
     return EdgeworthApprox(
         s=s, beta_coeffs=beta_coeffs, order=d, ells=tuple(ells), values=tuple(values)
@@ -494,15 +496,15 @@ class StabilityProbe:
     kappa_deltas: tuple
 
 
-def stability_probe(g: Graph, beta: float, lam: float, pinning: Pinning,
+def stability_probe(g: Graph, beta: float, lam: float, pinned,
                     v: int) -> StabilityProbe:
-    """|P(X=k) - P(X=k | sigma(v)=+1)| at the central k, plus cumulant shifts."""
-    table = exact_partition_table(g, beta, pinning)
+    """|P(X=k) - P(X=k | sigma(v)=+1)| at the central k, plus cumulant shifts,
+    under the ``pinned`` plus set."""
+    table = exact_partition_table(g, beta, pinned)
     res = cumulants_of_size(table, lam, 3)
-    if v in pinning:
+    if v in table.pinned:
         return StabilityProbe(pmf_delta=0.0, kappa_deltas=(0.0, 0.0, 0.0))
-    plus_pin = Pinning({**pinning.assignments, v: 1})
-    table_v = exact_partition_table(g, beta, plus_pin)
+    table_v = exact_partition_table(g, beta, table.pinned | {v})
     res_v = cumulants_of_size(table_v, lam, 3)
     k = int(round(res.kappas[0]))
     pmf = size_distribution(table, lam)
@@ -522,10 +524,10 @@ class CharacteristicBound:
 
 
 def characteristic_bound_probe(g: Graph, beta: float, lam: float,
-                               pinning: Pinning = EMPTY_PINNING) -> CharacteristicBound:
+                               pinned=EMPTY_PINNING) -> CharacteristicBound:
     """Largest c with |E e^{itX}| <= e^{-c t^2 n} on the 200-point grid of
-    t in (0, pi]."""
-    table = exact_partition_table(g, beta, pinning)
+    t in (0, pi], under the ``pinned`` plus set."""
+    table = exact_partition_table(g, beta, pinned)
     pmf = size_distribution(table, lam)
     ks = np.arange(table.n + 1)
     c_best = math.inf

@@ -5,9 +5,11 @@ per-link loop behind the down-up kernel product, the per-pin-set loop
 behind the block-diagonal pinned walks, the closed-form completion
 law behind the down-up resample, the per-state grand-canonical loop, the
 frozenset influence matrix and local walks behind the plus-matrix ones,
-local mono counts, and the coupled chain's disagreement sets from scratch.  Also the oracles that only tests read: edge multisets
-and counts, log Z, per-state Gibbs and fixed-magnetization probabilities,
-finite-difference cumulants, the dense matrix-power mixing time, the (k, l)
+local mono counts, the coupled chain's disagreement sets from scratch, and
+the list-based configuration-model sampler behind ``random_regular``.  Also
+the oracles that only tests read: edge multisets and counts, log Z,
+per-state Gibbs and fixed-magnetization probabilities, finite-difference
+cumulants, the dense matrix-power mixing time, the (k, l)
 down-up step, the censored band occupancy, overlaps, the partition-ratio
 bounds and the landscape's g(eta, b0) at any b0."""
 
@@ -28,14 +30,14 @@ from isinglab.dynamics import (
     _resample,
     build_transition_matrix,
 )
-from isinglab.errors import DegenerateError, InvalidInputError, TooLargeError
-from isinglab.graphs import Graph, disjoint_union, random_regular
+from isinglab.errors import (DegenerateError, InvalidInputError,
+                             RetriesExhaustedError, TooLargeError)
+from isinglab.graphs import SIMPLE_RETRY_CAP, Graph, disjoint_union, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     NEG_INF,
     IsingParams,
     PartitionTable,
-    Pinning,
     SpinConfiguration,
     _logsumexp,
     exact_partition_table,
@@ -69,6 +71,22 @@ def cycle_graph(n: int) -> Graph:
         raise InvalidInputError("cycle needs n >= 3")
     edges = ((0, n - 1),) + tuple((u, u + 1) for u in range(n - 1))
     return Graph(n=n, edges=edges, delta_max=2)
+
+
+def random_regular_lists(n: int, delta: int, seed, simple: bool = False) -> Graph:
+    """Reference configuration-model sampler on Python lists: every draw is
+    built as its sorted edge list, and a simple draw is one with no loop and
+    no repeated pair."""
+    rng = as_rng(seed)
+    for _ in range(SIMPLE_RETRY_CAP if simple else 1):
+        ends = [i // delta for i in rng.permutation(n * delta).tolist()]
+        edges = sorted(((u, w) if u <= w else (w, u)
+                        for u, w in zip(ends[::2], ends[1::2])),
+                       key=lambda e: (e[0], e[0] == e[1]))
+        if not simple or (len(set(edges)) == len(edges)
+                          and all(u != w for u, w in edges)):
+            return Graph(n=n, edges=tuple(edges), delta_max=delta)
+    raise RetriesExhaustedError("no simple draw")
 
 
 def edge_multiset(g: Graph) -> Counter:
@@ -111,16 +129,15 @@ def exact_test_set():
     return graphs
 
 
-def gray_code_table(g, beta, pinning=EMPTY_PINNING):
-    """Reference partition table: visit every configuration consistent with
-    the pinning in Gray-code order, updating the monochromatic-edge count per
+def gray_code_table(g, beta, pinned=EMPTY_PINNING):
+    """Reference partition table: visit every configuration that is plus on
+    ``pinned`` in Gray-code order, updating the monochromatic-edge count per
     flipped vertex, and tally exact integer counts N[k][m]; log values come
     from a log-sum-exp over m at the end."""
-    spins = [-1] * g.n
-    for v, s in pinning.assignments.items():
-        spins[v] = s
-    free = [v for v in range(g.n) if v not in pinning]
-    k = pinning.plus_count
+    pinned = frozenset(pinned)
+    spins = [1 if v in pinned else -1 for v in range(g.n)]
+    free = [v for v in range(g.n) if v not in pinned]
+    k = len(pinned)
     m = monochromatic_edges(g, spins)
 
     counts = [dict() for _ in range(g.n + 1)]
@@ -139,7 +156,7 @@ def gray_code_table(g, beta, pinning=EMPTY_PINNING):
         if by_m else NEG_INF
         for by_m in counts
     )
-    return PartitionTable(n=g.n, beta=beta, pinning=pinning, log_zhat_by_k=log_by_k)
+    return PartitionTable(n=g.n, beta=beta, pinned=pinned, log_zhat_by_k=log_by_k)
 
 
 def downup_kernel_loop(states, mono, free, beta, pinned, ell):
@@ -172,7 +189,7 @@ def pinned_gap_inf_loop(g, beta, k, ell):
     """Reference inf_U gap of the +1 down-up walks pinned plus at each U in
     C(V, l): one kernel build and one gap per pin set."""
     return min(spectral_gap(build_transition_matrix(
-        ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g))
+        ChainKernel("downup", beta=beta, k=k, pinned=u), g))
         for u in combinations(range(g.n), ell))
 
 
@@ -289,13 +306,13 @@ def log_z(table: PartitionTable, lam: float) -> float:
 
 
 def cumulants_by_t_derivative(
-    g: Graph, beta: float, lam: float, pinning: Pinning = EMPTY_PINNING,
+    g: Graph, beta: float, lam: float, pinned=EMPTY_PINNING,
     j_max: int = 3, step: float = 1e-3,
 ) -> tuple:
     """Cross-check route: central finite differences of t -> log Z(lambda e^t)."""
     if j_max > 3:
         raise InvalidInputError("finite-difference route supports j_max <= 3")
-    table = exact_partition_table(g, beta, pinning)
+    table = exact_partition_table(g, beta, pinned)
 
     def K(t):
         return log_z(table, lam * math.exp(t))
@@ -307,23 +324,24 @@ def cumulants_by_t_derivative(
     return (k1, k2, k3)[:j_max]
 
 
-def _check_consistent(sigma: SpinConfiguration, pinning: Pinning) -> None:
-    for v, s in pinning.assignments.items():
-        if sigma.spins[v] != s:
-            raise InvalidInputError(f"configuration contradicts pinning at {v}")
+def _check_consistent(sigma: SpinConfiguration, pinned) -> None:
+    for v in pinned:
+        if sigma.spins[v] != 1:
+            raise InvalidInputError(f"configuration is not plus at pinned vertex {v}")
 
 
 def gibbs_prob(
     g: Graph,
     params: IsingParams,
-    pinning: Pinning,
+    pinned,
     sigma: SpinConfiguration,
     table: PartitionTable = None,
 ) -> float:
-    """Exact mu^{tau_U}_{beta,lambda}(sigma) via the partition table."""
-    _check_consistent(sigma, pinning)
+    """Exact mu^U_{beta,lambda}(sigma), U the ``pinned`` plus set, via the
+    partition table."""
+    _check_consistent(sigma, pinned)
     if table is None:
-        table = exact_partition_table(g, params.beta, pinning)
+        table = exact_partition_table(g, params.beta, pinned)
     log_w = sigma.plus_count * math.log(params.lam) + params.beta * sigma.mono_edges
     return math.exp(log_w - log_z(table, params.lam))
 
@@ -332,18 +350,19 @@ def fixed_mag_prob(
     g: Graph,
     beta: float,
     k: int,
-    pinning: Pinning,
+    pinned,
     sigma: SpinConfiguration,
     table: PartitionTable = None,
 ) -> float:
-    """Exact mu-hat^{tau_U}_{beta,k}(sigma) via the partition table."""
-    _check_consistent(sigma, pinning)
+    """Exact mu-hat^U_{beta,k}(sigma), U the ``pinned`` plus set, via the
+    partition table."""
+    _check_consistent(sigma, pinned)
     if sigma.plus_count != k:
         raise InvalidInputError(
             f"configuration has plus-count {sigma.plus_count}, expected k={k}"
         )
     if table is None:
-        table = exact_partition_table(g, beta, pinning)
+        table = exact_partition_table(g, beta, pinned)
     log_zhat = table.log_zhat_by_k[k]
     if log_zhat == NEG_INF:
         raise InvalidInputError(f"Omega_k empty for k={k} under this pinning")

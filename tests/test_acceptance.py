@@ -310,7 +310,7 @@ def criterion_6():
 
 def _collect_coupling_stats(g, beta, k, steps, seed):
     """(D_t, B_t, D_{t+1}, B_{t+1}) samples; restarts on coalescence."""
-    driver = CoupledKawasaki(g, beta=beta, k=k, plus_pinning=EMPTY_PINNING,
+    driver = CoupledKawasaki(g, beta=beta, k=k, pinned=EMPTY_PINNING,
                              phi=1.0)
     rng = make_rng(seed)
     rows = []
@@ -382,7 +382,7 @@ def criterion_7():
 
     # marginal correctness: per-state chi-square at 1% on exact K4
     g4 = complete_graph(4)
-    driver = CoupledKawasaki(g4, beta=0.7, k=2, plus_pinning=EMPTY_PINNING,
+    driver = CoupledKawasaki(g4, beta=0.7, k=2, pinned=EMPTY_PINNING,
                              phi=phi)
     tm = build_transition_matrix(ChainKernel("kawasaki", beta=0.7, k=2), g4)
     rng = make_rng(11)

@@ -128,6 +128,9 @@ def test_byte_identical_outputs(tmp_path):
 # phase-diagram and thresholds entries were recorded before f(eta) became one
 # curve per (delta, beta, lambda) with its constants computed once.  The
 # graph-gen entries were recorded while a graph still kept adjacency lists.
+# The metastability-union entry was re-recorded when its traces gained the
+# t = 0 row of the split start and a column t = i * record_every in place of
+# the record index i (the earlier rows are unchanged, one record later).
 LANDSCAPE_ARGV = ["landscape", "--delta", "3", "--beta", "1.2", "--lam", "1.01"]
 GOLDEN_TRACES = [
     (["simulate", "--chain", "glauber", "--n", "60", "--delta", "3",
@@ -149,7 +152,7 @@ GOLDEN_TRACES = [
     (["metastability", "--mode", "kawasaki-union", "--delta", "3",
       "--beta", "1.2", "--eta", "0.3", "--n", "40", "--T", "3000",
       "--seeds", "2"], "traces.csv",
-     "59a8d9ace01b4bbc7ac04fdacc7bc42fb93806eb1c2f76751c249367f8c9e22e"),
+     "58a870926d53161e37ed66fa545fbf35ed35b06bbecdb05ed20a7304e0444ab7"),
     (["spectra", "--n", "18", "--delta", "3", "--beta", "0.8", "--lam", "1.05",
       "--report", "edgeworth", "--seed", "1"], "spectra.json",
      "37e312ed5ee25db4ee170872e95c3f21c2cac3fed32780b1ea740c64b09fd7a7"),
@@ -796,6 +799,35 @@ def test_metastability_glauber_replica_streams(tmp_path):
                                seed=make_rng(3, 2 * r + 1))
         assert [eta for seed, _, eta in rows if seed == str(r)] == [
             f"{e:.12g}" for e in tr.etas]
+
+
+def test_metastability_union_trace_has_a_time_axis(tmp_path):
+    """Union rows are (seed, t, counts...): t steps by record_every = T // 1000
+    from t = 0, the split start, where l copies hold k_plus pluses and the
+    rest k_minus, to t = T, whose counts are the replica's final counts."""
+    assert run(METASTABILITY_RUNS["kawasaki-union"] + [
+        "--T", "3000", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    m, ell = summary["m"], summary["ell"]
+    lines = (tmp_path / "traces.csv").read_text().splitlines()
+    assert lines[0] == ",".join(["seed", "t"] + [f"k_comp{j}" for j in range(m)])
+    rows = [[int(x) for x in line.split(",")] for line in lines[1:]]
+    for r, replica in enumerate(summary["per_seed"]):
+        mine = [row[1:] for row in rows if row[0] == r]
+        assert [row[0] for row in mine] == list(range(0, 3001, 3))
+        assert mine[0][1:] == [summary["k_plus"]] * ell + [summary["k_minus"]] * (m - ell)
+        assert mine[-1][1:] == replica["final_counts"]
+
+
+def test_metastability_band_without_magnetization_exits_2(tmp_path, capsys):
+    """At n = 12, beta = 1.5, lambda = 1.3 both bands lie in (0.95, 0.99), where
+    no (2j - n)/n falls: the run is refused before any replica, with no output."""
+    out = tmp_path / "out"
+    assert run(["metastability", "--mode", "glauber", "--delta", "3",
+                "--beta", "1.5", "--lam", "1.3", "--n", "12", "--T", "100",
+                "--seeds", "1", "--out", str(out)]) == 2
+    _assert_one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_metastability_start_choices(tmp_path, capsys):

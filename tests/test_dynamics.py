@@ -25,7 +25,6 @@ from isinglab.graphs import Graph, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
     IsingParams,
-    Pinning,
     SpinConfiguration,
     fixed_k_states,
     monochromatic_edges,
@@ -263,10 +262,9 @@ def test_kawasaki_stationary_matches_partition_table():
 
 def test_pinned_kernels():
     g = cycle_graph(6)
-    pin = Pinning.plus([0])
     for kind in ("kawasaki", "downup"):
         tm = build_transition_matrix(
-            ChainKernel(kind, beta=0.8, k=3, pinning=pin), g
+            ChainKernel(kind, beta=0.8, k=3, pinned={0}), g
         )
         assert tm.states[:, 0].all()
         assert np.allclose(tm.pi @ tm.P, tm.pi, atol=1e-12)
@@ -305,11 +303,11 @@ def test_kl_matrix_matches_expectation_formula():
     beta = 0.8
     for g, k, ell, pinned in cases:
         if pinned:
-            kernel = ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(pinned))
+            kernel = ChainKernel("downup", beta=beta, k=k, pinned=pinned)
         else:
             kernel = ChainKernel("kl_downup", beta=beta, k=k, ell=ell)
         tm = build_transition_matrix(kernel, g)
-        X, mono = fixed_k_states(g, k, plus_pinned=pinned)
+        X, mono = fixed_k_states(g, k, pinned=pinned)
         states = plus_sets(X)
         w = np.exp(beta * (mono - mono.max()))
         pi = w / w.sum()
@@ -344,7 +342,7 @@ def test_downup_product_matches_per_link_loop(beta):
             for pinned in ((), (1, g.n - 1)):
                 if len(pinned) >= k:
                     continue
-                X, mono = fixed_k_states(g, k, plus_pinned=pinned)
+                X, mono = fixed_k_states(g, k, pinned=pinned)
                 free = [v for v in range(g.n) if v not in pinned]
                 for ell in range(k - len(pinned)):
                     tm = dynamics._link_matrix(g, beta, k, [pinned], ell, "kl_downup")
@@ -386,7 +384,7 @@ def test_pinned_blocks_equal_per_pin_set_kernels(ell):
                 assert np.array_equal(coo.row // size, coo.col // size)
                 for b, u in enumerate(pin_sets):
                     want = build_transition_matrix(
-                        ChainKernel("downup", beta=beta, k=k, pinning=Pinning.plus(u)), g)
+                        ChainKernel("downup", beta=beta, k=k, pinned=u), g)
                     block = slice(b * size, (b + 1) * size)
                     assert (tm.K[block, block] != want.K).nnz == 0, (name, k, u, beta)
                     assert np.array_equal(tm.states[block], want.states), (name, k, u)
@@ -400,7 +398,7 @@ def test_downup_kernels_keep_their_link_factors():
     for kernel, links in ((ChainKernel("downup", beta=0.7, k=3), 15),
                           (ChainKernel("kl_downup", beta=0.7, k=3, ell=1), 6),
                           (ChainKernel("downup", beta=0.7, k=3,
-                                       pinning=Pinning.plus([2])), 5)):
+                                       pinned={2}), 5)):
         tm = build_transition_matrix(kernel, g)
         A, L = tm.factors
         assert A.shape == L.shape[::-1] == (len(tm.states), links)
@@ -458,13 +456,13 @@ def test_kernel_states_are_the_listed_plus_matrix():
     cases = [(ChainKernel("glauber", beta=beta, lam=1.2), bits),
              (ChainKernel("kl_downup", beta=beta, k=k, ell=2), fixed_k_states(g, k)[0])]
     for pinned in ((), (1, 5)):
-        X, _ = fixed_k_states(g, k, plus_pinned=pinned)
-        cases += [(ChainKernel(kind, beta=beta, k=k, pinning=Pinning.plus(pinned)), X)
+        X, _ = fixed_k_states(g, k, pinned=pinned)
+        cases += [(ChainKernel(kind, beta=beta, k=k, pinned=pinned), X)
                   for kind in ("kawasaki", "downup")]
     kernels = [(build_transition_matrix(kernel, g), want) for kernel, want in cases]
     for ell in (1, 2):
         for pin_sets, tm in pinned_downup_matrices(g, beta, k, ell):
-            want = [fixed_k_states(g, k, plus_pinned=u)[0] for u in pin_sets]
+            want = [fixed_k_states(g, k, pinned=u)[0] for u in pin_sets]
             kernels.append((tm, np.concatenate(want)))
     for tm, want in kernels:
         assert tm.states.dtype == bool
@@ -500,7 +498,7 @@ def test_pinned_blocks_past_62_bits():
     (pin_sets, tm), = pinned_downup_matrices(g, 0.7, 2, 1)
     for b in (0, 35, 69):
         want = build_transition_matrix(
-            ChainKernel("downup", beta=0.7, k=2, pinning=Pinning.plus(pin_sets[b])), g)
+            ChainKernel("downup", beta=0.7, k=2, pinned=pin_sets[b]), g)
         block = slice(b * 69, (b + 1) * 69)
         assert (tm.K[block, block] != want.K).nnz == 0
 
@@ -515,9 +513,8 @@ def test_kawasaki_matrix_matches_definition():
                            (cycle_graph(66), 2, ((1,),)), (cycle_graph(66), 1, ((),)),
                            (cycle_graph(64), 3, ((0, 1),))):
         for pinned in pinnings:
-            pin = Pinning.plus(pinned)
             tm = build_transition_matrix(
-                ChainKernel("kawasaki", beta=beta, k=k, pinning=pin), g)
+                ChainKernel("kawasaki", beta=beta, k=k, pinned=pinned), g)
             pairs = (k - len(pinned)) * (g.n - k)
             states = plus_sets(tm.states)
             for i, s in enumerate(states):
@@ -569,7 +566,7 @@ def test_completion_law_matches_enumerated_conditional():
     beta = 0.8
     for keep, r in (({1, 4}, 1), ({2}, 2), ({5}, 3), (set(), 3)):
         completions, p = completion_law(g, beta, keep, r)
-        X, mono = fixed_k_states(g, len(keep) + r, plus_pinned=keep)
+        X, mono = fixed_k_states(g, len(keep) + r, pinned=keep)
         w = np.exp(beta * (mono - mono.max()))
         want = dict(zip(plus_sets(X), w / w.sum()))
         assert len(completions) == len(want) == math.comb(g.n - len(keep), r)
@@ -577,12 +574,12 @@ def test_completion_law_matches_enumerated_conditional():
             assert abs(q - want[frozenset(keep).union(W)]) < 1e-12, (keep, W)
 
 
-def _reference_downup(g, beta, spins, rng, pinning, ell):
+def _reference_downup(g, beta, spins, rng, pinned, ell):
     """One step with the random draws of downup_step (``ell`` None) or of
     kl_downup_step, completed from the closed-form completion law."""
     plus = [v for v in range(g.n) if spins[v] == 1]
     if ell is None:
-        free_plus = [v for v in plus if v not in pinning]
+        free_plus = [v for v in plus if v not in pinned]
         keep, r = set(plus) - {free_plus[int(rng.integers(len(free_plus)))]}, 1
     else:
         keep = {plus[i] for i in rng.choice(len(plus), size=ell, replace=False)}
@@ -602,15 +599,15 @@ def test_downup_steps_draw_the_completion_law_and_carry_mono(walk):
     beta = 0.8
     for g in (LOOPED, random_regular(12, 3, seed=1)):
         k = g.n // 2
-        pinning = Pinning.plus([0]) if walk == "downup pinned" else EMPTY_PINNING
+        pinned = frozenset({0}) if walk == "downup pinned" else EMPTY_PINNING
         ell = k // 2 - 1 if walk == "kl" else None
         for seed in range(5):
             rng, ref_rng = make_rng(seed), make_rng(seed)
             sigma = cfg(g, [1] * k + [-1] * (g.n - k))
             for _ in range(200):
-                want = _reference_downup(g, beta, sigma.spins, ref_rng, pinning, ell)
+                want = _reference_downup(g, beta, sigma.spins, ref_rng, pinned, ell)
                 if ell is None:
-                    sigma = downup_step(g, beta, k, pinning, sigma, rng)
+                    sigma = downup_step(g, beta, k, pinned, sigma, rng)
                 else:
                     sigma = kl_downup_step(g, beta, k, ell, sigma, rng)
                 assert sigma.spins == want, (g.n, seed)
@@ -700,7 +697,7 @@ def test_sparse_gap_needs_no_dense_view(monkeypatch):
 
 def test_coupled_sticky_on_diagonal():
     g = complete_graph(4)
-    driver = CoupledKawasaki(g, beta=0.8, k=2, plus_pinning=EMPTY_PINNING, phi=1.0)
+    driver = CoupledKawasaki(g, beta=0.8, k=2, pinned=EMPTY_PINNING, phi=1.0)
     state = driver.make_state((0, 1), (0, 1))
     rng = make_rng(5)
     for _ in range(50):
@@ -713,7 +710,7 @@ def test_coupled_marginal_matches_exact_kawasaki_row():
     """One-step law of the X copy equals the exact Kawasaki row (3 sigma)."""
     g = complete_graph(4)
     beta, k = 0.7, 2
-    driver = CoupledKawasaki(g, beta=beta, k=k, plus_pinning=EMPTY_PINNING, phi=0.5)
+    driver = CoupledKawasaki(g, beta=beta, k=k, pinned=EMPTY_PINNING, phi=0.5)
     tm = build_transition_matrix(ChainKernel("kawasaki", beta=beta, k=k), g)
     rng = make_rng(6)
     start = driver.make_state((0, 1), (2, 3))
@@ -733,7 +730,7 @@ def test_coupled_marginal_matches_exact_kawasaki_row():
 
 def test_coupled_rho_zero_iff_equal():
     g = cycle_graph(6)
-    driver = CoupledKawasaki(g, beta=0.5, k=2, plus_pinning=EMPTY_PINNING, phi=0.7)
+    driver = CoupledKawasaki(g, beta=0.5, k=2, pinned=EMPTY_PINNING, phi=0.7)
     eq = driver.make_state((0, 3), (0, 3))
     assert eq.rho == 0.0
     neq = driver.make_state((0, 3), (0, 4))
@@ -744,7 +741,7 @@ def test_coupled_bad_disagreement_definition():
     # path 0-1-2-3: X pluses (0,1), Y pluses (0,2): the disagreeing index
     # sits at vertices {1, 2} and the agreeing plus 0 neighbors 1, so bad.
     g = Graph(n=4, edges=((0, 1), (1, 2), (2, 3)), delta_max=2)
-    driver = CoupledKawasaki(g, beta=0.3, k=2, plus_pinning=EMPTY_PINNING, phi=0.4)
+    driver = CoupledKawasaki(g, beta=0.3, k=2, pinned=EMPTY_PINNING, phi=0.4)
     st = driver.make_state((0, 1), (0, 2))
     assert st.D == frozenset({1})
     assert st.B == frozenset({1})
@@ -762,8 +759,7 @@ def test_coupled_incremental_matches_from_scratch():
 
     # loops at 3 and 13, parallel edges at 0, 9, 14 and 15
     g = random_regular(16, 3, seed=7)
-    pinning = Pinning.plus([0, 5])
-    driver = CoupledKawasaki(g, beta=0.6, k=8, plus_pinning=pinning, phi=0.5)
+    driver = CoupledKawasaki(g, beta=0.6, k=8, pinned={0, 5}, phi=0.5)
     rng = make_rng(11)
     free = [v for v in range(g.n) if v not in (0, 5)]
     xs = [free[int(j)] for j in rng.choice(len(free), size=6, replace=False)]
@@ -797,7 +793,7 @@ def test_coupled_incremental_matches_from_scratch():
 
 def test_coupled_caches_outside_equality():
     g = cycle_graph(6)
-    driver = CoupledKawasaki(g, beta=0.5, k=2, plus_pinning=EMPTY_PINNING, phi=0.7)
+    driver = CoupledKawasaki(g, beta=0.5, k=2, pinned=EMPTY_PINNING, phi=0.7)
     a = driver.make_state((0, 3), (0, 4))
     b = driver.make_state((0, 3), (0, 4))
     assert a == b and hash(a) == hash(b)
@@ -807,9 +803,9 @@ def test_coupled_caches_outside_equality():
 def test_coupled_rejects_k_without_a_minus():
     g = cycle_graph(6)
     with pytest.raises(InvalidInputError):
-        CoupledKawasaki(g, beta=0.5, k=6, plus_pinning=EMPTY_PINNING, phi=0.5)
+        CoupledKawasaki(g, beta=0.5, k=6, pinned=EMPTY_PINNING, phi=0.5)
     with pytest.raises(InvalidInputError):
-        CoupledKawasaki(g, beta=0.5, k=0, plus_pinning=EMPTY_PINNING, phi=0.5)
+        CoupledKawasaki(g, beta=0.5, k=0, pinned=EMPTY_PINNING, phi=0.5)
 
 
 def test_coupled_contraction_small_k():
@@ -818,7 +814,7 @@ def test_coupled_contraction_small_k():
 
     g = random_regular(60, 3, seed=1, simple=True)
     beta, k = 0.2, 6
-    driver = CoupledKawasaki(g, beta=beta, k=k, plus_pinning=EMPTY_PINNING, phi=0.5)
+    driver = CoupledKawasaki(g, beta=beta, k=k, pinned=EMPTY_PINNING, phi=0.5)
     rng = make_rng(7)
     drops = []
     for _ in range(400):
@@ -832,22 +828,36 @@ def test_coupled_contraction_small_k():
     assert np.mean(drops) < 0.0
 
 
+def test_steps_refuse_a_minus_at_a_pinned_vertex():
+    """A pinned vertex is plus: the Kawasaki and down-up steps refuse a
+    configuration that is minus there, or a pinned vertex outside the graph,
+    and a kernel's pinned set is stored as a frozenset."""
+    g = cycle_graph(6)
+    sigma = cfg(g, [1, 1, 1, -1, -1, -1])
+    for step in (kawasaki_step, downup_step):
+        for pinned in ({3}, {0, 4}, {-1}, {6}):
+            with pytest.raises(InvalidInputError, match="not plus at every pinned"):
+                step(g, 0.5, 3, pinned, sigma, make_rng(0))
+        for seed in range(20):
+            out = step(g, 0.5, 3, {0, 2}, sigma, make_rng(seed))
+            assert out.spins[0] == out.spins[2] == 1
+    assert ChainKernel("downup", beta=0.5, k=3, pinned=[0, 2]).pinned == frozenset({0, 2})
+
+
 def test_chainkernel_validation():
     with pytest.raises(InvalidInputError):
         ChainKernel("glauber", beta=0.5)
     with pytest.raises(InvalidInputError, match="no pinning"):
-        ChainKernel("glauber", beta=0.5, lam=1.2, pinning=Pinning.plus([0]))
+        ChainKernel("glauber", beta=0.5, lam=1.2, pinned={0})
     with pytest.raises(InvalidInputError):
         ChainKernel("kawasaki", beta=0.5)
     with pytest.raises(InvalidInputError):
         ChainKernel("kl_downup", beta=0.5, k=2, ell=2)
-    with pytest.raises(InvalidInputError):
-        ChainKernel("kawasaki", beta=0.5, k=2, pinning=Pinning({0: -1}))
     g = cycle_graph(6)
     for kernel in (
-        ChainKernel("kl_downup", beta=0.5, k=3, ell=1, pinning=Pinning.plus([0])),
+        ChainKernel("kl_downup", beta=0.5, k=3, ell=1, pinned={0}),
         ChainKernel("kawasaki", beta=0.5, k=6),
-        ChainKernel("downup", beta=0.5, k=2, pinning=Pinning.plus([0, 1])),
+        ChainKernel("downup", beta=0.5, k=2, pinned={0, 1}),
     ):
         with pytest.raises(InvalidInputError):
             build_transition_matrix(kernel, g)

@@ -12,8 +12,10 @@ from isinglab.graphs import (
     write_edge_list,
 )
 from isinglab.measures import mono_counts, monochromatic_edges
+from isinglab.rng import make_rng
 
-from conftest import complete_graph, cycle_graph, edge_multiset, num_edges, path_graph
+from conftest import (complete_graph, cycle_graph, edge_multiset, num_edges,
+                      path_graph, random_regular_lists)
 
 
 def degrees(g):
@@ -58,6 +60,19 @@ def test_simple_flag_no_loops_or_parallel():
         ms = edge_multiset(g)
         assert all(c == 1 for c in ms.values())
         assert all(u != w for (u, w) in ms)
+
+
+@pytest.mark.parametrize("simple", [False, True])
+def test_sampler_equals_list_based_reference(simple):
+    """The array-based draws and early rejection give the graphs of the
+    list-based sampler, which builds and checks every draw's edge list, and
+    consume its stream: n in {10, 60, 600, 2000}, cubic, seeds 0-9."""
+    for n in (10, 60, 600, 2000):
+        for seed in range(10):
+            rng, ref_rng = make_rng(seed), make_rng(seed)
+            assert (random_regular(n, 3, rng, simple=simple)
+                    == random_regular_lists(n, 3, ref_rng, simple=simple)), (n, seed)
+            assert rng.random() == ref_rng.random()
 
 
 def test_odd_total_degree_rejected():

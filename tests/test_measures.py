@@ -15,7 +15,6 @@ from isinglab.measures import (
     NEG_INF,
     IsingParams,
     PartitionTable,
-    Pinning,
     SpinConfiguration,
     _logsumexp,
     cumulants_of_size,
@@ -82,7 +81,7 @@ def test_partition_table_k2_closed_form(beta, lam):
 
 
 def test_partition_table_pinned_k2():
-    t = exact_partition_table(complete_graph(2), beta=0.9, pinning=Pinning({0: 1}))
+    t = exact_partition_table(complete_graph(2), beta=0.9, pinned={0})
     lam = 1.3
     expected = lam**2 * math.exp(0.9) + lam
     assert math.isclose(math.exp(log_z(t, lam)), expected, rel_tol=1e-12)
@@ -99,22 +98,22 @@ def assert_tables_match(got, want, where):
             assert math.isclose(a, b, rel_tol=1e-12), (where, k, a, b)
 
 
-def _mixed_pinnings(n):
+def _pin_sets(n):
     return [
         EMPTY_PINNING,
-        Pinning({0: 1}),
-        Pinning({1: -1, n - 1: 1, n // 2: -1}),
-        Pinning({v: 1 if v % 3 else -1 for v in range(0, n, 2)}),
+        frozenset({0}),
+        frozenset({1, n - 1, n // 2}),
+        frozenset(range(0, n, 2)),
     ]
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7, 40.0])
 def test_dp_matches_gray_code_on_exact_test_set(beta):
     for name, g in exact_test_set().items():
-        for pinning in _mixed_pinnings(g.n):
+        for pinned in _pin_sets(g.n):
             assert_tables_match(
-                exact_partition_table(g, beta, pinning),
-                gray_code_table(g, beta, pinning), (name, pinning),
+                exact_partition_table(g, beta, pinned),
+                gray_code_table(g, beta, pinned), (name, pinned),
             )
 
 
@@ -127,10 +126,10 @@ def test_dp_matches_gray_code_on_multigraphs(beta):
         g = random_regular(n, delta, seed=seed)
         loops += any(u == w for u, w in g.edges)
         parallel += any(c > 1 for (u, w), c in edge_multiset(g).items() if u != w)
-        for pinning in _mixed_pinnings(n):
+        for pinned in _pin_sets(n):
             assert_tables_match(
-                exact_partition_table(g, beta, pinning),
-                gray_code_table(g, beta, pinning), (n, delta, seed, pinning),
+                exact_partition_table(g, beta, pinned),
+                gray_code_table(g, beta, pinned), (n, delta, seed, pinned),
             )
     assert loops and parallel
 
@@ -142,7 +141,7 @@ def test_fixed_k_states_against_per_state_count():
     for seed, (n, delta) in enumerate([(6, 3), (8, 4), (7, 4)]):
         g = random_regular(n, delta, seed=seed)
         for k, pinned in ((3, ()), (3, (0, 5)), (2, (1, 4)), (n, ()), (0, ())):
-            X, mono = fixed_k_states(g, k, plus_pinned=pinned)
+            X, mono = fixed_k_states(g, k, pinned=pinned)
             free = [v for v in range(n) if v not in pinned]
             assert X.dtype == bool and X.shape[1] == n
             states = plus_sets(X)
@@ -161,15 +160,36 @@ def test_fixed_k_states_against_per_state_count():
         assert mono.dtype == float and mono.tolist() == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), delta=st.integers(1, 4), seed=st.integers(0, 99),
+       beta=st.sampled_from([0.0, 0.7, 3.0]), data=st.data())
+def test_pinned_table_is_the_sum_over_pinned_fixed_k_states(n, delta, seed, beta,
+                                                           data):
+    """One pinned measure: the DP table pinned plus at U is, at every k, the
+    log-sum-exp of beta * mono over ``fixed_k_states(g, k, U)``, on
+    configuration-model multigraphs with 0-3 pinned vertices."""
+    if n * delta % 2:
+        n += 1
+    g = random_regular(n, delta, seed=seed)
+    pinned = frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=3)))
+    t = exact_partition_table(g, beta, pinned)
+    assert t.pinned == pinned
+    want = tuple(_logsumexp(beta * fixed_k_states(g, k, pinned)[1])
+                 if k >= len(pinned) else NEG_INF for k in range(n + 1))
+    assert_tables_match(t, PartitionTable(n=n, beta=beta, pinned=pinned,
+                                          log_zhat_by_k=want), (n, delta, pinned))
+
+
 def test_dp_fully_pinned_graph_is_one_entry():
     g = random_regular(8, 3, seed=4)
-    pinning = Pinning({v: 1 if v < 5 else -1 for v in range(8)})
-    t = exact_partition_table(g, 0.9, pinning)
-    assert_tables_match(t, gray_code_table(g, 0.9, pinning), "fully pinned")
+    pinned = frozenset(range(8))
+    t = exact_partition_table(g, 0.9, pinned)
+    assert_tables_match(t, gray_code_table(g, 0.9, pinned), "fully pinned")
     finite = [k for k, v in enumerate(t.log_zhat_by_k) if v != NEG_INF]
-    assert finite == [5]
-    mono = monochromatic_edges(g, [pinning.assignments[v] for v in range(8)])
-    assert t.log_zhat_by_k[5] == pytest.approx(0.9 * mono, rel=1e-15)
+    assert finite == [8]
+    mono = monochromatic_edges(g, [1] * 8)
+    assert mono == len(g.edges)
+    assert t.log_zhat_by_k[8] == pytest.approx(0.9 * mono, rel=1e-15)
 
 
 def test_dp_matches_gray_code_on_cubic_20():
@@ -219,7 +239,7 @@ def test_union_table_is_the_convolution_power_of_its_base(base_n, m, seed):
     union = disjoint_union(base, m).graph
     assert_tables_match(
         exact_partition_table(union, 0.7),
-        PartitionTable(n=union.n, beta=0.7, pinning=EMPTY_PINNING,
+        PartitionTable(n=union.n, beta=0.7, pinned=EMPTY_PINNING,
                        log_zhat_by_k=want), (base_n, m, seed))
 
 
@@ -230,10 +250,10 @@ def test_spin_flip_symmetry_of_cubic_24_table():
         assert math.isclose(z[k], z[g.n - k], rel_tol=1e-12), k
 
 
-@pytest.mark.parametrize("pinning", [{}, {0: 1, 3: -1}])
+@pytest.mark.parametrize("pinning", [EMPTY_PINNING, frozenset({0, 3})])
 def test_log_weights_by_k(pinning):
     """log Zhat_k + k log lambda by k, -inf where the pinning leaves no state."""
-    t = exact_partition_table(cycle_graph(6), 0.7, Pinning(pinning))
+    t = exact_partition_table(cycle_graph(6), 0.7, pinning)
     lam = 1.3
     w = t.log_weights_by_k(lam)
     assert w.shape == (7,)
@@ -284,7 +304,7 @@ def test_cumulants_binomial_closed_form():
 
 def test_cumulants_point_mass_flagged():
     g = complete_graph(2)
-    t = exact_partition_table(g, beta=0.4, pinning=Pinning({0: 1, 1: 1}))
+    t = exact_partition_table(g, beta=0.4, pinned={0, 1})
     res = cumulants_of_size(t, 1.0, 3)
     assert res.degenerate
     assert res.kappas == (2.0, 0.0, 0.0)
@@ -340,7 +360,7 @@ def test_fixed_mag_prob_wrong_k():
 def test_pinning_consistency_checked():
     g = complete_graph(2)
     with pytest.raises(InvalidInputError):
-        gibbs_prob(g, IsingParams(0.0, 1.0), Pinning({0: 1}), cfg(g, [-1, 1]))
+        gibbs_prob(g, IsingParams(0.0, 1.0), frozenset({0}), cfg(g, [-1, 1]))
 
 
 def test_conditioning_identity_all_enumerable():

@@ -354,6 +354,7 @@ def test_kawasaki_trace_preserves_counts():
     u = disjoint_union(cycle_graph(6), 2)
     res = run_kawasaki_trace(u.graph, 0.8, 6, "band_sample", T=2000, seed=7,
                              component_of=u.component_of, record_every=50)
+    assert len(res["component_counts"]) == 2000 // 50 + 1  # the start, then every 50
     for counts in res["component_counts"]:
         assert sum(counts) == 6
     assert sum(1 for s in res["spins"] if s == 1) == 6

@@ -13,7 +13,6 @@ from isinglab.errors import DegenerateError, InvalidInputError, NonReversibleErr
 from isinglab.graphs import disjoint_union, random_regular
 from isinglab.measures import (
     EMPTY_PINNING,
-    Pinning,
     cumulants_of_size,
     exact_partition_table,
 )
@@ -106,7 +105,7 @@ def _dense_gap(tm):
     (ChainKernel("glauber", beta=0.9, lam=0.8), random_regular(10, 3, seed=7)),
     (ChainKernel("kawasaki", beta=0.5, k=6), random_regular(12, 3, seed=3)),
     (ChainKernel("kawasaki", beta=0.4, k=6), random_regular(13, 4, seed=1)),
-    (ChainKernel("downup", beta=0.8, k=6, pinning=Pinning.plus([0, 3])),
+    (ChainKernel("downup", beta=0.8, k=6, pinned={0, 3}),
      random_regular(14, 3, seed=2)),
     (ChainKernel("kl_downup", beta=0.5, k=5, ell=3), random_regular(11, 4, seed=3)),
     (ChainKernel("kawasaki", beta=0.9, k=1), complete_graph(2)),
@@ -164,7 +163,7 @@ def _downup_cases():
                     math.comb(n, k), math.comb(n, ell))
             if k >= 3:
                 kernel = ChainKernel("downup", beta=0.7, k=k,
-                                     pinning=Pinning.plus([0, n - 1]))
+                                     pinned={0, n - 1})
                 yield ((name, "pinned", k), build_transition_matrix(kernel, g),
                        math.comb(n - 2, k - 2), math.comb(n - 2, k - 3))
             for ell in (1, 2):
@@ -595,7 +594,7 @@ def test_stability_probe_bounded_over_rings():
 
 def test_stability_probe_idempotent_on_pinned_vertex():
     g = cycle_graph(5)
-    pin = Pinning({1: 1})
+    pin = frozenset({1})
     probe = stability_probe(g, 0.6, 1.1, pin, v=1)
     assert probe.pmf_delta == 0.0
     assert probe.kappa_deltas == (0.0, 0.0, 0.0)
@@ -611,7 +610,7 @@ def test_characteristic_bound_binomial():
 
 def test_characteristic_bound_degenerate_when_pinned_all():
     g = complete_graph(2)
-    pin = Pinning({0: 1, 1: 1})
+    pin = frozenset({0, 1})
     probe = characteristic_bound_probe(g, 0.5, 1.0, pin)
     assert probe.degenerate
     assert probe.fitted_c == 0.0
