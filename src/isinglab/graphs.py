@@ -70,14 +70,6 @@ class Graph:
         return ends
 
 
-@dataclass(frozen=True)
-class UnionGraph:
-    """Disjoint copies of a base graph, with vertex -> copy bookkeeping."""
-
-    graph: Graph
-    component_of: list
-
-
 def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
     """Sample a delta-regular multigraph from the configuration model.
 
@@ -102,8 +94,10 @@ def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
         lo = np.minimum(ends[::2], ends[1::2])
         hi = np.maximum(ends[::2], ends[1::2])
         # a simple draw has no loop (lo == hi) and no repeated pair lo n + hi
-        if simple and ((lo == hi).any() or np.unique(lo * n + hi).size < lo.size):
-            continue
+        if simple:
+            pairs = np.sort(lo * n + hi)
+            if (lo == hi).any() or (pairs[1:] == pairs[:-1]).any():
+                continue
         edges = sorted(zip(lo.tolist(), hi.tolist()),
                        key=lambda e: (e[0], e[0] == e[1]))
         return Graph(n=n, edges=tuple(edges), delta_max=delta)
@@ -112,15 +106,14 @@ def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
     )
 
 
-def disjoint_union(base: Graph, m: int) -> UnionGraph:
-    """Stack m disjoint copies of ``base``; copy i occupies ids [i*n, (i+1)*n)."""
+def disjoint_union(base: Graph, m: int) -> Graph:
+    """Stack m disjoint copies of ``base``; copy i occupies ids [i*n, (i+1)*n),
+    so vertex v lies in copy v // base.n."""
     if m < 1:
         raise InvalidInputError("need m >= 1 copies")
     n = base.n
     edges = tuple((u + i * n, w + i * n) for i in range(m) for u, w in base.edges)
-    component_of = [i for i in range(m) for _ in range(n)]
-    graph = Graph(n=m * n, edges=edges, delta_max=base.delta_max)
-    return UnionGraph(graph=graph, component_of=component_of)
+    return Graph(n=m * n, edges=edges, delta_max=base.delta_max)
 
 
 def write_edge_list(g: Graph, path) -> None:

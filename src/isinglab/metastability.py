@@ -304,8 +304,6 @@ class TraceSummary:
     T: int
     record_every: int
     etas: np.ndarray = field(repr=False)
-    band_plus: tuple
-    band_minus: tuple
     dwell_plus: float
     dwell_minus: float
     hit_plus: int  # first step entering the plus band; -1 if censored
@@ -376,23 +374,35 @@ def _kawasaki_spins(g: Graph, start, rng, k: int) -> list:
     return spins
 
 
+def _band_members(name: str, band, n: int) -> list:
+    """Per plus count j, whether (2j - n)/n lies in ``band``.  An omitted
+    band holds no count; a band given must hold one."""
+    if band is None:
+        return [False] * (n + 1)
+    lo, hi = band
+    members = [lo <= (2 * j - n) / n <= hi for j in range(n + 1)]
+    if not any(members):
+        raise InvalidInputError(
+            f"the {name} band ({lo:.4g}, {hi:.4g}) holds no attainable "
+            f"magnetization (2j - n)/n at n = {n}")
+    return members
+
+
 def run_glauber_trace(g: Graph, beta: float, lam: float, start: str, T: int,
                       seed, record_every: int = 1,
                       band_plus=None, band_minus=None) -> TraceSummary:
-    """Fast Glauber run recording the magnetization trajectory."""
+    """Fast Glauber run recording the magnetization trajectory, with the
+    dwell in and first hit of each band given."""
     if T < 1:
         raise InvalidInputError("need T >= 1")
-    rng = as_rng(seed)
     n = g.n
+    in_p = _band_members("plus", band_plus, n)
+    in_m = _band_members("minus", band_minus, n)
+    rng = as_rng(seed)
     moves = _heat_bath(g, beta, lam, _start_spins(g, start, rng), rng, T)
     plus, _ = next(moves)
     etas = np.empty(T // record_every + 1)
     etas[0] = (2 * plus - n) / n
-    bp = band_plus or (2.0, 3.0)
-    bm = band_minus or (2.0, 3.0)
-    # band membership per plus count
-    in_p = [bp[0] <= (2 * j - n) / n <= bp[1] for j in range(n + 1)]
-    in_m = [bm[0] <= (2 * j - n) / n <= bm[1] for j in range(n + 1)]
     hit_plus = hit_minus = -1
     in_plus = in_minus = 0
     idx = 1
@@ -412,42 +422,38 @@ def run_glauber_trace(g: Graph, beta: float, lam: float, start: str, T: int,
             idx += 1
     return TraceSummary(
         n=n, T=T, record_every=record_every, etas=etas[:idx],
-        band_plus=tuple(bp), band_minus=tuple(bm),
         dwell_plus=in_plus / T, dwell_minus=in_minus / T,
         hit_plus=hit_plus, hit_minus=hit_minus,
     )
 
 
 def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
-                       seed, record_every: int = 1,
-                       component_of=None) -> dict:
-    """Kawasaki run; with ``component_of``, also tracks per-copy counts.
+                       seed, record_every: int = 1, copies: int = 1) -> list:
+    """Kawasaki run on ``copies`` equal blocks of ids, as ``disjoint_union``
+    lays them out: vertex v lies in copy v // (n / copies).
 
-    Returns {"component_counts": trajectory or None, "spins": final spins},
-    the trajectory's entry i the plus count of each copy at step
-    i * record_every, from the start (i = 0) on.
+    Returns the plus count of each copy, as a tuple, at steps 0,
+    record_every, 2 record_every, ... up to T.
     """
     if T < 1:
         raise InvalidInputError("need T >= 1")
+    if copies < 1 or g.n % copies:
+        raise InvalidInputError(
+            f"need a number of copies that divides n = {g.n}, got {copies}")
+    size = g.n // copies
     rng = as_rng(seed)
     spins = _kawasaki_spins(g, start, rng, k)
-    swaps = _kawasaki_swaps(g, beta, spins, rng, T)
-    traj = None
-    if component_of is None:
-        for _ in swaps:
-            pass
-    else:
-        counts = [0] * (max(component_of) + 1)
-        for v in range(g.n):
-            counts[component_of[v]] += spins[v] == 1
-        traj = [tuple(counts)]
-        for t, swap in enumerate(swaps, 1):
-            if swap:
-                counts[component_of[swap[0]]] -= 1
-                counts[component_of[swap[1]]] += 1
-            if t % record_every == 0:
-                traj.append(tuple(counts))
-    return {"component_counts": traj, "spins": spins}
+    counts = [0] * copies
+    for v, s in enumerate(spins):
+        counts[v // size] += s == 1
+    traj = [tuple(counts)]
+    for t, swap in enumerate(_kawasaki_swaps(g, beta, spins, rng, T), 1):
+        if swap:
+            counts[swap[0] // size] -= 1
+            counts[swap[1] // size] += 1
+        if t % record_every == 0:
+            traj.append(tuple(counts))
+    return traj
 
 
 def trace_rows_glauber(g: Graph, beta: float, lam: float, start: str, T: int,

@@ -421,9 +421,6 @@ def _edgeworth_tuples(r: int, d: int):
 @dataclass(frozen=True)
 class EdgeworthApprox:
     s: float
-    beta_coeffs: dict  # j -> kappa_j / (j! s^j)
-    order: int
-    ells: tuple
     values: tuple
 
 
@@ -467,9 +464,7 @@ def edgeworth_pmf(kappas, ells, d: int) -> EdgeworthApprox:
         for r, coeff in coeffs:
             series += _hermite(r, x) * coeff
         values.append(math.exp(-(ell**2) / (2 * s2)) / (math.sqrt(2 * math.pi) * s) * series)
-    return EdgeworthApprox(
-        s=s, beta_coeffs=beta_coeffs, order=d, ells=tuple(ells), values=tuple(values)
-    )
+    return EdgeworthApprox(s=s, values=tuple(values))
 
 
 @dataclass(frozen=True)

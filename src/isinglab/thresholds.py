@@ -59,14 +59,13 @@ def beta_u(delta: int) -> float:
 
 @dataclass(frozen=True)
 class TreeFixedPoint:
-    """A fixed point R and the slope h'(R).  A double root, and the
+    """A fixed point R, classified by h'(R).  A double root, and the
     near-triple root at r = c (not flagged double), is marginal and never
     stable; a simple root is marginal when |h'(R)| is within MARGINAL_BAND
     of 1, and stable when |h'(R)| < 1 and it is not marginal."""
 
     R: float
     stable: bool
-    derivative: float
     marginal: bool = False
     double_root: bool = False  # a tangency of hhat (multiplicity 2)
 
@@ -180,7 +179,6 @@ def tree_fixed_points(delta: int, beta: float, lam: float) -> list:
             TreeFixedPoint(
                 R=R,
                 stable=abs(deriv) < 1 and not marginal,
-                derivative=deriv,
                 marginal=marginal,
                 double_root=mult == 2,
             )
@@ -217,8 +215,10 @@ def lambda_u(delta: int, beta: float) -> float:
     e^b x^2 - (d(e^{2b}-1) - 1 - e^{2b}) x + e^b = 0 with
     lambda(x) = x ((x + e^b)/(x e^b + 1))^d.  Its discriminant is positive
     exactly when beta > beta_u; the two roots have product 1 and give
-    lambda_u and 1/lambda_u, the smaller root the larger lambda.  (Rounding
-    can make the discriminant negative just above beta_u; it is then 0.)
+    lambda_u and 1/lambda_u, the smaller root the larger lambda.  Above
+    beta_u, lambda_u > 1; just above it rounding can make the discriminant
+    negative (it is then 0) and the closed form a few ulps below 1, so the
+    result is clamped at 1.
     """
     if beta <= beta_u(delta):
         raise NoNonuniquenessError(
@@ -228,7 +228,7 @@ def lambda_u(delta: int, beta: float) -> float:
     eb, e2b = math.exp(beta), math.exp(2 * beta)
     B = -(d * (e2b - 1) - 1 - e2b)
     x = (-B - math.sqrt(max(B * B - 4 * eb * eb, 0.0))) / (2 * eb)
-    return x * ((x + eb) / (x * eb + 1)) ** d
+    return max(1.0, x * ((x + eb) / (x * eb + 1)) ** d)
 
 
 def lambda_a_bar(delta: int, beta: float) -> float:

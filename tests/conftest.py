@@ -111,7 +111,7 @@ def k3():
 
 @pytest.fixture(scope="session")
 def two_c6():
-    return disjoint_union(cycle_graph(6), 2).graph
+    return disjoint_union(cycle_graph(6), 2)
 
 
 def exact_test_set():
@@ -125,7 +125,7 @@ def exact_test_set():
     for n in (5, 6, 7, 8):
         graphs[f"C{n}"] = cycle_graph(n)
     graphs["RR10"] = random_regular(10, 3, seed=7, simple=True)
-    graphs["2xC6"] = disjoint_union(cycle_graph(6), 2).graph
+    graphs["2xC6"] = disjoint_union(cycle_graph(6), 2)
     return graphs
 
 

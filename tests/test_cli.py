@@ -50,7 +50,8 @@ def test_thresholds_at_large_beta_match_the_phase_diagram_row(tmp_path, delta,
      "--beta-max", "2", "--steps", "2"],
 ])
 def test_threshold_ordering_violation_exits_1(tmp_path, capsys, argv):
-    # just above beta_u(3) the solver's largest fixed point at lambda_u is < 1
+    # just above beta_u(3) lambda_u is clamped at 1, so the solves at
+    # lambda = 1 and at lambda_u give one largest root and 1 < R_c < R_u fails
     assert run([*argv, "--out", str(tmp_path)]) == 1
     _assert_one_line_error(capsys)
     assert not list(tmp_path.iterdir())
@@ -799,6 +800,33 @@ def test_metastability_glauber_replica_streams(tmp_path):
                                seed=make_rng(3, 2 * r + 1))
         assert [eta for seed, _, eta in rows if seed == str(r)] == [
             f"{e:.12g}" for e in tr.etas]
+
+
+def test_metastability_union_replica_streams(tmp_path):
+    """The base graph is stream 0 of --seed; replica r draws its split start,
+    l copies at k_plus and the rest at k_minus, and then its trace from
+    stream r + 1."""
+    from isinglab.graphs import disjoint_union, random_regular
+    from isinglab.metastability import run_kawasaki_trace
+    from isinglab.rng import make_rng
+
+    assert run(METASTABILITY_RUNS["kawasaki-union"] + ["--seed", "3",
+                                                       "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    m, ell, n = summary["m"], summary["ell"], 30
+    rows = [[int(x) for x in line.split(",")] for line in
+            (tmp_path / "traces.csv").read_text().splitlines()[1:]]
+    union = disjoint_union(random_regular(n, 3, seed=make_rng(3, 0)), m)
+    for r in range(2):
+        rng = make_rng(3, r + 1)
+        spins = [-1] * union.n
+        for c in range(m):
+            kc = summary["k_plus"] if c < ell else summary["k_minus"]
+            for v in rng.choice(n, size=kc, replace=False):
+                spins[int(v) + c * n] = 1
+        counts = run_kawasaki_trace(union, 1.2, summary["k_total"], spins, 600,
+                                    seed=rng, copies=m)
+        assert [row[2:] for row in rows if row[0] == r] == [list(c) for c in counts]
 
 
 def test_metastability_union_trace_has_a_time_axis(tmp_path):

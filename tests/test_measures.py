@@ -236,7 +236,7 @@ def test_union_table_is_the_convolution_power_of_its_base(base_n, m, seed):
     table is the m-fold log-convolution of the base's Gray-code table."""
     base = random_regular(base_n, 3, seed=seed)
     want = _log_convolution_power(gray_code_table(base, 0.7).log_zhat_by_k, m)
-    union = disjoint_union(base, m).graph
+    union = disjoint_union(base, m)
     assert_tables_match(
         exact_partition_table(union, 0.7),
         PartitionTable(n=union.n, beta=0.7, pinned=EMPTY_PINNING,

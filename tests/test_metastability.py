@@ -152,7 +152,7 @@ def test_exact_vs_annealed_sign_agreement_two_c6():
     # union of two 6-cycles at beta = 1: total-size classes k = 6 (balanced
     # (6,6)-split of spins) vs k = 3 (a (3,9)-split); the exact mass ordering
     # matches the sign of the annealed log-ratio
-    u = disjoint_union(cycle_graph(6), 2).graph
+    u = disjoint_union(cycle_graph(6), 2)
     beta, lam = 1.0, 1.0
     table = exact_partition_table(u, beta)
     pmf = size_distribution(table, lam)
@@ -352,12 +352,33 @@ def test_glauber_trace_reproducible():
 
 def test_kawasaki_trace_preserves_counts():
     u = disjoint_union(cycle_graph(6), 2)
-    res = run_kawasaki_trace(u.graph, 0.8, 6, "band_sample", T=2000, seed=7,
-                             component_of=u.component_of, record_every=50)
-    assert len(res["component_counts"]) == 2000 // 50 + 1  # the start, then every 50
-    for counts in res["component_counts"]:
+    traj = run_kawasaki_trace(u, 0.8, 6, "band_sample", T=2000, seed=7,
+                              copies=2, record_every=50)
+    assert len(traj) == 2000 // 50 + 1  # the start, then every 50
+    for counts in traj:
         assert sum(counts) == 6
-    assert sum(1 for s in res["spins"] if s == 1) == 6
+
+
+def test_kawasaki_trace_refuses_copies_that_do_not_divide_n():
+    u = disjoint_union(cycle_graph(6), 2)
+    for copies in (0, 5, 13):
+        with pytest.raises(InvalidInputError, match="copies"):
+            run_kawasaki_trace(u, 0.8, 6, "band_sample", T=10, seed=7,
+                               copies=copies)
+
+
+def test_glauber_trace_refuses_a_band_without_magnetization():
+    """At n = 12, beta = 1.5, lambda = 1.3 both bands lie in (0.95, 0.99),
+    where no (2j - n)/n falls; an omitted band is not refused and holds no
+    plus count."""
+    g = random_regular(12, 3, seed=1, simple=True)
+    bp, bm = trace_bands(3, 1.5, 1.3)
+    with pytest.raises(InvalidInputError, match="plus band"):
+        run_glauber_trace(g, 1.5, 1.3, "all_minus", T=100, seed=2, band_plus=bp)
+    with pytest.raises(InvalidInputError, match="minus band"):
+        run_glauber_trace(g, 1.5, 1.3, "all_minus", T=100, seed=2, band_minus=bm)
+    tr = run_glauber_trace(g, 1.5, 1.3, "all_minus", T=100, seed=2)
+    assert (tr.dwell_plus, tr.dwell_minus, tr.hit_plus, tr.hit_minus) == (0, 0, -1, -1)
 
 
 def test_dwell_fractions_sum_below_one_with_coinciding_bands():

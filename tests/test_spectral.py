@@ -109,7 +109,7 @@ def _dense_gap(tm):
      random_regular(14, 3, seed=2)),
     (ChainKernel("kl_downup", beta=0.5, k=5, ell=3), random_regular(11, 4, seed=3)),
     (ChainKernel("kawasaki", beta=0.9, k=1), complete_graph(2)),
-    (ChainKernel("kawasaki", beta=1.0, k=6), disjoint_union(cycle_graph(6), 2).graph),
+    (ChainKernel("kawasaki", beta=1.0, k=6), disjoint_union(cycle_graph(6), 2)),
 ], ids=["glauber-1024", "kawasaki-924", "kawasaki-1716", "downup-pinned-495",
         "kl-462", "k2-two-states", "union-2xC6-924"])
 def test_lanczos_gap_matches_dense_eigvalsh(kernel, g):

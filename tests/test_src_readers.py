@@ -10,6 +10,9 @@ gets written.  A read is a loaded name, an attribute, an imported name, or a
 string constant equal to the name (``bench/layers.py`` lists the functions
 it traces as strings); reads inside the name's own definition do not count.
 Class members are matched by name, whatever object the attribute is read on.
+An annotated field of a ``src/`` class is read by an attribute load or an
+equal string constant in ``src/``, ``bench/`` or ``tests/``, unless its class
+serialises itself with ``asdict``.
 
 The tests hold to the same rule: a module-level function in ``tests/`` that
 is not a ``test_*`` function has a reader in ``tests/``.  A fixture is read
@@ -127,6 +130,35 @@ def test_every_constant_has_a_reader():
 
 def test_every_class_member_has_a_reader():
     assert sorted(_members() - _read_names()) == []
+
+
+def _fields() -> set:
+    """Annotated field names of the classes in ``src/``, less those of a
+    class that serialises itself with ``asdict``, which writes every field."""
+    names = set()
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and not any(
+                    isinstance(sub, ast.Name) and sub.id == "asdict"
+                    for sub in ast.walk(node)):
+                names.update(sub.target.id for sub in node.body
+                             if isinstance(sub, ast.AnnAssign)
+                             and isinstance(sub.target, ast.Name))
+    return names
+
+
+def test_every_class_field_has_a_reader():
+    """A result field that nothing reads goes.  A read is an attribute load
+    or an equal string constant in ``src/``, ``bench/`` or ``tests/``;
+    passing the field to the constructor is not one."""
+    read = set()
+    for path in SRC + BENCH + TESTS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert sorted(_fields() - read) == []
 
 
 def _is_fixture(node) -> bool:

@@ -192,6 +192,16 @@ def test_lambda_u_to_one_at_beta_u():
                         abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("delta", range(3, 11))
+def test_lambda_u_never_below_one(delta):
+    """Above beta_u, lambda_u > 1; the closed form rounds a few ulps below 1
+    on about half of the first 1 000 floats above beta_u, so it is clamped."""
+    beta = beta_u(delta)
+    for _ in range(1000):
+        beta = math.nextafter(beta, math.inf)
+        assert lambda_u(delta, beta) >= 1.0
+
+
 def test_lambda_u_bisect_matches_tangency_refinement():
     # value frozen from two independent routes agreeing to 1e-12
     assert math.isclose(lambda_u(4, LN2 + 0.1), 1.067849843028, abs_tol=1e-9)
