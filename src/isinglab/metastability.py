@@ -388,13 +388,19 @@ def _band_members(name: str, band, n: int) -> list:
     return members
 
 
+def _check_run_length(T: int, record_every: int) -> None:
+    if T < 1:
+        raise InvalidInputError("need T >= 1")
+    if record_every < 1:
+        raise InvalidInputError("need record_every >= 1")
+
+
 def run_glauber_trace(g: Graph, beta: float, lam: float, start: str, T: int,
                       seed, record_every: int = 1,
                       band_plus=None, band_minus=None) -> TraceSummary:
     """Fast Glauber run recording the magnetization trajectory, with the
     dwell in and first hit of each band given."""
-    if T < 1:
-        raise InvalidInputError("need T >= 1")
+    _check_run_length(T, record_every)
     n = g.n
     in_p = _band_members("plus", band_plus, n)
     in_m = _band_members("minus", band_minus, n)
@@ -435,8 +441,7 @@ def run_kawasaki_trace(g: Graph, beta: float, k: int, start: str, T: int,
     Returns the plus count of each copy, as a tuple, at steps 0,
     record_every, 2 record_every, ... up to T.
     """
-    if T < 1:
-        raise InvalidInputError("need T >= 1")
+    _check_run_length(T, record_every)
     if copies < 1 or g.n % copies:
         raise InvalidInputError(
             f"need a number of copies that divides n = {g.n}, got {copies}")

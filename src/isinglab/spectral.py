@@ -9,8 +9,9 @@ most (C - 1)/(k - |U| - 1) when M has top eigenvalue at most C.
 
 Second eigenvalues come from one dense ``eigvalsh`` for a kernel of at
 most DENSE_EIGEN_STATES states, where the per-call cost of a Lanczos solve
-dominates, and from one Lanczos solve of the sparse kernel above that, with
-the top eigenvalue deflated.  A down-up kernel K = A L, kept as its link
+dominates, and above that from one thick-restart Lanczos solve of the sparse
+kernel on the complement of its top eigenvector, in numpy alone (so no run
+loads scipy.linalg).  A down-up kernel K = A L, kept as its link
 factors, is solved on the smaller of K and L A (the walk on its links,
 which has the same nonzero spectrum), so its K is never formed for a gap
 when it has fewer links than states.  The gap factorization check solves the
@@ -49,11 +50,15 @@ from .rng import make_rng
 
 FACTORIZATION_TOL = 1e-12  # slack allowed in gap_factorization_check
 # Up to this many states one dense eigvalsh beats a Lanczos solve.  On
-# Kawasaki kernels (one BLAS thread, 2-core VM, best of 15) Lanczos against
-# dense took 2.08 / 0.28 ms at 56 states, 4.08 / 4.07 ms at 210 and
-# 4.39 / 5.78 ms at 252.
+# Kawasaki kernels at beta = 0.5 (one BLAS thread, 2-core VM, best of 21)
+# Lanczos against dense took 1.10 / 0.19 ms at 56 states, 1.40 / 1.37 and
+# 1.83 / 1.32 ms at 190 (two graphs), 1.71 / 2.58 ms at 210 and
+# 1.81 / 3.89 ms at 252.
 DENSE_EIGEN_STATES = 200
-DENSE_STACK_BYTES = 1 << 25  # dense blocks held at once by one eigvalsh
+DENSE_STACK_BYTES = 1 << 25  # a batched dense solve: its stack and one temporary
+LANCZOS_BASIS = 24  # vectors a Lanczos basis holds before it restarts
+LANCZOS_KEPT = 12  # Ritz vectors a restart keeps
+RESTART_COLUMNS = 1 << 14  # columns of the basis rotated at a time
 LCLT_WINDOW = 2  # lclt_error's plus-counts lie within this of the mean
 
 
@@ -65,35 +70,72 @@ LCLT_WINDOW = 2  # lclt_error's plus-counts lie within this of the mean
 def _dense_second_eigenvalues(Q: np.ndarray, sq: np.ndarray) -> np.ndarray:
     """lambda_2 of D^{1/2} Q D^{-1/2} symmetrized, D^{1/2} = diag(sq), by
     ``eigvalsh``, for one matrix or each of a stack (sq then one row per
-    matrix).  Entries that a zero of sq makes infinite or NaN count as 0."""
+    matrix).  Entries that a zero of sq makes infinite or NaN count as 0.
+    Q is overwritten, so the solve holds one temporary of Q's size at a
+    time (the ratios sq_i / sq_j, then Q's transpose)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        A = (sq[..., :, None] / sq[..., None, :]) * Q
-    A[~np.isfinite(A)] = 0.0
-    return np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, -1, -2)))[..., -2]
+        Q *= sq[..., :, None] / sq[..., None, :]
+    Q[~np.isfinite(Q)] = 0.0
+    Q += np.swapaxes(Q, -1, -2)
+    Q *= 0.5
+    return np.linalg.eigvalsh(Q)[..., -2]
+
+
+def _orthogonalize(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Remove from w, in place, its parts along the orthonormal rows of V by
+    two passes of classical Gram-Schmidt; return the coefficients removed."""
+    c = V @ w
+    w -= c @ V
+    d = V @ w
+    w -= d @ V
+    return c + d
 
 
 def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
-    """lambda_2 of S = D^{1/2} K D^{-1/2}, D^{1/2} = diag(sq), by one Lanczos
-    solve (ARPACK ``eigsh``, the largest eigenvalue) of S - 2 u u^T with
-    u = sq / |sq|.  S u = u, so that eigenvalue moves to -1 and the largest
-    left is lambda_2.  Each product applies K itself between two scalings,
-    from a fixed start vector so that reruns agree."""
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    """lambda_2 of S = D^{1/2} K D^{-1/2}, D^{1/2} = diag(sq), by a
+    thick-restart Lanczos solve (Wu and Simon 2000) for the largest
+    eigenvalue of S on the complement of u = sq / |sq|, S's top eigenvector.
 
-    size = len(sq)
-    u = sq / np.linalg.norm(sq)
-
-    def matvec(x):
-        x = x.ravel()
-        return sq * (K @ (x / sq)) - 2.0 * (u @ x) * u
-
-    try:
-        top = eigsh(LinearOperator((size, size), dtype=float, matvec=matvec),
-                    k=1, which="LA", v0=make_rng(0).random(size),
-                    return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise DegenerateError(f"Lanczos solve did not converge: {exc}") from exc
-    return float(top[0])
+    u is the fixed first row of the basis, and each product
+    sq * (K @ (x / sq)) applies K itself, so no copy of K is formed.  Each new
+    vector is orthogonalized against u and the basis, and the coefficients
+    fill the projected matrix H.  When the basis holds LANCZOS_BASIS vectors
+    it restarts from the top LANCZOS_KEPT Ritz vectors and the residual.  The
+    solve stops when the top Ritz pair's residual b |y_last| is at most float
+    eps (an absolute bound: |S| = 1, and S may vanish on u's complement), and
+    gives up after 10 products a state.  It returns the Rayleigh quotient of
+    that Ritz vector, one product more: it lies within an eps or two of
+    lambda_2, where the Ritz value itself may be ten eps off.  The start
+    vector is fixed, so reruns agree.
+    """
+    eps = np.finfo(float).eps
+    size, m, p = len(sq), LANCZOS_BASIS, LANCZOS_KEPT
+    V = np.empty((m + 2, size))  # u, the basis, the residual
+    V[0] = sq / np.linalg.norm(sq)
+    V[1] = make_rng(0).random(size)
+    _orthogonalize(V[1], V[:1])
+    V[1] /= np.linalg.norm(V[1])
+    H = np.zeros((m, m))
+    j = 0  # basis vectors held
+    for _ in range(10 * size):
+        w = sq * (K @ (V[j + 1] / sq))
+        H[:j + 1, j] = H[j, :j + 1] = _orthogonalize(w, V[:j + 2])[1:]
+        b = np.linalg.norm(w)
+        j += 1
+        if b > eps and j < m:
+            V[j + 1] = w / b
+            continue
+        theta, Y = np.linalg.eigh(H[:j, :j])
+        if b * abs(Y[-1, -1]) <= eps:
+            x = Y[:, -1] @ V[1:j + 1]
+            return float(x @ (sq * (K @ (x / sq))) / (x @ x))
+        for lo in range(0, size, RESTART_COLUMNS):  # no second copy of the basis
+            cols = slice(lo, lo + RESTART_COLUMNS)
+            V[1:p + 1, cols] = Y[:, -p:].T @ V[1:m + 1, cols]
+        V[p + 1] = w / b
+        H[:p, :p] = np.diag(theta[-p:])
+        j = p
+    raise DegenerateError("Lanczos solve did not converge")
 
 
 def _second_eigenvalues(tm: TransitionMatrix, block: int) -> np.ndarray:
@@ -123,9 +165,9 @@ def _block_second_eigenvalues(K, sq: np.ndarray, block: int) -> np.ndarray:
     entries.
 
     Blocks of at most DENSE_EIGEN_STATES rows are filled dense from K's rows
-    (never from ``tm.P``) and solved by one batched ``eigvalsh``, at most
-    DENSE_STACK_BYTES of them at a time; larger blocks get one Lanczos solve
-    each, on their slice of K.
+    (never from ``tm.P``) and solved by one batched ``eigvalsh``, as many at
+    a time as DENSE_STACK_BYTES holds with one temporary of their size;
+    larger blocks get one Lanczos solve each, on their slice of K.
     """
     size = len(sq)
     if block > DENSE_EIGEN_STATES:
@@ -134,14 +176,17 @@ def _block_second_eigenvalues(K, sq: np.ndarray, block: int) -> np.ndarray:
                 K if block == size else K[lo:lo + block, lo:lo + block],
                 sq[lo:lo + block])
             for lo in range(0, size, block)])
-    step = block * max(1, DENSE_STACK_BYTES // (8 * block * block))
+    # the stack plus one temporary of its size: while it is filled, two int32
+    # a nonzero (at most 8 bytes a stack entry), then the solve's
+    step = block * max(1, DENSE_STACK_BYTES // (16 * block * block))
     out = []
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        rows = np.repeat(np.arange(lo, hi), np.diff(K.indptr[lo:hi + 1]))
         entries = slice(K.indptr[lo], K.indptr[hi])
         Q = np.zeros(((hi - lo) // block, block, block))
-        Q[(rows - lo) // block, rows % block, K.indices[entries] % block] = K.data[entries]
+        Q.reshape(-1)[np.repeat(np.arange(0, (hi - lo) * block, block, dtype=np.int32),
+                                np.diff(K.indptr[lo:hi + 1]))
+                      + K.indices[entries] % block] = K.data[entries]
         out.append(_dense_second_eigenvalues(Q, sq[lo:hi].reshape(-1, block)))
     return np.concatenate(out)
 
@@ -294,7 +339,7 @@ def local_walk(X, probs, pinned, k) -> LocalWalk:
         pinned=pinned,
         vertices=tuple(support.tolist()),
         Q=Q,
-        second_eigenvalue=float(_dense_second_eigenvalues(Q, np.sqrt(pi_hat))),
+        second_eigenvalue=float(_dense_second_eigenvalues(Q.copy(), np.sqrt(pi_hat))),
     )
 
 

@@ -541,6 +541,32 @@ def test_cli_and_chains_import_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectra", "--report", "gap", "--chain", "kawasaki", "--n", "12", "--delta", "3",
+     "--beta", "0.5", "--k", "6"],
+    ["exactcheck", "--n", "12", "--delta", "3", "--k", "6"],
+], ids=["gap-924", "exactcheck-12"])
+def test_exact_runs_load_no_scipy_linalg(tmp_path, argv):
+    """Lanczos solves run without scipy.sparse.linalg or scipy.linalg, which
+    would add about 10 MB to the process: a gap of 924 states, and exact
+    checks whose full and pinned down-up walks have 792 and 330 links."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import isinglab
+
+    code = ("import sys; from isinglab.cli import main; "
+            f"assert main({[*argv, '--out', str(tmp_path)]!r}) == 0; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(isinglab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 def test_cli_import_loads_no_tree_modules_or_numpy():
     """Each command imports its own modules when it runs."""
     import os

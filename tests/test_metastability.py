@@ -367,6 +367,17 @@ def test_kawasaki_trace_refuses_copies_that_do_not_divide_n():
                                copies=copies)
 
 
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_traces_refuse_record_every_below_one(record_every):
+    g = cycle_graph(6)
+    with pytest.raises(InvalidInputError, match="record_every >= 1"):
+        run_glauber_trace(g, 0.8, 1.0, "all_plus", T=10, seed=7,
+                          record_every=record_every)
+    with pytest.raises(InvalidInputError, match="record_every >= 1"):
+        run_kawasaki_trace(g, 0.8, 3, "band_sample", T=10, seed=7,
+                           record_every=record_every)
+
+
 def test_glauber_trace_refuses_a_band_without_magnetization():
     """At n = 12, beta = 1.5, lambda = 1.3 both bands lie in (0.95, 0.99),
     where no (2j - n)/n falls; an omitted band is not refused and holds no

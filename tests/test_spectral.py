@@ -118,6 +118,97 @@ def test_lanczos_gap_matches_dense_eigvalsh(kernel, g):
     assert abs(gap - want) <= 1e-12 * want, (len(tm.states), gap, want)
 
 
+def _dense_second_eigenvalue(K, sq):
+    """lambda_2 of S = D^{1/2} K D^{-1/2} symmetrized, D^{1/2} = diag(sq), to
+    about an eps: dense eigvalsh places it (off by up to 40 eps at a few
+    thousand states), and the Rayleigh quotient of one inverse iteration
+    step shifted there gives its value.  Holds at most two dense copies of K."""
+    S = K.toarray()
+    S *= sq[:, None]
+    S /= sq
+    S += S.T
+    S *= 0.5
+    diagonal = np.diagonal(S).copy()
+    S.flat[::len(S) + 1] -= np.linalg.eigvalsh(S)[-2]
+    x = np.linalg.solve(S, make_rng(0, 1).random(len(S)))
+    S.flat[::len(S) + 1] = diagonal
+    return x @ (S @ x) / (x @ x)
+
+
+def _agree(got, want):
+    """|got - want| within 1e-12 of the gap, or 8 eps where that is more:
+    both values round S's entries and products, so they differ by a few eps
+    (|S| = 1; up to 5 eps on the cases below), more than 1e-12 of gaps
+    below about 1e-3."""
+    return abs(got - want) <= max(1e-12 * (1.0 - want), 8 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("kernel,g", [
+    (ChainKernel("glauber", beta=2.0, lam=1.0), random_regular(10, 3, seed=1)),
+    (ChainKernel("glauber", beta=0.8, lam=1.05), random_regular(12, 3, seed=1)),
+    *[(ChainKernel("kawasaki", beta=beta, k=6), random_regular(12, 3, seed=4))
+      for beta in (0.3, 1.0, 2.0, 3.0)],
+    *[(ChainKernel("kawasaki", beta=beta, k=6), random_regular(13, 4, seed=2))
+      for beta in (1.0, 3.0)],
+    (ChainKernel("kawasaki", beta=2.0, k=7), random_regular(14, 3, seed=3)),
+    (ChainKernel("kl_downup", beta=0.7, k=6, ell=0), random_regular(12, 3, seed=5)),
+    (ChainKernel("kl_downup", beta=2.0, k=5, ell=0), random_regular(11, 4, seed=1)),
+], ids=["glauber-1024-b2", "glauber-4096", "kawasaki-924-b0.3", "kawasaki-924-b1",
+        "kawasaki-924-b2", "kawasaki-924-b3", "kawasaki-1716-b1", "kawasaki-1716-b3",
+        "kawasaki-3432-b2", "kl-ell0-924", "kl-ell0-462-b2"])
+def test_lanczos_matches_dense_across_temperatures(kernel, g):
+    """The Lanczos solve against the dense reference from high to low
+    temperature, where gaps fall to 1e-6, and on the rank-1 l = 0 down-up
+    kernels, which vanish on u's complement (lambda_2 = 0)."""
+    from isinglab import spectral
+
+    tm = build_transition_matrix(kernel, g)
+    assert len(tm.states) > spectral.DENSE_EIGEN_STATES
+    sq = np.sqrt(tm.pi)
+    got = spectral._lanczos_second_eigenvalue(tm.K, sq)
+    want = _dense_second_eigenvalue(tm.K, sq)
+    assert _agree(got, want), (len(sq), got, want)
+
+
+@pytest.mark.parametrize("k", [6, 8], ids=["on-links-330", "on-K-330"])
+def test_lanczos_on_pinned_blocks_matches_dense(k):
+    """The factorization check's pinned blocks over 200 states, at l = 1 on
+    12 vertices: at k = 6 each block is solved on its 330 links (fewer than
+    its 462 states), at k = 8 on its 330 states (fewer than its 462 links)."""
+    from isinglab import spectral
+
+    (_, tm), = pinned_downup_matrices(random_regular(12, 3, seed=5), 0.7, k, 1)
+    block = len(tm.states) // 12
+    got = spectral._second_eigenvalues(tm, block)
+    for b, lo in enumerate(range(0, len(tm.states), block)):
+        part = slice(lo, lo + block)
+        assert _agree(got[b], _dense_second_eigenvalue(tm.K[part, part],
+                                                       np.sqrt(tm.pi[part]))), b
+
+
+def test_lanczos_solve_repeats_bit_for_bit():
+    from isinglab import spectral
+
+    tm = build_transition_matrix(ChainKernel("kawasaki", beta=2.0, k=6),
+                                 random_regular(12, 3, seed=4))
+    sq = np.sqrt(tm.pi)
+    first = spectral._lanczos_second_eigenvalue(tm.K, sq)
+    assert spectral._lanczos_second_eigenvalue(tm.K, sq) == first
+
+
+def test_lanczos_solve_that_does_not_converge_is_degenerate():
+    """The directed 300-cycle is not reversible, so the symmetric solve never
+    meets its residual bound and stops after 10 products a state."""
+    from scipy.sparse import csr_array
+
+    from isinglab import spectral
+
+    n = 300
+    K = csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+    with pytest.raises(DegenerateError, match="did not converge"):
+        spectral._lanczos_second_eigenvalue(K, np.ones(n))
+
+
 @pytest.mark.parametrize("kernel,g,states", [
     (ChainKernel("kawasaki", beta=0.6, k=4), random_regular(9, 4, seed=1), 126),
     (ChainKernel("kawasaki", beta=0.6, k=1), random_regular(200, 3, seed=1), 200),
@@ -493,6 +584,30 @@ def test_gap_factorization_in_batches(monkeypatch):
     assert len(list(dynamics.pinned_downup_matrices(g, 0.5, 3, 1))) == 2
     rep = gap_factorization_check(g, 0.5, 3, 1)
     assert abs(rep.gap_pinned_inf - pinned_gap_inf_loop(g, 0.5, 3, 1)) <= 1e-12
+
+
+def test_dense_solve_holds_at_most_dense_stack_bytes(monkeypatch):
+    """The batched dense solve of 66 blocks of 120 links (115 200 bytes each)
+    under a 1 MiB bound: four blocks a stack, with the stack's one temporary,
+    stay within it, beside numpy's fixed-size ufunc buffers (64 KiB each),
+    and each block's lambda_2 is the one solved in a single stack."""
+    import tracemalloc
+
+    from isinglab import spectral
+
+    (_, tm), = pinned_downup_matrices(random_regular(12, 3, seed=1), 0.5, 6, 2)
+    A, L = tm.factors
+    M, sq = L @ A, np.sqrt(tm.pi @ A)
+    want = spectral._block_second_eigenvalues(M, sq, 120)
+    monkeypatch.setattr(spectral, "DENSE_STACK_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        got = spectral._block_second_eigenvalues(M, sq, 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak <= (1 << 20) + (1 << 18), peak
 
 
 def test_gap_factorization_ell0_degenerate():
