@@ -20,8 +20,10 @@ at a time (``_chunks``), so a run holds O(n + chunk) memory for any T.  The
 the (k, l) walk has an exact kernel only.
 
 On enumerable instances every kernel can also be realized as an explicit
-row-stochastic sparse (CSR) matrix with its exact stationary vector.  The
-Kawasaki and down-up kernels, pinned or not, come from one builder of moves
+row-stochastic matrix with its exact stationary vector, held as fixed-width
+rows (``FixedRows``: a states x width array of sorted columns and one of
+values; every kernel here has one width for all its rows), in numpy alone.
+The Kawasaki and down-up kernels, pinned or not, come from one builder of moves
 on the links of kept plus sets (``_link_matrix``): one state x link
 incidence A, whose pattern with its transpose is the Kawasaki kernel.  A
 down-up kernel is kept as its two link factors, A and the links' heat-bath
@@ -58,9 +60,11 @@ from .measures import (
 from .rng import as_rng
 
 DENSE_KERNEL_BYTES = 512 << 20  # dense view P: at most 8 192 states
-# A build peaks near 36 bytes per nonzero, measured as peak RSS growth on
+# A build peaks near 24 bytes per nonzero, and a Lanczos solve near 32 (the
+# kernel's 12 and its transposed copy's 16), measured as peak RSS growth on
 # random_regular(20, 3, seed=1): C(20, 10) = 184 756 Kawasaki states (18.7 M
-# nonzeros) 643 MiB, Glauber (22 M) 669 MiB.  So about 1.2 GB at the cap.
+# nonzeros) 433 MiB built and 565 MiB solved, Glauber (22 M) 490 MiB built.
+# So about 1.1 GB at the cap.
 # A down-up build holds only its link factors, but the cap still bounds the
 # product K = A L that a read of its K forms.
 KERNEL_NONZERO_CAP = 1 << 25
@@ -284,16 +288,151 @@ def downup_step(g: Graph, beta: float, k: int, pinned,
 # ---------------------------------------------------------------------------
 
 
+class FixedRows:
+    """A sparse matrix as fixed-width rows: row i holds ``vals[i, j]`` at
+    column ``cols[i, j]``, its columns sorted and distinct.
+
+    ``cols`` (int32) and ``vals`` (float) are rows x width arrays and
+    ``shape`` is (rows, columns).  Every kernel and link factor built here
+    has one width for all its rows (an entry may hold 0), and so does each
+    product of them.  ``x @ M`` is one ``bincount``, summing each column's
+    terms in row order.  ``M @ N`` gathers N's rows at the entries of each
+    row of M, a block of rows at a time, and sums equal columns in the order
+    of M's entries, then of N's: in a dense row of N's columns where that
+    row is at most 8 times the terms gathered, else by one sort a row.
+    """
+
+    __array_ufunc__ = None  # so that ``x @ M`` with an array x reaches __rmatmul__
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray, ncols: int):
+        self.cols, self.vals = cols, vals
+        self.shape = (len(cols), ncols)
+
+    @classmethod
+    def dense(cls, M) -> "FixedRows":
+        """A dense matrix as full-width rows."""
+        M = np.array(M, dtype=float)
+        cols = np.broadcast_to(np.arange(M.shape[1], dtype=np.int32), M.shape)
+        return cls(cols, M, M.shape[1])
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.cols.ravel(), weights=(self.vals * x[:, None]).ravel(),
+                           minlength=self.shape[1])
+
+    def __matmul__(self, other: "FixedRows") -> "FixedRows":
+        if not isinstance(other, FixedRows):
+            return NotImplemented
+        ncols = other.shape[1]
+        width = self.cols.shape[1] * other.cols.shape[1]  # a row's terms
+        dense = ncols <= 8 * width
+        parts = []
+        for rows in _row_blocks(len(self.cols), max(width, ncols if dense else 0)):
+            at = self.cols[rows]
+            cols = other.cols[at].reshape(len(at), -1)
+            terms = other.vals[at].reshape(cols.shape)
+            terms *= np.repeat(self.vals[rows], other.cols.shape[1], axis=1)
+            parts.append(_summed_dense(cols, terms, ncols) if dense
+                         else _summed_sorted(cols, terms))
+        return FixedRows(*map(np.concatenate, zip(*parts)), ncols)
+
+    def row_sums(self) -> np.ndarray:
+        """Each row's sum, in one order whatever the width (``sum(axis=1)``
+        changes its order with the width)."""
+        width = self.vals.shape[1]
+        return np.add.reduceat(self.vals.ravel(), np.arange(0, self.vals.size, width))
+
+    def block(self, lo: int, hi: int) -> "FixedRows":
+        """Rows lo..hi-1 over columns lo..hi-1, of a matrix with no entry
+        outside its diagonal blocks."""
+        return FixedRows(self.cols[lo:hi] - lo, self.vals[lo:hi], hi - lo)
+
+    def toarray(self) -> np.ndarray:
+        M = np.zeros(self.shape)
+        np.put_along_axis(M, self.cols, self.vals, axis=1)
+        return M
+
+
+def _row_blocks(rows: int, per_row: int) -> list:
+    """Slices of ``rows`` rows of ``per_row`` entries, about 2^20 entries a
+    slice, so that no temporary grows with the whole matrix."""
+    step = max(1, (1 << 20) // per_row)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _summed_dense(cols: np.ndarray, terms: np.ndarray, ncols: int) -> tuple:
+    """(cols, vals) of the rows that sum ``terms`` at ``cols``, row by row,
+    each in a dense row of ``ncols`` bins, so that equal columns add in
+    their order in the row."""
+    starts = (np.arange(len(cols)) * ncols)[:, None]  # each row's bins
+    bins = cols + starts
+    sums = np.bincount(bins.ravel(), terms.ravel(), minlength=len(cols) * ncols)
+    held = np.zeros(len(sums), dtype=bool)
+    held[bins] = True
+    entries = _by_row(np.flatnonzero(held), len(cols), ncols)
+    return (entries - starts).astype(np.int32), sums[entries]
+
+
+def _summed_sorted(cols: np.ndarray, terms: np.ndarray) -> tuple:
+    """As ``_summed_dense``, by one sort of the keys (column, position) a
+    row instead of a dense row of bins."""
+    rows, width = cols.shape
+    bits = width.bit_length()
+    keys = cols.astype(np.int64) << bits
+    keys |= np.arange(width)
+    keys.sort(axis=1)
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[:, 1:] >> bits, keys[:, :-1] >> bits, out=first[:, 1:])
+    entries = _by_row(np.flatnonzero(first), rows, width)
+    keys &= (1 << bits) - 1  # each sorted term's position in its row
+    keys += np.arange(0, rows * width, width)[:, None]
+    sums = np.bincount(np.cumsum(first, axis=None) - 1, terms.ravel()[keys.ravel()],
+                       minlength=entries.size)
+    return cols.ravel()[keys.ravel()[entries]].astype(np.int32), sums.reshape(entries.shape)
+
+
+def _distinct(gathered: np.ndarray) -> np.ndarray:
+    """Each row of ``gathered`` sorted, its repeats dropped."""
+    gathered = np.sort(gathered, axis=1)
+    first = np.ones(gathered.shape, dtype=bool)
+    np.not_equal(gathered[:, 1:], gathered[:, :-1], out=first[:, 1:])
+    return gathered.ravel()[_by_row(np.flatnonzero(first), *gathered.shape)]
+
+
+def _by_row(flat: np.ndarray, rows: int, span: int) -> np.ndarray:
+    """Ascending flat indices into a rows x span array, one row of them a
+    row; refused unless every row holds as many."""
+    kept = len(flat) // rows
+    if kept == 0 or kept * rows != len(flat) or np.any(flat[::kept] // span != np.arange(rows)):
+        raise InvalidInputError("a product of fixed-width rows has rows of unequal width")
+    return flat.reshape(rows, kept)
+
+
+def _transposition(M: FixedRows) -> np.ndarray:
+    """M's entries (flat indices) ordered by column, then row: one sort of
+    the distinct keys column * entries + index (int32 where they fit),
+    which turns into the order in place."""
+    size = M.cols.size
+    dtype = np.int32 if M.shape[1] * size < 1 << 31 else np.int64
+    order = M.cols.astype(dtype).reshape(-1)
+    order *= size
+    for lo in range(0, size, 1 << 20):  # no second array as long as the keys
+        order[lo:lo + (1 << 20)] += np.arange(lo, min(lo + (1 << 20), size), dtype=dtype)
+    order.sort()
+    order %= size
+    return order.astype(np.intp, copy=False)
+
+
 class TransitionMatrix:
-    """Row-stochastic kernel as a CSR array, with its exact stationary vector.
+    """Row-stochastic kernel as fixed-width rows, with its exact stationary
+    vector.
 
     ``states`` is the builder's boolean plus matrix, row i the pluses of
     state i of K; only its length is read here.  ``K`` may be passed dense
-    or sparse, or as the link factors (A, L) of a down-up kernel K = A L:
-    A the state x link incidence and L the links' laws over states.
-    ``factors`` keeps them (None for a kernel passed whole), and ``tm.K`` is
-    always a canonical ``scipy.sparse.csr_array``, for factors formed when
-    first read.  Building one checks, once and in O(nnz) memory, that rows
+    (it becomes full-width rows) or as ``FixedRows``, or as the link factors
+    (A, L) of a down-up kernel K = A L: A the state x link incidence and L
+    the links' laws over states.  ``factors`` keeps them (None for a kernel
+    passed whole), and ``tm.K`` is always ``FixedRows``, for factors formed
+    when first read.  Building one checks, once and in row blocks, that rows
     sum to 1 and that pi(x) K(x, y) = pi(y) K(y, x).  Factors are checked
     instead: rows of A and of L sum to 1, and L(e, y) (pi A)(e) = pi(y) A(y, e)
     for every link e, which makes pi(x) K(x, y) a sum over links symmetric
@@ -305,21 +444,21 @@ class TransitionMatrix:
         self.pi = pi
         self.factors = K if isinstance(K, tuple) else None
         if self.factors is None:
-            self.K = _canonical(K)
+            self.K = K if isinstance(K, FixedRows) else FixedRows.dense(K)
             _check_rows(self.K)
-            err = _detailed_balance_error(self.K, pi)
+            err = _balance_error(self.K, pi, self.K, pi)
         else:
             A, L = K
             _check_rows(A, L)
-            err = _link_balance_error(A, L, pi)
+            err = _balance_error(L, pi @ A, A, pi)
         if err > DETAILED_BALANCE_TOL:
             raise NonReversibleError(f"detailed balance violated by {err:.2e}")
 
     @cached_property
-    def K(self):
+    def K(self) -> FixedRows:
         """The kernel, the product of the factors when ``factors`` is set."""
         A, L = self.factors
-        return _canonical(A @ L)
+        return A @ L
 
     @cached_property
     def P(self) -> np.ndarray:
@@ -330,52 +469,34 @@ class TransitionMatrix:
         return P
 
 
-def _canonical(K):
-    """K as a float CSR array with sorted, summed entries."""
-    from scipy.sparse import csr_array
-
-    K = csr_array(K, dtype=float)
-    K.sum_duplicates()
-    return K
-
-
 def _check_rows(*matrices) -> None:
     """Refuse any of ``matrices`` with a row that does not sum to 1."""
-    err = max(float(np.max(np.abs(M.sum(axis=1) - 1.0))) for M in matrices)
+    err = max(float(np.max(np.abs(M.row_sums() - 1.0))) for M in matrices)
     if err > ROW_SUM_TOL:
         raise NonReversibleError(f"rows sum to 1 +- {err:.2e} > {ROW_SUM_TOL}")
 
 
-def _row_scaled(M, weights: np.ndarray):
-    """The CSR array M with row i multiplied by weights[i]."""
-    rows = np.repeat(weights, np.diff(M.indptr))
-    return type(M)((rows * M.data, M.indices, M.indptr), shape=M.shape)
-
-
-def _detailed_balance_error(K, pi: np.ndarray) -> float:
-    """max |pi(x) K(x, y) - pi(y) K(y, x)| over the stored entries of K."""
-    Kt = K.T.tocsr()
-    if not (np.array_equal(K.indptr, Kt.indptr)
-            and np.array_equal(K.indices, Kt.indices)):
-        # entries without a stored reverse: compare on the union pattern
-        F = _row_scaled(K, pi)
-        return float(abs(F - F.T).max())
-    # same pattern: entry p of K and of K^T are (x, y) and (y, x); in blocks
-    # of whole rows, so that no temporary grows with nnz
-    counts = np.diff(K.indptr)
-    step = max(1, (1 << 20) // max(1, int(counts.max(initial=0))))
+def _balance_error(M: FixedRows, w: np.ndarray, N: FixedRows, u: np.ndarray) -> float:
+    """max |w(x) M(x, y) - u(y) N(y, x)| over the entries (x, y) of M, for
+    an N whose transpose has M's pattern (so the entries of M and N pair up
+    and no other pair counts); refused otherwise.  N's entries are put in
+    M's order by one sort (``_transposition``), and compared in blocks of
+    rows, so that no temporary but that order grows with the entries."""
+    order = _transposition(N)
+    if order.size != M.cols.size:
+        raise NonReversibleError("an entry of the kernel has no stored reverse")
+    order = order.reshape(M.cols.shape)
+    flat_cols, flat_vals = N.cols.ravel(), N.vals.ravel()
     err = 0.0
-    for r in range(0, K.shape[0], step):
-        lo, hi = K.indptr[r], K.indptr[min(r + step, K.shape[0])]
-        rows = np.repeat(pi[r:r + step], counts[r:r + step])
-        d = rows * K.data[lo:hi] - pi[K.indices[lo:hi]] * Kt.data[lo:hi]
-        err = max(err, float(np.max(np.abs(d), initial=0.0)))
+    for rows in _row_blocks(*M.cols.shape):
+        at, y = order[rows], M.cols[rows].astype(np.intp)
+        if not (np.array_equal(at // N.cols.shape[1], y)
+                and np.all(flat_cols[at] == np.arange(rows.start, rows.stop)[:, None])):
+            raise NonReversibleError("an entry of the kernel has no stored reverse")
+        d = w[rows, None] * M.vals[rows]
+        d -= u[y] * flat_vals[at]
+        err = max(err, float(np.abs(d, out=d).max(initial=0.0)))
     return err
-
-
-def _link_balance_error(A, L, pi: np.ndarray) -> float:
-    """max |L(e, y) (pi A)(e) - pi(y) A(y, e)| over the entries of L and A^T."""
-    return float(abs(_row_scaled(L, pi @ A) - _row_scaled(A, pi).T).max())
 
 
 def _check_dense_size(size: int) -> None:
@@ -398,18 +519,6 @@ def _check_nonzeros(bound: int) -> None:
         )
 
 
-def _csr(data: np.ndarray, indices: np.ndarray, size: int):
-    """CSR rows over ``size`` columns from equal-length rows (2-D ``data``
-    and int32 ``indices``); repeated columns of a row are summed."""
-    from scipy.sparse import csr_array
-
-    rows, width = data.shape
-    indptr = np.arange(0, rows * width + 1, width, dtype=np.int32)
-    K = csr_array((data.ravel(), indices.ravel(), indptr), shape=(rows, size))
-    K.sum_duplicates()
-    return K
-
-
 def build_transition_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     """Exact sparse kernel and stationary vector for any of the four chains."""
     if kernel.kind == "glauber":
@@ -423,26 +532,38 @@ def _glauber_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
     n = g.n
     size = 2**n
     _check_nonzeros(size * (n + 1))
-    beta, lam = kernel.beta, kernel.lam
     s = np.arange(size)
     X = np.empty((size, n), dtype=bool)
     for v in range(n):
         X[:, v] = (s >> v) & 1
-    pi = gibbs_law(beta * mono_counts(g, X) + X.sum(axis=1) * math.log(lam))
+    X.flags.writeable = False
+    pi = gibbs_law(kernel.beta * mono_counts(g, X) + X.sum(axis=1) * math.log(kernel.lam))
+    return TransitionMatrix(states=X, K=_glauber_rows(g, kernel.beta, kernel.lam, X), pi=pi)
 
+
+def _glauber_rows(g: Graph, beta: float, lam: float, X: np.ndarray) -> FixedRows:
+    """Glauber's K, each row in column order: s - 2^v for the set bits v of
+    s from the highest down, s, then s + 2^v for its unset bits from the
+    lowest up.  Kept apart from ``_glauber_matrix`` so that its temporaries
+    are gone before the kernel is checked."""
+    size, n = X.shape
+    s = np.arange(size)
     cols = np.empty((size, n + 1), dtype=np.int32)
     vals = np.empty((size, n + 1))
-    cols[:, 0] = s
+    pluses = X.sum(axis=1)  # the diagonal's column
+    below = np.zeros(size, dtype=np.intp)  # set bits below v
     stay = np.zeros(size)
     for v, nb in enumerate(g.neighbors):
         p_plus = np.asarray(heat_bath_table(beta, lam, len(nb)))[X[:, nb].sum(axis=1)]
         up, down = p_plus / n, (1 - p_plus) / n
-        cols[:, v + 1] = s ^ (1 << v)
-        vals[:, v + 1] = np.where(X[:, v], down, up)
+        at = np.where(X[:, v], pluses - below - 1, pluses + 1 + v - below)
+        cols[s, at] = s ^ (1 << v)
+        vals[s, at] = np.where(X[:, v], down, up)
         stay += np.where(X[:, v], up, down)
-    vals[:, 0] = stay
-    X.flags.writeable = False
-    return TransitionMatrix(states=X, K=_csr(vals, cols, size), pi=pi)
+        below += X[:, v]
+    cols[s, pluses] = s
+    vals[s, pluses] = stay
+    return FixedRows(cols, vals, size)
 
 
 def _fixed_mag_matrix(kernel: ChainKernel, g: Graph) -> TransitionMatrix:
@@ -526,7 +647,8 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
     the block's pin set + K is the set of states containing it.  A link's
     key is the bitmask of K plus (block << n), so blocks share no link, and
     the links are sorted by key, so each block's links are consecutive.  A
-    is the state x link matrix with A[S, K] = 1 / C(k_free, l) for K in S.
+    is the state x link matrix with A[S, K] = 1 / C(k_free, l) for K in S;
+    every link lies in equally many states, which list A's transpose.
       * Down-up (``swaps`` None): the factors (A, L) of the kernel A L, where
         L has A^T's pattern and each link's row holds its heat-bath law,
         taken after subtracting the link's largest log-weight so that large
@@ -535,13 +657,11 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
         when one free plus of S moved to a free minus gives T, so the pattern
         of A A^T is S and its ``swaps`` = k_free (n - k) swaps.  Each is
         proposed with probability 1 / swaps and accepted by Metropolis; the
-        diagonal holds the rest.  The values overwrite the product's in
-        place, so the build holds the product and one temporary at a time.
+        diagonal holds the rest.  The pattern is found in row blocks and the
+        values are computed in place on it.
     Kept apart from ``_link_matrix`` so that its temporaries are gone before
     the kernel is checked.
     """
-    from scipy.sparse import csr_array
-
     size, k_free = plus.shape
     # each vertex's bit and each row's block key; Python integers past 62 bits
     dtype = np.int64 if n + blocks.bit_length() < 63 else object
@@ -553,30 +673,30 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
     for j in range(ell):
         masks += bit[plus[:, kept[:, j]]]
     links, link_of = np.unique(masks.ravel(), return_inverse=True)
-    A = csr_array((np.full(link_of.size, 1.0 / len(kept)), link_of.astype(np.int32),
-                   np.arange(0, link_of.size + 1, len(kept), dtype=np.int32)),
-                  shape=(size, len(links)))
+    cols = link_of.astype(np.int32).reshape(size, len(kept))
+    cols.sort(axis=1)
+    A = FixedRows(cols, np.full(cols.shape, 1.0 / len(kept)), len(links))
     del masks, links, link_of  # so that the next factor can reuse their memory
+    states = (_transposition(A) // len(kept)).astype(np.int32).reshape(A.shape[1], -1)
     if swaps is None:
-        L = A.T.tocsr()
-        starts, counts = L.indptr[:-1], np.diff(L.indptr)
-        logw = beta * mono[L.indices]
-        w = np.exp(logw - np.repeat(np.maximum.reduceat(logw, starts), counts))
-        L.data = w / np.repeat(np.add.reduceat(w, starts), counts)
+        logw = beta * mono[states]
+        L = FixedRows(states, np.exp(logw - logw.max(axis=1, keepdims=True)), size)
+        L.vals /= L.row_sums()[:, None]
         return A, L
-    K = A @ A.T
-    K.sort_indices()
-    counts = np.diff(K.indptr)
-    diag = np.flatnonzero(K.indices == np.repeat(np.arange(size, dtype=np.int32), counts))
-    d, mono_f = K.data, mono.astype(float)  # mono_T - mono_S is exact
-    d[:] = mono_f[K.indices]
-    d -= np.repeat(mono_f, counts)
+    gathered = A.cols.shape[1] * states.shape[1]  # S once a link, T once
+    cols = np.concatenate([_distinct(states[A.cols[rows]].reshape(-1, gathered))
+                           for rows in _row_blocks(size, gathered)])
+    mono_f = mono.astype(float)  # mono_T - mono_S is exact
+    d = mono_f[cols]
+    d -= mono_f[:, None]
     d *= beta
     np.exp(d, out=d)
     np.minimum(d, 1.0, out=d)
     d /= swaps
+    K = FixedRows(cols, d, size)
+    diag = cols == np.arange(size, dtype=np.int32)[:, None]
     d[diag] = 0.0
-    d[diag] = 1.0 - K.sum(axis=1)
+    d[diag] = 1.0 - K.row_sums()
     return K
 
 

@@ -17,6 +17,7 @@ plus on U.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -129,20 +130,28 @@ def _frontier_steps(free, nbrs):
 
     Each step takes the free vertex that leaves the smallest frontier once
     finished vertices (those with no unprocessed neighbour) are dropped; ties
-    go to the lowest id.  Returns [(v, finished after v enters), ...].
+    go to the lowest id.  Returns [(v, finished after v enters), ...].  The
+    candidates wait in a heap keyed by (growth, vertex); placing v changes
+    the growth only of vertices within distance 2 of it, so only those are
+    pushed again (stale entries are skipped as they come up).
     """
-    left = list(free)
     remaining = {v: len(nbrs[v]) for v in free}
     frontier = set()
     steps = []
 
-    def frontier_after(v):
+    def key(v):  # frontier growth of placing v, less len(frontier) + 1; then v
         done = sum(1 for u in nbrs[v] if u in frontier and remaining[u] == 1)
-        return len(frontier) + 1 - done - (remaining[v] == 0)
+        return -done - (remaining[v] == 0), v
 
-    while left:
-        v = min(left, key=frontier_after)
-        left.remove(v)
+    waiting = {v: key(v) for v in free}
+    heap = list(waiting.values())
+    heapq.heapify(heap)
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry[1]
+        if waiting.get(v) != entry:
+            continue
+        del waiting[v]
         width = len(frontier) + 1
         if (1 << width) * (len(free) + 1) > TABLE_ENTRY_CAP:
             raise TooLargeError(
@@ -152,9 +161,13 @@ def _frontier_steps(free, nbrs):
         for u in nbrs[v]:
             remaining[u] -= 1
         frontier.add(v)
-        done = sorted(u for u in frontier if remaining[u] == 0)
+        done = sorted(u for u in (v, *nbrs[v]) if u in frontier and remaining[u] == 0)
         frontier.difference_update(done)
         steps.append((v, done))
+        for w in {w for u in nbrs[v] for w in (u, *nbrs[u])} & waiting.keys():
+            if waiting[w] != (new := key(w)):
+                waiting[w] = new
+                heapq.heappush(heap, new)
     return steps
 
 

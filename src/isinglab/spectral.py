@@ -9,9 +9,9 @@ most (C - 1)/(k - |U| - 1) when M has top eigenvalue at most C.
 
 Second eigenvalues come from one dense ``eigvalsh`` for a kernel of at
 most DENSE_EIGEN_STATES states, where the per-call cost of a Lanczos solve
-dominates, and above that from one thick-restart Lanczos solve of the sparse
-kernel on the complement of its top eigenvector, in numpy alone (so no run
-loads scipy.linalg).  A down-up kernel K = A L, kept as its link
+dominates, and above that from one thick-restart Lanczos solve of the
+kernel's fixed-width rows on the complement of its top eigenvector, in
+numpy alone.  A down-up kernel K = A L, kept as its link
 factors, is solved on the smaller of K and L A (the walk on its links,
 which has the same nonzero spectrum), so its K is never formed for a gap
 when it has fewer links than states.  The gap factorization check solves the
@@ -97,7 +97,9 @@ def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
     eigenvalue of S on the complement of u = sq / |sq|, S's top eigenvector.
 
     u is the fixed first row of the basis, and each product
-    sq * (K @ (x / sq)) applies K itself, so no copy of K is formed.  Each new
+    sq * (K (x / sq)) reads K's rows transposed (width x states, one copy
+    held through the solve), so that it sums each row's terms in column
+    order, one column of the rows at a time.  Each new
     vector is orthogonalized against u and the basis, and the coefficients
     fill the projected matrix H.  When the basis holds LANCZOS_BASIS vectors
     it restarts from the top LANCZOS_KEPT Ritz vectors and the residual.  The
@@ -110,6 +112,16 @@ def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
     """
     eps = np.finfo(float).eps
     size, m, p = len(sq), LANCZOS_BASIS, LANCZOS_KEPT
+    k_cols, k_vals = K.cols.T.astype(np.intp, order="C"), K.vals.T.copy()
+    step = max(1, (1 << 20) // len(k_cols))  # states a block of the product
+
+    def product(x):
+        y, out = x / sq, np.empty(size)
+        for lo in range(0, size, step):  # "clip": the columns are in range anyway
+            np.einsum("ij,ij->j", y.take(k_cols[:, lo:lo + step], mode="clip"),
+                      k_vals[:, lo:lo + step], out=out[lo:lo + step])
+        return sq * out
+
     V = np.empty((m + 2, size))  # u, the basis, the residual
     V[0] = sq / np.linalg.norm(sq)
     V[1] = make_rng(0).random(size)
@@ -118,7 +130,7 @@ def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
     H = np.zeros((m, m))
     j = 0  # basis vectors held
     for _ in range(10 * size):
-        w = sq * (K @ (V[j + 1] / sq))
+        w = product(V[j + 1])
         H[:j + 1, j] = H[j, :j + 1] = _orthogonalize(w, V[:j + 2])[1:]
         b = np.linalg.norm(w)
         j += 1
@@ -128,7 +140,7 @@ def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
         theta, Y = np.linalg.eigh(H[:j, :j])
         if b * abs(Y[-1, -1]) <= eps:
             x = Y[:, -1] @ V[1:j + 1]
-            return float(x @ (sq * (K @ (x / sq))) / (x @ x))
+            return float(x @ product(x) / (x @ x))
         for lo in range(0, size, RESTART_COLUMNS):  # no second copy of the basis
             cols = slice(lo, lo + RESTART_COLUMNS)
             V[1:p + 1, cols] = Y[:, -p:].T @ V[1:m + 1, cols]
@@ -161,8 +173,7 @@ def _second_eigenvalues(tm: TransitionMatrix, block: int) -> np.ndarray:
 
 def _block_second_eigenvalues(K, sq: np.ndarray, block: int) -> np.ndarray:
     """lambda_2 of each diagonal block of ``block`` rows of
-    D^{1/2} K D^{-1/2}, D^{1/2} = diag(sq), for a CSR K with no duplicate
-    entries.
+    D^{1/2} K D^{-1/2}, D^{1/2} = diag(sq), for a ``FixedRows`` K.
 
     Blocks of at most DENSE_EIGEN_STATES rows are filled dense from K's rows
     (never from ``tm.P``) and solved by one batched ``eigvalsh``, as many at
@@ -173,20 +184,17 @@ def _block_second_eigenvalues(K, sq: np.ndarray, block: int) -> np.ndarray:
     if block > DENSE_EIGEN_STATES:
         return np.array([
             _lanczos_second_eigenvalue(
-                K if block == size else K[lo:lo + block, lo:lo + block],
-                sq[lo:lo + block])
+                K if block == size else K.block(lo, lo + block), sq[lo:lo + block])
             for lo in range(0, size, block)])
-    # the stack plus one temporary of its size: while it is filled, two int32
+    # the stack plus one temporary of its size: while it is filled, an index
     # a nonzero (at most 8 bytes a stack entry), then the solve's
     step = block * max(1, DENSE_STACK_BYTES // (16 * block * block))
     out = []
     for lo in range(0, size, step):
         hi = min(lo + step, size)
-        entries = slice(K.indptr[lo], K.indptr[hi])
         Q = np.zeros(((hi - lo) // block, block, block))
-        Q.reshape(-1)[np.repeat(np.arange(0, (hi - lo) * block, block, dtype=np.int32),
-                                np.diff(K.indptr[lo:hi + 1]))
-                      + K.indices[entries] % block] = K.data[entries]
+        np.put_along_axis(Q.reshape(hi - lo, block), K.cols[lo:hi] % block,
+                          K.vals[lo:hi], axis=1)
         out.append(_dense_second_eigenvalues(Q, sq[lo:hi].reshape(-1, block)))
     return np.concatenate(out)
 
@@ -205,8 +213,8 @@ def dirichlet_quotient(tm: TransitionMatrix, f: np.ndarray):
     var = tm.pi @ (f - mean) ** 2
     if var < 1e-14:
         return None
-    K = tm.K.tocoo()
-    energy = 0.5 * np.sum(tm.pi[K.row] * K.data * (f[K.row] - f[K.col]) ** 2)
+    K = tm.K
+    energy = 0.5 * np.sum(tm.pi[:, None] * K.vals * (f[:, None] - f[K.cols]) ** 2)
     return float(energy / var)
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures: the small named graphs and the exact test-set graphs
 used across the suite, and the slow references the fast paths are checked
 against: the Gray-code enumeration behind the partition-table DP, the
-per-link loop behind the down-up kernel product, the per-pin-set loop
+full rescan behind its greedy vertex order, the per-link loop behind the down-up kernel product, the per-pin-set loop
 behind the block-diagonal pinned walks, the closed-form completion
 law behind the down-up resample, the per-state grand-canonical loop, the
 frozenset influence matrix and local walks behind the plus-matrix ones,
@@ -25,7 +25,6 @@ import pytest
 from isinglab.dynamics import (
     ChainKernel,
     TransitionMatrix,
-    _csr,
     _heat_bath,
     _resample,
     build_transition_matrix,
@@ -164,6 +163,8 @@ def downup_kernel_loop(states, mono, free, beta, pinned, ell):
     and each kept l-subset K of its free pluses, list the link of pinned + K
     as the states pinned + K + W over the completions W, and give them the
     link's heat-bath law over C(k_free, l); repeats are summed."""
+    from scipy.sparse import csr_array
+
     k_free = len(states[0]) - len(pinned)
     index = {s: i for i, s in enumerate(states)}
     n_subsets = math.comb(k_free, ell)
@@ -180,9 +181,47 @@ def downup_kernel_loop(states, mono, free, beta, pinned, ell):
         return links[K]
 
     row = [link(K) for s in states for K in combinations(sorted(s - pinned), ell)]
-    return _csr(np.concatenate([law for _, law in row]).reshape(-1, width),
-                np.concatenate([idxs for idxs, _ in row]).reshape(-1, width),
-                len(states))
+    K = csr_array((np.concatenate([law for _, law in row]),
+                   np.concatenate([idxs for idxs, _ in row]),
+                   np.arange(0, len(states) * width + 1, width)),
+                  shape=(len(states), len(states)))
+    K.sum_duplicates()
+    return K
+
+
+def csr(M):
+    """A ``FixedRows`` matrix as a scipy CSR array, for the tests that
+    compare kernels through scipy's sparse API."""
+    from scipy.sparse import csr_array
+
+    rows, width = M.cols.shape
+    return csr_array((M.vals.ravel(), M.cols.ravel(),
+                      np.arange(0, rows * width + 1, width)), shape=M.shape)
+
+
+def frontier_steps_scan(free, nbrs):
+    """Reference greedy order of ``measures._frontier_steps``, without its
+    cap: each step rescans every unplaced vertex for the smallest frontier
+    left once finished vertices are dropped, ties to the lowest id."""
+    left = list(free)
+    remaining = {v: len(nbrs[v]) for v in free}
+    frontier = set()
+    steps = []
+
+    def frontier_after(v):
+        done = sum(1 for u in nbrs[v] if u in frontier and remaining[u] == 1)
+        return len(frontier) + 1 - done - (remaining[v] == 0)
+
+    while left:
+        v = min(left, key=frontier_after)
+        left.remove(v)
+        for u in nbrs[v]:
+            remaining[u] -= 1
+        frontier.add(v)
+        done = sorted(u for u in frontier if remaining[u] == 0)
+        frontier.difference_update(done)
+        steps.append((v, done))
+    return steps
 
 
 def pinned_gap_inf_loop(g, beta, k, ell):

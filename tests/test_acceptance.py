@@ -43,6 +43,7 @@ from isinglab.thresholds import beta_u, eta_of_fixed_point, lambda_u, tree_fixed
 
 from conftest import (
     complete_graph,
+    csr,
     cycle_graph,
     exact_test_set,
     fixed_mag_prob,
@@ -96,7 +97,7 @@ def _stationarity_errors(tm):
     """max |piK - pi| and max |F - F^T| for the flux F = diag(pi) K, both on
     the sparse kernel."""
     stat = float(np.max(np.abs(tm.pi @ tm.K - tm.pi)))
-    F = tm.K.multiply(tm.pi[:, None])
+    F = csr(tm.K).multiply(tm.pi[:, None])
     db = float(abs(F - F.T).max())
     return stat, db
 

@@ -525,7 +525,7 @@ def test_unchecked_counts_exit_2(tmp_path, capsys, argv):
 
 
 def test_cli_and_chains_import_no_scipy():
-    """scipy loads only where an exact kernel is built or solved."""
+    """Importing the CLI and the chain runs loads no scipy."""
     import os
     import subprocess
     import sys
@@ -544,12 +544,30 @@ def test_cli_and_chains_import_no_scipy():
 @pytest.mark.parametrize("argv", [
     ["spectra", "--report", "gap", "--chain", "kawasaki", "--n", "12", "--delta", "3",
      "--beta", "0.5", "--k", "6"],
+    ["spectra", "--report", "gap", "--chain", "kl_downup", "--n", "11", "--delta", "4",
+     "--beta", "0.5", "--k", "5", "--ell", "3"],
+    ["spectra", "--report", "gap", "--chain", "downup", "--n", "12", "--delta", "3",
+     "--beta", "0.5", "--k", "6"],
+    ["spectra", "--report", "gap", "--chain", "glauber", "--n", "10", "--delta", "3",
+     "--beta", "0.5", "--lam", "1.2"],
+    ["spectra", "--report", "factorization", "--n", "9", "--delta", "4", "--beta", "0.5",
+     "--k", "4", "--ell", "1"],
+    ["spectra", "--report", "influence", "--n", "10", "--delta", "3", "--beta", "0.5",
+     "--k", "5"],
+    ["spectra", "--report", "localwalks", "--n", "8", "--delta", "3", "--beta", "0.5",
+     "--k", "4"],
+    ["spectra", "--report", "edgeworth", "--n", "12", "--delta", "3", "--beta", "0.5",
+     "--lam", "1.01"],
     ["exactcheck", "--n", "12", "--delta", "3", "--k", "6"],
-], ids=["gap-924", "exactcheck-12"])
-def test_exact_runs_load_no_scipy_linalg(tmp_path, argv):
-    """Lanczos solves run without scipy.sparse.linalg or scipy.linalg, which
-    would add about 10 MB to the process: a gap of 924 states, and exact
-    checks whose full and pinned down-up walks have 792 and 330 links."""
+], ids=["gap-924", "kl-gap-462", "downup-gap-924", "glauber-gap-1024", "factorization-9",
+        "influence-10", "localwalks-8", "edgeworth-12", "exactcheck-12"])
+def test_exact_runs_load_no_scipy(tmp_path, argv):
+    """Every exact command runs on numpy alone: kernels are fixed-width numpy
+    rows and the eigensolves are numpy's, so no scipy module loads.  The
+    gaps cover Lanczos solves on K (924 Kawasaki and 1 024 Glauber states)
+    and on the links (792), and dense ones on the 165 links of the kl walk;
+    the exact checks build full and pinned down-up walks of 792 and 330
+    links."""
     import os
     import subprocess
     import sys
@@ -559,8 +577,7 @@ def test_exact_runs_load_no_scipy_linalg(tmp_path, argv):
 
     code = ("import sys; from isinglab.cli import main; "
             f"assert main({[*argv, '--out', str(tmp_path)]!r}) == 0; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.linalg', 'scipy.sparse.linalg'))))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": str(Path(isinglab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)

@@ -9,6 +9,7 @@ from isinglab.dynamics import (
     _CHUNK,
     ChainKernel,
     CoupledKawasaki,
+    FixedRows,
     TransitionMatrix,
     _chunks,
     _heat_bath,
@@ -36,6 +37,7 @@ from conftest import (
     _disagreements,
     complete_graph,
     completion_law,
+    csr,
     cycle_graph,
     downup_kernel_loop,
     exact_test_set,
@@ -348,7 +350,7 @@ def test_downup_product_matches_per_link_loop(beta):
                     tm = dynamics._link_matrix(g, beta, k, [pinned], ell, "kl_downup")
                     want = downup_kernel_loop(plus_sets(X), mono, free, beta,
                                               frozenset(pinned), ell)
-                    assert abs(tm.K - want).max() <= 1e-14, (name, k, pinned, ell)
+                    assert abs(csr(tm.K) - want).max() <= 1e-14, (name, k, pinned, ell)
 
 
 def test_downup_product_past_62_free_vertices():
@@ -361,7 +363,7 @@ def test_downup_product_past_62_free_vertices():
                    ChainKernel("downup", beta=beta, k=2)):
         tm = build_transition_matrix(kernel, g)
         assert np.array_equal(tm.states, X)
-        assert abs(tm.K - want).max() <= 1e-14
+        assert abs(csr(tm.K) - want).max() <= 1e-14
 
 
 @pytest.mark.parametrize("ell", [1, 2])
@@ -380,15 +382,78 @@ def test_pinned_blocks_equal_per_pin_set_kernels(ell):
                 (pin_sets, tm), = pinned_downup_matrices(g, beta, k, ell)
                 assert pin_sets == list(combinations(range(g.n), ell))
                 assert len(tm.states) == size * len(pin_sets)
-                coo = tm.K.tocoo()
+                coo = csr(tm.K).tocoo()
                 assert np.array_equal(coo.row // size, coo.col // size)
                 for b, u in enumerate(pin_sets):
                     want = build_transition_matrix(
                         ChainKernel("downup", beta=beta, k=k, pinned=u), g)
                     block = slice(b * size, (b + 1) * size)
-                    assert (tm.K[block, block] != want.K).nnz == 0, (name, k, u, beta)
+                    assert (csr(tm.K)[block, block] != csr(want.K)).nnz == 0, (name, k, u, beta)
                     assert np.array_equal(tm.states[block], want.states), (name, k, u)
                     assert np.array_equal(tm.pi[block], want.pi), (name, k, u, beta)
+
+
+def _assert_fixed_width(M):
+    """Every row of M holds as many entries, at sorted, distinct columns."""
+    assert M.cols.shape == M.vals.shape and len(M.cols) == M.shape[0]
+    assert np.all(np.diff(M.cols, axis=1) > 0)
+    assert 0 <= M.cols.min() and M.cols.max() < M.shape[1]
+
+
+def _close(got, want):
+    """Two scipy arrays with the same stored entries, to 1e-15."""
+    return got.nnz == want.nnz and abs(got - want).max() <= 1e-15
+
+
+def _scipy_cross_check_cases():
+    g = random_regular(9, 4, seed=2)
+    kernels = {
+        "glauber-looped": ChainKernel("glauber", beta=0.7, lam=1.2),
+        "kawasaki": ChainKernel("kawasaki", beta=0.7, k=4),
+        "kawasaki-pinned": ChainKernel("kawasaki", beta=0.7, k=4, pinned={1, 5}),
+        "downup": ChainKernel("downup", beta=0.7, k=4),
+        "downup-pinned": ChainKernel("downup", beta=0.7, k=4, pinned={1, 5}),
+        "kl-ell0": ChainKernel("kl_downup", beta=0.7, k=4, ell=0),
+        "kl-ell3": ChainKernel("kl_downup", beta=0.7, k=5, ell=3),
+    }
+    for name, kernel in kernels.items():
+        yield name, kernel, build_transition_matrix(kernel, LOOPED if "looped" in name else g)
+    for name, graph, k in (("blocks", g, 4), ("blocks-C70", cycle_graph(70), 2)):
+        for _, tm in pinned_downup_matrices(graph, 0.7, k, 1):
+            yield name, None, tm
+
+
+def test_fixed_width_kernels_match_scipy_products():
+    """Every kernel and factor has fixed-width rows of sorted, distinct
+    columns; L has the pattern of A's transpose; each product (A L, L A,
+    pi A, pi K) equals scipy's CSR product of the same arrays, entry for
+    entry to 1e-15; and the Kawasaki pattern is that of A A^T for the +1
+    walk's A on the same states.  On Glauber over a looped multigraph,
+    Kawasaki and the +1 walk pinned and not, the (k, l) walk at l = 0 and 3,
+    and the pinned blocks, on C70 with link keys past 62 bits."""
+    g = random_regular(9, 4, seed=2)
+    for name, kernel, tm in _scipy_cross_check_cases():
+        _assert_fixed_width(tm.K)
+        K = csr(tm.K)
+        assert K.has_canonical_format, name
+        assert abs(tm.pi @ tm.K - tm.pi @ K).max() <= 1e-15, name
+        if tm.factors is not None:
+            A, L = tm.factors
+            for M in (A, L, L @ A):
+                _assert_fixed_width(M)
+            assert np.array_equal(csr(A).T.tocsr().indices, csr(L).indices), name
+            assert _close(K, csr(A) @ csr(L)), name
+            assert _close(csr(L @ A), csr(L) @ csr(A)), name
+            assert abs(tm.pi @ A - tm.pi @ csr(A)).max() <= 1e-15, name
+        elif name.startswith("kawasaki"):
+            A, _ = build_transition_matrix(
+                ChainKernel("downup", beta=0.7, k=kernel.k, pinned=kernel.pinned), g).factors
+            want = csr(A) @ csr(A).T
+            want.sort_indices()
+            assert np.array_equal(K.indptr, want.indptr), name
+            assert np.array_equal(K.indices, want.indices), name
+        else:
+            assert tm.K.cols.shape == (2**LOOPED.n, LOOPED.n + 1)
 
 
 def test_downup_kernels_keep_their_link_factors():
@@ -403,7 +468,8 @@ def test_downup_kernels_keep_their_link_factors():
         A, L = tm.factors
         assert A.shape == L.shape[::-1] == (len(tm.states), links)
         assert "K" not in vars(tm)
-        assert abs(tm.K - A @ L).max() == 0.0 and tm.K.has_canonical_format
+        K = csr(tm.K)
+        assert abs(K - csr(A) @ csr(L)).max() == 0.0 and K.has_canonical_format
     for kernel in (ChainKernel("kawasaki", beta=0.7, k=3),
                    ChainKernel("glauber", beta=0.7, lam=1.2)):
         assert build_transition_matrix(kernel, g).factors is None
@@ -417,9 +483,9 @@ def test_perturbed_link_factors_are_refused():
     A, L = tm.factors
 
     def moved(M, *eps):  # row 0 of A and of L holds at least two entries
-        M = M.copy()
-        M.data[:len(eps)] += eps
-        return M
+        vals = M.vals.copy()
+        vals[0, :len(eps)] += eps
+        return FixedRows(M.cols, vals, M.shape[1])
 
     TransitionMatrix(states=tm.states, K=(A, L), pi=tm.pi)
     for factors, match in (((moved(A, 1e-9), L), "rows sum to 1"),
@@ -439,11 +505,11 @@ def test_detailed_balance_error_in_row_blocks():
     over the whole union pattern."""
     tm = build_transition_matrix(ChainKernel("glauber", beta=0.7, lam=1.2),
                                  cycle_graph(16))
-    assert tm.K.nnz > 1 << 20
+    assert csr(tm.K).nnz > 1 << 20
     pi = tm.pi * np.linspace(1.0, 1.5, len(tm.pi))
-    F = tm.K.multiply(pi[:, None]).tocsr()
+    F = csr(tm.K).multiply(pi[:, None]).tocsr()
     want = float(abs(F - F.T).max())
-    assert want > 0 and dynamics._detailed_balance_error(tm.K, pi) == want
+    assert want > 0 and dynamics._balance_error(tm.K, pi, tm.K, pi) == want
 
 
 def test_kernel_states_are_the_listed_plus_matrix():
@@ -482,7 +548,7 @@ def test_pinned_blocks_batched_under_the_nonzero_cap(monkeypatch):
     batches = list(pinned_downup_matrices(g, 0.7, 3, 1))
     assert [p for p, _ in batches] == [pin_sets[0:2], pin_sets[2:4], pin_sets[4:6]]
     from scipy.sparse import block_diag
-    assert (block_diag([tm.K for _, tm in batches]) != whole.K).nnz == 0
+    assert (block_diag([csr(tm.K) for _, tm in batches]) != csr(whole.K)).nnz == 0
     assert np.array_equal(np.concatenate([tm.pi for _, tm in batches]), whole.pi)
     assert np.array_equal(np.concatenate([tm.states for _, tm in batches]), whole.states)
     monkeypatch.setattr(dynamics, "KERNEL_NONZERO_CAP", 79)
@@ -500,7 +566,7 @@ def test_pinned_blocks_past_62_bits():
         want = build_transition_matrix(
             ChainKernel("downup", beta=0.7, k=2, pinned=pin_sets[b]), g)
         block = slice(b * 69, (b + 1) * 69)
-        assert (tm.K[block, block] != want.K).nnz == 0
+        assert (csr(tm.K)[block, block] != csr(want.K)).nnz == 0
 
 
 def test_kawasaki_matrix_matches_definition():
@@ -691,7 +757,7 @@ def test_sparse_gap_needs_no_dense_view(monkeypatch):
     tm = build_transition_matrix(ChainKernel("kawasaki", beta=0.5, k=8),
                                  random_regular(16, 3, seed=0))
     assert len(tm.states) == 12870
-    assert tm.K.nnz == 12870 * (1 + 8 * 8)
+    assert csr(tm.K).nnz == 12870 * (1 + 8 * 8)
     assert 0 < spectral_gap(tm) < 1
 
 

@@ -16,6 +16,7 @@ from isinglab.measures import (
     IsingParams,
     PartitionTable,
     SpinConfiguration,
+    _frontier_steps,
     _logsumexp,
     cumulants_of_size,
     exact_partition_table,
@@ -32,6 +33,7 @@ from conftest import (
     edge_multiset,
     exact_test_set,
     fixed_mag_prob,
+    frontier_steps_scan,
     gibbs_prob,
     gray_code_table,
     log_z,
@@ -211,12 +213,40 @@ def test_frontier_table_cap_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     # a large cubic graph is refused as soon as the greedy order's frontier
-    # passes the cap, long before the whole O(n^2) order is built
+    # passes the cap, long before the whole order is built
     g = random_regular(2000, 3, seed=0)
     t0 = time.perf_counter()
     with pytest.raises(TooLargeError, match="entry cap"):
         exact_partition_table(g, beta=0.5)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _free_multigraph(g, pinned):
+    """The free vertices and their free-free edge multiplicities, as
+    ``exact_partition_table`` hands them to ``_frontier_steps``."""
+    free = [v for v in range(g.n) if v not in pinned]
+    mult = {v: {} for v in free}
+    for u, w in g.edges:
+        if u != w and u not in pinned and w not in pinned:
+            mult[u][w] = mult[u].get(w, 0) + 1
+            mult[w][u] = mult[w].get(u, 0) + 1
+    return free, mult
+
+
+@pytest.mark.parametrize("g,pinned", [
+    *[(cycle_graph(n), ()) for n in (3, 64, 301)],
+    *[(random_regular(n, d, seed=seed, simple=True), ())
+      for n, d, seed in ((40, 3, 1), (36, 4, 2), (30, 5, 3))],
+    (random_regular(30, 4, seed=4), (0, 3, 7)),
+    (LOOPED, (1,)),
+], ids=["C3", "C64", "C301", "RR40-3", "RR36-4", "RR30-5", "RR30-4-pinned-multi",
+        "looped-pinned"])
+def test_frontier_order_matches_the_full_rescan(g, pinned):
+    """The heap-kept greedy order equals the one that rescans every unplaced
+    vertex at each step, step for step (ties to the lowest id), on cycles,
+    random regular graphs and pinned multigraphs."""
+    free, mult = _free_multigraph(g, frozenset(pinned))
+    assert _frontier_steps(free, mult) == frontier_steps_scan(free, mult)
 
 
 def _log_convolution_power(log_by_k, m):

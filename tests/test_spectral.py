@@ -6,6 +6,7 @@ import pytest
 
 from isinglab.dynamics import (
     ChainKernel,
+    FixedRows,
     build_transition_matrix,
     pinned_downup_matrices,
 )
@@ -38,6 +39,7 @@ from isinglab.rng import make_rng
 from conftest import (
     LOOPED,
     complete_graph,
+    csr,
     cycle_graph,
     exact_mixing_time,
     exact_test_set,
@@ -94,13 +96,6 @@ def test_gap_rejects_nonreversible():
         TransitionMatrix(states=(0, 1, 2), K=0.9 * P, pi=pi)
 
 
-def _dense_gap(tm):
-    """1 - lambda_2 by dense eigvalsh of the symmetrized dense view."""
-    sq = np.sqrt(tm.pi)
-    A = (sq[:, None] / sq[None, :]) * tm.P
-    return 1.0 - np.linalg.eigvalsh(0.5 * (A + A.T))[-2]
-
-
 @pytest.mark.parametrize("kernel,g", [
     (ChainKernel("glauber", beta=0.9, lam=0.8), random_regular(10, 3, seed=7)),
     (ChainKernel("kawasaki", beta=0.5, k=6), random_regular(12, 3, seed=3)),
@@ -114,7 +109,7 @@ def _dense_gap(tm):
         "kl-462", "k2-two-states", "union-2xC6-924"])
 def test_lanczos_gap_matches_dense_eigvalsh(kernel, g):
     tm = build_transition_matrix(kernel, g)
-    gap, want = spectral_gap(tm), _dense_gap(tm)
+    gap, want = spectral_gap(tm), 1.0 - _dense_second_eigenvalue(tm.K, np.sqrt(tm.pi))
     assert abs(gap - want) <= 1e-12 * want, (len(tm.states), gap, want)
 
 
@@ -122,15 +117,20 @@ def _dense_second_eigenvalue(K, sq):
     """lambda_2 of S = D^{1/2} K D^{-1/2} symmetrized, D^{1/2} = diag(sq), to
     about an eps: dense eigvalsh places it (off by up to 40 eps at a few
     thousand states), and the Rayleigh quotient of one inverse iteration
-    step shifted there gives its value.  Holds at most two dense copies of K."""
+    step shifted there gives its value (or eigvalsh's value itself, where the
+    shift makes S exactly singular).  Holds at most two dense copies of K."""
     S = K.toarray()
     S *= sq[:, None]
     S /= sq
     S += S.T
     S *= 0.5
     diagonal = np.diagonal(S).copy()
-    S.flat[::len(S) + 1] -= np.linalg.eigvalsh(S)[-2]
-    x = np.linalg.solve(S, make_rng(0, 1).random(len(S)))
+    placed = np.linalg.eigvalsh(S)[-2]
+    S.flat[::len(S) + 1] -= placed
+    try:
+        x = np.linalg.solve(S, make_rng(0, 1).random(len(S)))
+    except np.linalg.LinAlgError:
+        return placed
     S.flat[::len(S) + 1] = diagonal
     return x @ (S @ x) / (x @ x)
 
@@ -182,7 +182,7 @@ def test_lanczos_on_pinned_blocks_matches_dense(k):
     got = spectral._second_eigenvalues(tm, block)
     for b, lo in enumerate(range(0, len(tm.states), block)):
         part = slice(lo, lo + block)
-        assert _agree(got[b], _dense_second_eigenvalue(tm.K[part, part],
+        assert _agree(got[b], _dense_second_eigenvalue(csr(tm.K)[part, part],
                                                        np.sqrt(tm.pi[part]))), b
 
 
@@ -199,12 +199,10 @@ def test_lanczos_solve_repeats_bit_for_bit():
 def test_lanczos_solve_that_does_not_converge_is_degenerate():
     """The directed 300-cycle is not reversible, so the symmetric solve never
     meets its residual bound and stops after 10 products a state."""
-    from scipy.sparse import csr_array
-
     from isinglab import spectral
 
     n = 300
-    K = csr_array((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)), shape=(n, n))
+    K = FixedRows(((np.arange(n, dtype=np.int32) + 1) % n)[:, None], np.ones((n, 1)), n)
     with pytest.raises(DegenerateError, match="did not converge"):
         spectral._lanczos_second_eigenvalue(K, np.ones(n))
 
@@ -217,8 +215,8 @@ def test_lanczos_solve_that_does_not_converge_is_degenerate():
 ])
 def test_dense_and_lanczos_split(monkeypatch, kernel, g, states):
     """Up to 200 states the gap comes from one dense eigvalsh, above it from
-    one Lanczos solve; both equal the dense view's.  The down-up walk is
-    solved on its C(10, 4) = 210 links, fewer than its states."""
+    one Lanczos solve; both equal the refined dense reference's.  The down-up
+    walk is solved on its C(10, 4) = 210 links, fewer than its states."""
     from isinglab import spectral
 
     solves = []
@@ -233,7 +231,7 @@ def test_dense_and_lanczos_split(monkeypatch, kernel, g, states):
     assert len(tm.states) == states
     gap = spectral_gap(tm)
     assert "P" not in vars(tm)  # the dense solve fills no cached dense view
-    want = _dense_gap(tm)
+    want = 1.0 - _dense_second_eigenvalue(tm.K, np.sqrt(tm.pi))
     assert abs(gap - want) <= 1e-12 * want, (states, gap, want)
     side = 210 if kernel.kind == "downup" else states
     assert solves == ([] if side <= 200 else [side])
@@ -287,8 +285,8 @@ def test_link_side_gap_matches_dense_gap():
         sides.add((on_links, (links if on_links else block) > 200))
         for b, lo in enumerate(range(0, len(tm.states), block)):
             part = slice(lo, lo + block)
-            want = _dense_gap(TransitionMatrix(states=tm.states[part],
-                                               K=tm.K[part, part], pi=tm.pi[part]))
+            want = 1.0 - _dense_second_eigenvalue(csr(tm.K)[part, part],
+                                                  np.sqrt(tm.pi[part]))
             assert abs(got[b] - want) <= 1e-12 * want, (label, b, got[b], want)
     assert sides == {(True, False), (True, True), (False, False), (False, True)}
 
@@ -313,12 +311,12 @@ def test_gap_only_paths_form_no_kernel(monkeypatch, tmp_path):
 @pytest.mark.parametrize("k,n", [(3, 6), (4, 9)], ids=["2x20-dense", "2x126-lanczos"])
 def test_reducible_kernel_has_gap_zero(k, n):
     """Two copies of a chain side by side: lambda_2 = 1, on either path."""
-    from scipy.sparse import block_diag
-
     tm = build_transition_matrix(ChainKernel("kawasaki", beta=0.6, k=k),
                                  random_regular(n, 4, seed=0))
     size = len(tm.states)
-    both = TransitionMatrix(states=tuple(range(2 * size)), K=block_diag([tm.K, tm.K]),
+    K = FixedRows(np.concatenate([tm.K.cols, tm.K.cols + size]),
+                  np.concatenate([tm.K.vals, tm.K.vals]), 2 * size)
+    both = TransitionMatrix(states=tuple(range(2 * size)), K=K,
                             pi=np.concatenate([tm.pi, tm.pi]) / 2)
     assert abs(spectral_gap(both)) <= 1e-12
 
@@ -574,8 +572,8 @@ def test_gap_pinned_inf_matches_per_pin_set_loop():
 def test_gap_factorization_in_batches(monkeypatch):
     """Under a cap that fits five of C6's six pinned blocks at k = 3, l = 1
     (80 nonzeros each), and the full and (k, l) kernels (240 and 400), the
-    check runs in two batches, their 10-state blocks solved two at a time,
-    and gives the loop's inf_U gap."""
+    check runs in two batches.  Each 10-state block is solved on its 5 links,
+    four blocks to a stack, and the check gives the loop's inf_U gap."""
     from isinglab import dynamics, spectral
 
     monkeypatch.setattr(dynamics, "KERNEL_NONZERO_CAP", 400)
