@@ -60,11 +60,12 @@ from .measures import (
 from .rng import as_rng
 
 DENSE_KERNEL_BYTES = 512 << 20  # dense view P: at most 8 192 states
-# A build peaks near 24 bytes per nonzero, and a Lanczos solve near 32 (the
-# kernel's 12 and its transposed copy's 16), measured as peak RSS growth on
-# random_regular(20, 3, seed=1): C(20, 10) = 184 756 Kawasaki states (18.7 M
-# nonzeros) 433 MiB built and 565 MiB solved, Glauber (22 M) 490 MiB built.
-# So about 1.1 GB at the cap.
+# A build peaks near 24 bytes per nonzero, and a Lanczos solve holds the
+# kernel's 12 and a basis of 26 vectors over the states, measured as peak
+# RSS growth on random_regular(20, 3, seed=1): C(20, 10) = 184 756 Kawasaki
+# states (18.7 M nonzeros) 433 MiB built and no more solved, Glauber (2^20
+# states, 22 M nonzeros) 490 MiB built and 540 MiB solved.  So about
+# 0.8 GB at the cap.
 # A down-up build holds only its link factors, but the cap still bounds the
 # product K = A L that a read of its K forms.
 KERNEL_NONZERO_CAP = 1 << 25
@@ -299,7 +300,14 @@ class FixedRows:
     terms in row order.  ``M @ N`` gathers N's rows at the entries of each
     row of M, a block of rows at a time, and sums equal columns in the order
     of M's entries, then of N's: in a dense row of N's columns where that
-    row is at most 8 times the terms gathered, else by one sort a row.
+    row is no longer than the terms gathered, else by one sort a row.  Dense
+    against sort (one core, best of 7, random_regular(n, delta, seed=0)):
+    0.6 against 1.2 ms for the kl walk's L A at n 11, delta 4, k 5, l 3
+    (165 bins, 280 terms), 2.5 against 1.8 for its A L (462 bins, 280
+    terms); for the +1 walks, 0.058 against 0.064 at n 9, k 4 (5 bins a
+    term) and 0.085 against 0.090 pinned at n 9, k 4, l 1 (14), but 1.0
+    against 0.45 and 1.3 against 0.52 for L A and A L at n 12, delta 3, k 6
+    (19 and 22).
     """
 
     __array_ufunc__ = None  # so that ``x @ M`` with an array x reaches __rmatmul__
@@ -324,15 +332,16 @@ class FixedRows:
             return NotImplemented
         ncols = other.shape[1]
         width = self.cols.shape[1] * other.cols.shape[1]  # a row's terms
-        dense = ncols <= 8 * width
+        dense = ncols <= width
         parts = []
-        for rows in _row_blocks(len(self.cols), max(width, ncols if dense else 0)):
-            at = self.cols[rows]
-            cols = other.cols[at].reshape(len(at), -1)
-            terms = other.vals[at].reshape(cols.shape)
-            terms *= np.repeat(self.vals[rows], other.cols.shape[1], axis=1)
+        for rows in _row_blocks(len(self.cols), width):
+            at = self.cols[rows].astype(np.intp)  # numpy gathers far slower at int32
+            cols = other.cols.take(at, axis=0).reshape(len(at), -1)
+            terms = other.vals.take(at, axis=0)
+            terms *= self.vals[rows, :, None]
+            terms = terms.reshape(cols.shape)
             parts.append(_summed_dense(cols, terms, ncols) if dense
-                         else _summed_sorted(cols, terms))
+                         else _summed_sorted(cols, terms, ncols))
         return FixedRows(*map(np.concatenate, zip(*parts)), ncols)
 
     def row_sums(self) -> np.ndarray:
@@ -360,9 +369,9 @@ def _row_blocks(rows: int, per_row: int) -> list:
 
 
 def _summed_dense(cols: np.ndarray, terms: np.ndarray, ncols: int) -> tuple:
-    """(cols, vals) of the rows that sum ``terms`` at ``cols``, row by row,
-    each in a dense row of ``ncols`` bins, so that equal columns add in
-    their order in the row."""
+    """(cols, vals) of the rows that sum ``terms`` at ``cols`` (each below
+    ``ncols``), row by row, each in a dense row of ``ncols`` bins, so that
+    equal columns add in their order in the row."""
     starts = (np.arange(len(cols)) * ncols)[:, None]  # each row's bins
     bins = cols + starts
     sums = np.bincount(bins.ravel(), terms.ravel(), minlength=len(cols) * ncols)
@@ -372,30 +381,38 @@ def _summed_dense(cols: np.ndarray, terms: np.ndarray, ncols: int) -> tuple:
     return (entries - starts).astype(np.int32), sums[entries]
 
 
-def _summed_sorted(cols: np.ndarray, terms: np.ndarray) -> tuple:
+def _summed_sorted(cols: np.ndarray, terms: np.ndarray, ncols: int) -> tuple:
     """As ``_summed_dense``, by one sort of the keys (column, position) a
-    row instead of a dense row of bins."""
+    row (int32 where they fit) instead of a dense row of bins."""
     rows, width = cols.shape
     bits = width.bit_length()
-    keys = cols.astype(np.int64) << bits
-    keys |= np.arange(width)
+    dtype = np.int32 if ncols << bits <= 1 << 31 else np.int64
+    keys = cols.astype(dtype)
+    keys <<= bits
+    keys |= np.arange(width, dtype=dtype)
     keys.sort(axis=1)
-    first = np.ones(keys.shape, dtype=bool)
-    np.not_equal(keys[:, 1:] >> bits, keys[:, :-1] >> bits, out=first[:, 1:])
+    col = keys >> bits
+    first = _firsts(col)
     entries = _by_row(np.flatnonzero(first), rows, width)
     keys &= (1 << bits) - 1  # each sorted term's position in its row
-    keys += np.arange(0, rows * width, width)[:, None]
-    sums = np.bincount(np.cumsum(first, axis=None) - 1, terms.ravel()[keys.ravel()],
+    at = keys.astype(np.intp)
+    at += np.arange(0, rows * width, width)[:, None]
+    run = first.astype(np.intp)
+    np.cumsum(run, out=run)
+    run -= 1  # each sorted term's entry
+    sums = np.bincount(run, terms.reshape(-1).take(at.reshape(-1)),
                        minlength=entries.size)
-    return cols.ravel()[keys.ravel()[entries]].astype(np.int32), sums.reshape(entries.shape)
+    return col.reshape(-1)[entries].astype(np.int32), sums.reshape(entries.shape)
 
 
-def _distinct(gathered: np.ndarray) -> np.ndarray:
-    """Each row of ``gathered`` sorted, its repeats dropped."""
-    gathered = np.sort(gathered, axis=1)
-    first = np.ones(gathered.shape, dtype=bool)
-    np.not_equal(gathered[:, 1:], gathered[:, :-1], out=first[:, 1:])
-    return gathered.ravel()[_by_row(np.flatnonzero(first), *gathered.shape)]
+def _firsts(rows: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a row of the row-sorted ``rows``
+    starts, as a flat boolean mask."""
+    flat = rows.reshape(-1)
+    first = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=first[1:])
+    first[::rows.shape[1]] = True
+    return first
 
 
 def _by_row(flat: np.ndarray, rows: int, span: int) -> np.ndarray:
@@ -491,10 +508,10 @@ def _balance_error(M: FixedRows, w: np.ndarray, N: FixedRows, u: np.ndarray) -> 
     for rows in _row_blocks(*M.cols.shape):
         at, y = order[rows], M.cols[rows].astype(np.intp)
         if not (np.array_equal(at // N.cols.shape[1], y)
-                and np.all(flat_cols[at] == np.arange(rows.start, rows.stop)[:, None])):
+                and np.all(flat_cols.take(at) == np.arange(rows.start, rows.stop)[:, None])):
             raise NonReversibleError("an entry of the kernel has no stored reverse")
         d = w[rows, None] * M.vals[rows]
-        d -= u[y] * flat_vals[at]
+        d -= u.take(y) * flat_vals.take(at)
         err = max(err, float(np.abs(d, out=d).max(initial=0.0)))
     return err
 
@@ -684,8 +701,13 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
         L.vals /= L.row_sums()[:, None]
         return A, L
     gathered = A.cols.shape[1] * states.shape[1]  # S once a link, T once
-    cols = np.concatenate([_distinct(states[A.cols[rows]].reshape(-1, gathered))
-                           for rows in _row_blocks(size, gathered)])
+    cols = []
+    for rows in _row_blocks(size, gathered):
+        at = A.cols[rows].astype(np.intp)  # numpy gathers far slower at int32
+        near = np.sort(states.take(at, axis=0).reshape(-1, gathered))
+        first = np.flatnonzero(_firsts(near))
+        cols.append(near.reshape(-1)[_by_row(first, *near.shape)])
+    cols = np.concatenate(cols)
     mono_f = mono.astype(float)  # mono_T - mono_S is exact
     d = mono_f[cols]
     d -= mono_f[:, None]

@@ -42,6 +42,7 @@ from .measures import (
 )
 from .dynamics import (
     ChainKernel,
+    FixedRows,
     TransitionMatrix,
     build_transition_matrix,
     pinned_downup_matrices,
@@ -59,6 +60,13 @@ DENSE_STACK_BYTES = 1 << 25  # a batched dense solve: its stack and one temporar
 LANCZOS_BASIS = 24  # vectors a Lanczos basis holds before it restarts
 LANCZOS_KEPT = 12  # Ritz vectors a restart keeps
 RESTART_COLUMNS = 1 << 14  # columns of the basis rotated at a time
+# A Lanczos product from a column-major copy of K against one from K's own
+# rows, on random_regular(n, 3, seed=1) Kawasaki kernels at k = n / 2 (one
+# core, best of 7): 0.041 against 0.070 ms at n 12 (a copy of 0.5 MB), 1.3
+# against 2.0 at n 16 (13 MB), 7.8 against 11.2 at n 18 (64 MB), 62 against
+# 52 at n 20 (300 MB).  The copy is made only while it is small, so that a
+# large solve holds K once.
+LANCZOS_COPY_BYTES = 16 << 20
 LCLT_WINDOW = 2  # lclt_error's plus-counts lie within this of the mean
 
 
@@ -91,36 +99,69 @@ def _orthogonalize(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return c + d
 
 
+def _row_product(K: FixedRows):
+    """y -> K y, each row summed in column order, as scipy's csr_matvec did:
+    the terms are laid out column-major and added down the columns.
+
+    A kernel whose column-major copy (16 bytes a nonzero) fits in
+    LANCZOS_COPY_BYTES is copied once, and a product is a gather, a multiply
+    and that sum.  A larger one is read from its own rows, a block of about
+    2^16 entries at a time, each block's terms gathered, scaled and turned
+    column-major, so no copy of it is held.  Those blocks hold equal rows,
+    never one: numpy sums a one-row block's column pairwise.
+    """
+    size, width = K.cols.shape
+    if 16 * K.cols.size <= LANCZOS_COPY_BYTES:
+        cols, vals = K.cols.T.astype(np.intp, order="C"), K.vals.T.copy()
+        terms = np.empty(cols.shape)  # reused: a new one page-faults
+
+        def product(y):
+            np.take(y, cols, out=terms, mode="clip")  # "raise" would copy
+            np.multiply(terms, vals, out=terms)
+            return np.add.reduce(terms, axis=0)
+
+        return product
+    blocks = min(size // 2, (size * width >> 16) + 1)
+    bounds = [size * b // blocks for b in range(blocks + 1)]
+    terms = np.empty((-(-size // blocks), width))
+    down = np.empty(terms.shape[::-1])
+
+    def product(y):
+        out = np.empty(size)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            t, d = terms[:hi - lo], down[:, :hi - lo]
+            np.take(y, K.cols[lo:hi], out=t, mode="clip")
+            t *= K.vals[lo:hi]
+            np.copyto(d, t.T)
+            np.add.reduce(d, axis=0, out=out[lo:hi])
+        return out
+
+    return product
+
+
 def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
     """lambda_2 of S = D^{1/2} K D^{-1/2}, D^{1/2} = diag(sq), by a
     thick-restart Lanczos solve (Wu and Simon 2000) for the largest
     eigenvalue of S on the complement of u = sq / |sq|, S's top eigenvector.
 
-    u is the fixed first row of the basis, and each product
-    sq * (K (x / sq)) reads K's rows transposed (width x states, one copy
-    held through the solve), so that it sums each row's terms in column
-    order, one column of the rows at a time.  Each new
-    vector is orthogonalized against u and the basis, and the coefficients
-    fill the projected matrix H.  When the basis holds LANCZOS_BASIS vectors
-    it restarts from the top LANCZOS_KEPT Ritz vectors and the residual.  The
-    solve stops when the top Ritz pair's residual b |y_last| is at most float
-    eps (an absolute bound: |S| = 1, and S may vanish on u's complement), and
-    gives up after 10 products a state.  It returns the Rayleigh quotient of
-    that Ritz vector, one product more: it lies within an eps or two of
-    lambda_2, where the Ritz value itself may be ten eps off.  The start
-    vector is fixed, so reruns agree.
+    u is the fixed first row of the basis, and each product is
+    sq * (K (x / sq)), by ``_row_product``.  Each new vector is
+    orthogonalized against u and the basis, and the coefficients fill the
+    projected matrix H.  When the basis holds LANCZOS_BASIS vectors it
+    restarts from the top LANCZOS_KEPT Ritz vectors and the residual.  The
+    solve stops when the top Ritz pair's residual b |y_last| is at most
+    float eps (an absolute bound: |S| = 1, and S may vanish on u's
+    complement), and gives up after 10 products a state.  It returns the
+    Rayleigh quotient of that Ritz vector, one product more: it lies within
+    an eps or two of lambda_2, where the Ritz value itself may be ten eps
+    off.  The start vector is fixed, so reruns agree.
     """
     eps = np.finfo(float).eps
     size, m, p = len(sq), LANCZOS_BASIS, LANCZOS_KEPT
-    k_cols, k_vals = K.cols.T.astype(np.intp, order="C"), K.vals.T.copy()
-    step = max(1, (1 << 20) // len(k_cols))  # states a block of the product
+    kernel = _row_product(K)
 
     def product(x):
-        y, out = x / sq, np.empty(size)
-        for lo in range(0, size, step):  # "clip": the columns are in range anyway
-            np.einsum("ij,ij->j", y.take(k_cols[:, lo:lo + step], mode="clip"),
-                      k_vals[:, lo:lo + step], out=out[lo:lo + step])
-        return sq * out
+        return sq * kernel(x / sq)
 
     V = np.empty((m + 2, size))  # u, the basis, the residual
     V[0] = sq / np.linalg.norm(sq)

@@ -34,6 +34,7 @@ from isinglab.spectral import (
     spectral_gap,
     stability_probe,
 )
+from isinglab import spectral
 from isinglab.rng import make_rng
 
 from conftest import (
@@ -194,6 +195,25 @@ def test_lanczos_solve_repeats_bit_for_bit():
     sq = np.sqrt(tm.pi)
     first = spectral._lanczos_second_eigenvalue(tm.K, sq)
     assert spectral._lanczos_second_eigenvalue(tm.K, sq) == first
+
+
+@pytest.mark.parametrize("copy_bytes", [spectral.LANCZOS_COPY_BYTES, 0], ids=["copied", "rows"])
+@pytest.mark.parametrize("size,width", [(2, 2), (3, 3), (924, 37), (1847, 71), (1297, 101)])
+def test_lanczos_product_sums_each_row_in_column_order(monkeypatch, copy_bytes, size, width):
+    """K y, from a column-major copy of K or from its rows a block at a
+    time, is scipy's CSR product bit for bit: each row adds its terms in
+    column order.  A first term of 1e16 followed by ones tells that order
+    from a pairwise sum, in every block and at every block's last row: at
+    1847 and 1297 rows, blocks of 2^16 entries would leave one row over."""
+    monkeypatch.setattr(spectral, "LANCZOS_COPY_BYTES", copy_bytes)
+    rng = make_rng(7)
+    cols = np.sort(np.argsort(rng.random((size, size)), axis=1)[:, :width], axis=1)
+    vals = rng.random((size, width))
+    vals[:, 0] = 1e16
+    K = FixedRows(cols.astype(np.int32), vals, size)
+    y = np.ones(size)
+    y[::3] = rng.random(len(y[::3]))
+    assert np.array_equal(spectral._row_product(K)(y), csr(K) @ y)
 
 
 def test_lanczos_solve_that_does_not_converge_is_degenerate():
