@@ -334,7 +334,8 @@ def cmd_spectra(args, ctx: RunContext) -> int:
         report.update(
             chain=args.chain,
             gap=gap,
-            mixing_time_upper=mixing_time_upper(tm, gap) if gap > 0 else None,
+            mixing_time_upper=(mixing_time_upper(tm, gap)
+                               if gap > 0 and tm.pi.min() > 0 else None),
             states=len(tm.states),
         )
     elif args.report == "influence":

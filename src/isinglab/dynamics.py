@@ -646,26 +646,29 @@ def _link_matrix(g: Graph, beta: float, k: int, pin_sets: list, ell: int,
     listed = [fixed_k_states(g, k, pinned=u) for u in pin_sets]
     X = np.concatenate([x for x, _ in listed])
     X.flags.writeable = False
-    free = [x & ~np.isin(np.arange(g.n), list(u))  # the free pluses
+    free = [x[:, [v for v in range(g.n) if v not in u]]  # each block's free columns
             for (x, _), u in zip(listed, pin_sets)]
     plus = np.nonzero(np.concatenate(free))[1].reshape(len(X), -1)
     mono = np.concatenate([m for _, m in listed])
     swaps = plus.shape[1] * (g.n - k) if kind == "kawasaki" else None
-    K = _link_kernel(plus, mono, beta, ell, g.n, len(pin_sets), swaps)
+    K = _link_kernel(plus, mono, beta, ell, free[0].shape[1], len(pin_sets), swaps)
     pi = np.concatenate([gibbs_law(beta * m) for _, m in listed])
     return TransitionMatrix(states=X, K=K, pi=pi)
 
 
-def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
-    """Moves on links, for ``blocks`` equal blocks of rows, row S with its
-    free pluses at ``plus`` (vertex indices, by row).
+def _link_kernel(plus, mono, beta, ell, m, blocks, swaps):
+    """Moves on links, for ``blocks`` equal blocks of rows over ``m`` free
+    vertices each, row S with its free pluses at ``plus`` (their ascending
+    positions among the block's free vertices, by row).
 
     From S every l-subset K of its free pluses is kept in turn; the link of
-    the block's pin set + K is the set of states containing it.  A link's
-    key is the bitmask of K plus (block << n), so blocks share no link, and
-    the links are sorted by key, so each block's links are consecutive.  A
-    is the state x link matrix with A[S, K] = 1 / C(k_free, l) for K in S;
-    every link lies in equally many states, which list A's transpose.
+    the block's pin set + K is the set of states containing it.  Every
+    l-subset of the m free vertices is a link, and link K of block b is
+    numbered b C(m, l) + sum_j C(p_j, j + 1), K's colex rank (Knuth, TAOCP
+    4A 7.2.1.3) at its positions p_0 < ... < p_{l-1}: each block's links
+    are consecutive, in the order of their bitmasks.  A is the state x link
+    matrix with A[S, K] = 1 / C(k_free, l) for K in S; every link lies in
+    equally many states, which list A's transpose.
       * Down-up (``swaps`` None): the factors (A, L) of the kernel A L, where
         L has A^T's pattern and each link's row holds its heat-bath law,
         taken after subtracting the link's largest log-weight so that large
@@ -680,20 +683,19 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
     the kernel is checked.
     """
     size, k_free = plus.shape
-    # each vertex's bit and each row's block key; Python integers past 62 bits
-    dtype = np.int64 if n + blocks.bit_length() < 63 else object
-    bit = np.array([1 << v for v in range(n)], dtype=dtype)
-    base = np.repeat(np.arange(blocks).astype(dtype) << n, size // blocks)
+    links = math.comb(m, ell)  # a block's
     kept = np.array(list(combinations(range(k_free), ell)),
                     dtype=np.intp).reshape(math.comb(k_free, ell), ell)
-    masks = np.full((size, len(kept)), base[:, None], dtype=dtype)
+    cols = np.repeat(np.arange(blocks, dtype=np.int32) * links,
+                     size // blocks * len(kept)).reshape(size, len(kept))
     for j in range(ell):
-        masks += bit[plus[:, kept[:, j]]]
-    links, link_of = np.unique(masks.ravel(), return_inverse=True)
-    cols = link_of.astype(np.int32).reshape(size, len(kept))
+        # p_j <= m - l + j, so each term read is below C(m, l), and every
+        # link is an entry of A: the ids fit int32
+        rank = np.array([math.comb(p, j + 1) for p in range(m - ell + j + 1)],
+                        dtype=np.int32)
+        cols += rank[plus[:, kept[:, j]]]
     cols.sort(axis=1)
-    A = FixedRows(cols, np.full(cols.shape, 1.0 / len(kept)), len(links))
-    del masks, links, link_of  # so that the next factor can reuse their memory
+    A = FixedRows(cols, np.full(cols.shape, 1.0 / len(kept)), blocks * links)
     states = (_transposition(A) // len(kept)).astype(np.int32).reshape(A.shape[1], -1)
     if swaps is None:
         logw = beta * mono[states]
@@ -712,8 +714,8 @@ def _link_kernel(plus, mono, beta, ell, n, blocks, swaps):
     d = mono_f[cols]
     d -= mono_f[:, None]
     d *= beta
+    np.minimum(d, 0.0, out=d)  # min(1, e^x) = e^min(0, x), which never overflows
     np.exp(d, out=d)
-    np.minimum(d, 1.0, out=d)
     d /= swaps
     K = FixedRows(cols, d, size)
     diag = cols == np.arange(size, dtype=np.int32)[:, None]

@@ -75,7 +75,8 @@ def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
 
     Takes delta half-edge copies of every vertex and pairs them by a uniform
     perfect matching.  With ``simple=True``, rejection-samples until the
-    result has no self-loop or parallel edge (at most SIMPLE_RETRY_CAP draws).
+    result has no self-loop or parallel edge (at most SIMPLE_RETRY_CAP draws;
+    refused at once when delta > n - 1, which no simple graph has).
     The edges are sorted by lower end, a vertex's loops after its other
     edges, and otherwise kept in matching order.
     """
@@ -85,6 +86,8 @@ def random_regular(n: int, delta: int, seed, simple: bool = False) -> Graph:
         raise InvalidInputError("degree must be nonnegative")
     if (n * delta) % 2 != 0:
         raise InvalidInputError(f"n*delta = {n * delta} must be even")
+    if simple and delta > n - 1:
+        raise InvalidInputError(f"no simple graph on {n} vertices has degree {delta}")
     import numpy as np
 
     rng = as_rng(seed)

@@ -145,7 +145,8 @@ def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
     eigenvalue of S on the complement of u = sq / |sq|, S's top eigenvector.
 
     u is the fixed first row of the basis, and each product is
-    sq * (K (x / sq)), by ``_row_product``.  Each new vector is
+    sq * (K (x / sq)), by ``_row_product``, with x / sq 0 where sq is 0 (pi
+    underflowed), as the dense solve counts those entries.  Each new vector is
     orthogonalized against u and the basis, and the coefficients fill the
     projected matrix H.  When the basis holds LANCZOS_BASIS vectors it
     restarts from the top LANCZOS_KEPT Ritz vectors and the residual.  The
@@ -159,9 +160,11 @@ def _lanczos_second_eigenvalue(K, sq: np.ndarray) -> float:
     eps = np.finfo(float).eps
     size, m, p = len(sq), LANCZOS_BASIS, LANCZOS_KEPT
     kernel = _row_product(K)
+    scaled = np.zeros(size)  # stays 0 where sq is
 
     def product(x):
-        return sq * kernel(x / sq)
+        np.divide(x, sq, out=scaled, where=sq > 0)
+        return sq * kernel(scaled)
 
     V = np.empty((m + 2, size))  # u, the basis, the residual
     V[0] = sq / np.linalg.norm(sq)
@@ -265,6 +268,8 @@ def mixing_time_upper(tm: TransitionMatrix, gap: float = None) -> float:
         gap = spectral_gap(tm)
     if gap <= 0:
         raise DegenerateError("zero spectral gap; no mixing bound")
+    if tm.pi.min() == 0:
+        raise DegenerateError("pi underflows to 0; no finite mixing bound")
     return (1.0 / gap) * math.log(4.0 / tm.pi.min())
 
 

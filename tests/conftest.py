@@ -1,12 +1,13 @@
 """Shared fixtures: the small named graphs and the exact test-set graphs
 used across the suite, and the slow references the fast paths are checked
 against: the Gray-code enumeration behind the partition-table DP, the
-full rescan behind its greedy vertex order, the per-link loop behind the down-up kernel product, the per-pin-set loop
-behind the block-diagonal pinned walks, the closed-form completion
-law behind the down-up resample, the per-state grand-canonical loop, the
-frozenset influence matrix and local walks behind the plus-matrix ones,
-local mono counts, the coupled chain's disagreement sets from scratch, and
-the list-based configuration-model sampler behind ``random_regular``.  Also
+full rescan behind its greedy vertex order, the per-link loop behind the
+down-up kernel product, the bitmask order behind its link ids, the
+per-pin-set loop behind the block-diagonal pinned walks, the closed-form
+completion law behind the down-up resample, the per-state grand-canonical
+loop, the frozenset influence matrix and local walks behind the plus-matrix
+ones, local mono counts, the coupled chain's disagreement sets from scratch,
+and the list-based configuration-model sampler behind ``random_regular``.  Also
 the oracles that only tests read: edge multisets and counts, log Z,
 per-state Gibbs and fixed-magnetization probabilities, finite-difference
 cumulants, the dense matrix-power mixing time, the (k, l)
@@ -187,6 +188,23 @@ def downup_kernel_loop(states, mono, free, beta, pinned, ell):
                   shape=(len(states), len(states)))
     K.sum_duplicates()
     return K
+
+
+def link_ids_by_bitmask(X, pin_sets, ell):
+    """Reference link numbering of ``dynamics._link_kernel``, each row's ids
+    sorted: the rows of the plus matrix X are len(pin_sets) equal blocks,
+    block b pinned plus at pin_sets[b], and the link of a kept l-subset K of
+    a row's free pluses has the key bitmask(K) + (b << n), ranked among the
+    keys of all rows, as ``np.unique`` would."""
+    size, n = X.shape
+    per_block = size // len(pin_sets)
+    keys = []
+    for i, s in enumerate(plus_sets(X)):
+        b = i // per_block
+        keys.append([sum(1 << v for v in K) + (b << n)
+                     for K in combinations(sorted(s - set(pin_sets[b])), ell)])
+    rank = {key: r for r, key in enumerate(sorted({key for row in keys for key in row}))}
+    return np.array([sorted(rank[key] for key in row) for row in keys]).reshape(size, -1)
 
 
 def csr(M):

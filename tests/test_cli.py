@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -518,10 +519,34 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
      "--beta", "0.5", "--k", "3", "--steps", "5", "--phi", "0"],
     ["simulate", "--chain", "coupled-kawasaki", "--n", "6", "--delta", "3",
      "--beta", "0.5", "--k", "3", "--steps", "5", "--phi", "-1"],
+    # no simple graph has delta > n - 1
+    ["graph-gen", "--n", "2", "--delta", "3", "--simple"],
 ])
 def test_unchecked_counts_exit_2(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path)]) == 2
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--chain", "kawasaki", "--n", "6", "--k", "3", "--beta", "800"],
+    ["--chain", "downup", "--n", "6", "--k", "3", "--beta", "800"],
+    ["--chain", "kl_downup", "--ell", "1", "--n", "6", "--k", "3", "--beta", "800"],
+    ["--chain", "kawasaki", "--n", "12", "--k", "6", "--beta", "80"],
+    ["--chain", "kawasaki", "--n", "12", "--k", "6", "--beta", "800"],
+])
+def test_spectra_gap_where_pi_underflows_writes_strict_json(tmp_path, argv):
+    """Where pi underflows to 0 the gap report exits 0 without a warning,
+    and its mixing bound, log(4 / min pi) over the gap, is null: the file
+    holds no Infinity or NaN."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["spectra", "--report", "gap", *argv, "--delta", "3", "--seed", "0",
+                    "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectra.json").read_text(), parse_constant=refuse)
+    assert report["mixing_time_upper"] is None
 
 
 def test_cli_and_chains_import_no_scipy():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -42,6 +43,7 @@ from conftest import (
     downup_kernel_loop,
     exact_test_set,
     kl_downup_step,
+    link_ids_by_bitmask,
     plus_sets,
     swap_delta_mono,
 )
@@ -354,7 +356,8 @@ def test_downup_product_matches_per_link_loop(beta):
 
 
 def test_downup_product_past_62_free_vertices():
-    """On C70 the link bitmasks over 70 free vertices need Python integers."""
+    """On C70 the links are ranked among subsets of 70 free vertices, more
+    than a 64-bit bitmask holds."""
     g, beta = cycle_graph(70), 0.7
     X, mono = fixed_k_states(g, 2)
     states = plus_sets(X)
@@ -430,7 +433,8 @@ def test_fixed_width_kernels_match_scipy_products():
     entry to 1e-15; and the Kawasaki pattern is that of A A^T for the +1
     walk's A on the same states.  On Glauber over a looped multigraph,
     Kawasaki and the +1 walk pinned and not, the (k, l) walk at l = 0 and 3,
-    and the pinned blocks, on C70 with link keys past 62 bits."""
+    and the pinned blocks, also on C70, whose 70 vertices no 64-bit link
+    bitmask holds."""
     g = random_regular(9, 4, seed=2)
     for name, kernel, tm in _scipy_cross_check_cases():
         _assert_fixed_width(tm.K)
@@ -557,9 +561,41 @@ def test_pinned_blocks_batched_under_the_nonzero_cap(monkeypatch):
         next(pinned_downup_matrices(g, 0.7, 3, 1))
 
 
+def _link_id_cases():
+    """(plus matrix, pin sets, l, A) of the +1 walk unpinned and pinned at
+    one and at two vertices (Kawasaki links the same A), the (k, l) walk at
+    every l, the pinned blocks at l = 1 and 2, and cycles past 62 vertices."""
+    g = random_regular(9, 4, seed=2)
+    kernels = [(g, ChainKernel("downup", beta=0.7, k=4, pinned=u)) for u in ((), {1}, {1, 5})]
+    kernels += [(g, ChainKernel("kl_downup", beta=0.7, k=5, ell=ell)) for ell in range(5)]
+    kernels += [(cycle_graph(70), ChainKernel("downup", beta=0.7, k=2)),
+                (cycle_graph(70), ChainKernel("kl_downup", beta=0.7, k=2, ell=0)),
+                (cycle_graph(66), ChainKernel("downup", beta=0.7, k=2, pinned={1})),
+                (cycle_graph(64), ChainKernel("downup", beta=0.7, k=3, pinned={0, 1}))]
+    for graph, kernel in kernels:
+        tm = build_transition_matrix(kernel, graph)
+        ell = kernel.ell if kernel.ell is not None else kernel.k - len(kernel.pinned) - 1
+        yield tm.states, [kernel.pinned], ell, tm.factors[0]
+    for graph, k, ell in ((g, 4, 1), (g, 4, 2), (cycle_graph(70), 2, 1)):
+        for pin_sets, tm in pinned_downup_matrices(graph, 0.7, k, ell):
+            yield tm.states, pin_sets, k - ell - 1, tm.factors[0]
+
+
+def test_link_ids_follow_the_bitmask_order():
+    """A link's id, its colex rank plus b C(m, l) in block b, numbers the
+    links in the order of their keys bitmask + (block << n): A's columns,
+    and with them the order of L's rows and the link-side start vector, are
+    those of that numbering."""
+    for X, pin_sets, ell, A in _link_id_cases():
+        want = link_ids_by_bitmask(X, pin_sets, ell)
+        assert A.cols.dtype == np.int32
+        assert A.shape[1] == want.max() + 1
+        assert np.array_equal(A.cols, want), (X.shape, pin_sets[:2], ell)
+
+
 def test_pinned_blocks_past_62_bits():
-    """On C70 with l = 1 the link keys (bitmask + block << 70) need Python
-    integers; each block still equals its pin set's kernel."""
+    """On C70 with l = 1, 70 blocks of 69 free vertices, past what a 64-bit
+    link bitmask holds; each block still equals its pin set's kernel."""
     g = cycle_graph(70)
     (pin_sets, tm), = pinned_downup_matrices(g, 0.7, 2, 1)
     for b in (0, 35, 69):
@@ -573,8 +609,8 @@ def test_kawasaki_matrix_matches_definition():
     """Every entry against min(1, e^{beta dm}) / (k_free (n - k)), with dm
     from the local swap count, and the diagonal holding the rest."""
     beta = 0.9
-    # the link bitmasks are over all n vertices: on C66 and C64 they pass 62
-    # bits, also where C64 pinned at (0, 1) leaves 62 free vertices
+    # C66 and C64 have more vertices than a 62-bit bitmask holds, also where
+    # C64 pinned at (0, 1) leaves 62 free vertices
     for g, k, pinnings in ((cycle_graph(5), 3, ((), (1,))), (cycle_graph(6), 3, ((), (1,))),
                            (cycle_graph(66), 2, ((1,),)), (cycle_graph(66), 1, ((),)),
                            (cycle_graph(64), 3, ((0, 1),))):
@@ -593,6 +629,24 @@ def test_kawasaki_matrix_matches_definition():
                         expected[j] = min(1.0, math.exp(beta * dm)) / pairs
                 expected[i] = 1.0 - expected.sum()
                 assert np.max(np.abs(tm.P[i] - expected)) < 1e-14, (g.n, pinned, s)
+
+
+def test_kawasaki_build_at_large_beta_warns_nothing():
+    """At beta = 800 e^(beta dm) overflows for dm > 0; the build takes
+    min(1, e^x) as e^min(0, x), so nothing warns and each entry is that
+    value over the swaps, bit for bit."""
+    g, beta = cycle_graph(6), 800.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tm = build_transition_matrix(ChainKernel("kawasaki", beta=beta, k=3), g)
+    states = plus_sets(tm.states)
+    for i, s in enumerate(states):
+        spins = [1 if v in s else -1 for v in range(g.n)]
+        for u in s:
+            for w in set(range(g.n)) - s:
+                dm = swap_delta_mono(g, spins, u, w)
+                j = states.index((s - {u}) | {w})
+                assert tm.P[i, j] == math.exp(min(0.0, beta * dm)) / 9, (s, u, w)
 
 
 def test_kl_step_exact_sampling_distribution():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isinglab import graphs
 from isinglab.errors import InvalidInputError, RetriesExhaustedError
 from isinglab.graphs import (
     Graph,
@@ -99,10 +100,21 @@ def test_odd_total_degree_rejected():
         random_regular(3, 3, seed=0)
 
 
-def test_retry_cap():
-    # K2 with delta=2 can only be a doubled edge or two loops; never simple.
+def test_retry_cap(monkeypatch):
+    # K4 is the one simple cubic graph on 4 vertices; seed 0's first draw is
+    # not simple, and one draw is all the cap allows
+    monkeypatch.setattr(graphs, "SIMPLE_RETRY_CAP", 1)
     with pytest.raises(RetriesExhaustedError):
-        random_regular(2, 2, seed=0, simple=True)
+        random_regular(4, 3, seed=0, simple=True)
+
+
+@pytest.mark.parametrize("n, delta", [(2, 2), (2, 3), (5, 6)])
+def test_simple_degree_above_n_minus_1_refused(monkeypatch, n, delta):
+    """No simple graph has delta > n - 1: refused before any draw."""
+    monkeypatch.setattr(graphs, "SIMPLE_RETRY_CAP", 0)
+    with pytest.raises(InvalidInputError, match="no simple graph"):
+        random_regular(n, delta, seed=0, simple=True)
+    random_regular(n, delta, seed=0)  # a multigraph has one
 
 
 def test_self_loop_degree_convention():

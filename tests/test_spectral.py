@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -214,6 +215,25 @@ def test_lanczos_product_sums_each_row_in_column_order(monkeypatch, copy_bytes, 
     y = np.ones(size)
     y[::3] = rng.random(len(y[::3]))
     assert np.array_equal(spectral._row_product(K)(y), csr(K) @ y)
+
+
+@pytest.mark.parametrize("beta", [80.0, 800.0])
+def test_lanczos_counts_underflowed_pi_as_zero(beta):
+    """At large beta pi underflows to 0 on some of the 924 Kawasaki states.
+    The Lanczos product takes x / sq as 0 there, as the dense solve counts
+    those entries, so the two agree and nothing warns; the mixing bound,
+    log(4 / min pi) over the gap, is refused."""
+    tm = build_transition_matrix(ChainKernel("kawasaki", beta=beta, k=6),
+                                 random_regular(12, 3, seed=0))
+    sq = np.sqrt(tm.pi)
+    assert (sq == 0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lanczos = spectral._lanczos_second_eigenvalue(tm.K, sq)
+        dense = spectral._dense_second_eigenvalues(tm.P.copy(), sq)
+    assert abs(lanczos - dense) <= 1e-14
+    with pytest.raises(DegenerateError, match="pi underflows"):
+        mixing_time_upper(tm, 0.5)
 
 
 def test_lanczos_solve_that_does_not_converge_is_degenerate():
